@@ -8,16 +8,15 @@ projective geometry matroids, where the optimum and its quadratic
 stability are available in exact closed form.
 """
 
-from .fields import (FieldMatrix, PrimeField, canonical_point, field_identity,
-                     field_matmul, field_new, is_invertible, mat_vec,
-                     nonzero_vectors, projective_points, rank_over_fp)
+from .fields import (FieldMatrix, PrimeField, canonical_point, field_matmul,
+                     field_new, is_invertible, mat_vec, nonzero_vectors,
+                     projective_points, rank_over_fp)
 from .genpoly import (ConcavityReport, Distribution, IndepSetIndex, concavity_probe,
-                      enumerate_independent_ksets, eval_F, eval_f, eval_f_many,
-                      eval_h, gradient_f, hessian_f, midpoint_check)
+                      enumerate_independent_ksets, eval_F, eval_f, eval_h,
+                      gaps_from_uniform, gradient_f, hessian_f, midpoint_check)
 from .matroids import (ExplicitSpec, GroundSet, LinearSpec, Matroid, MatroidSpec,
                        ParallelClassesSpec, ProjectiveSpec, UniformSpec,
-                       axiom_spot_check, build_matroid, is_independent,
-                       matroid_rank, spec_from_json, spec_to_json)
+                       axiom_spot_check, build_matroid, spec_from_json, spec_to_json)
 from .montecarlo import McEstimate, estimate_F, sample_kset
 from .optimize import AscentConfig, AscentResult, maximize_F, optimality_gap
 from .projective import (PGParams, StabilityScanReport, VectorDistribution,
@@ -39,12 +38,11 @@ __all__ = [
     "axiom_spot_check", "b2_count", "b2_explicit", "build_matroid",
     "canonical_point", "check_invariance", "concavity_probe",
     "enumerate_independent_ksets", "estimate_F", "eval_F", "eval_f",
-    "eval_f_many", "eval_h", "field_identity", "field_matmul", "field_new",
+    "eval_h", "field_matmul", "field_new", "gaps_from_uniform",
     "gaussian_bracket", "gradient_f", "hessian_coefficient", "hessian_f",
-    "is_independent", "is_invertible", "is_transitive", "k2_gap", "mat_vec",
-    "matroid_rank", "maximize_F", "midpoint_check", "nonzero_vectors",
-    "optimality_gap", "orbit_average", "orbits", "pgl_point_permutation",
-    "projective_points", "pushforward", "rank_over_fp", "sample_kset",
-    "spec_from_json", "spec_to_json", "stability_ratio", "stability_scan",
-    "uniform_optimum",
+    "is_invertible", "is_transitive", "k2_gap", "mat_vec", "maximize_F",
+    "midpoint_check", "nonzero_vectors", "optimality_gap", "orbit_average",
+    "orbits", "pgl_point_permutation", "projective_points", "pushforward",
+    "rank_over_fp", "sample_kset", "spec_from_json", "spec_to_json",
+    "stability_ratio", "stability_scan", "uniform_optimum",
 ]

@@ -140,10 +140,6 @@ def field_matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix((a.entries @ b.entries) % a.field.p, a.field)
 
 
-def field_identity(n: int, field: PrimeField) -> FieldMatrix:
-    return FieldMatrix(np.eye(n, dtype=np.int64), field)
-
-
 def is_invertible(mat: FieldMatrix) -> bool:
     return mat.rows == mat.cols and rank_over_fp(mat) == mat.rows
 

@@ -3,7 +3,8 @@
 The polynomial is represented by the explicit list of its monomials, i.e.
 the independent K-sets, enumerated once per (matroid, K) pair and cached in
 an :class:`IndepSetIndex`.  Evaluations, gradients and Hessians all reuse
-that support; sums are accumulated by numpy's pairwise summation.  The
+that support, as does the batched gap F(u) - F(p) around the uniform
+point; sums are accumulated by numpy's pairwise summation.  The
 K-th root of the polynomial is concave on the nonnegative orthant, which
 :func:`concavity_probe` checks empirically on random midpoints.
 """
@@ -143,16 +144,6 @@ def eval_f(idx: IndepSetIndex, x) -> float:
     return float(np.prod(v[idx.sets], axis=1).sum())
 
 
-def eval_f_many(idx: IndepSetIndex, points: np.ndarray) -> np.ndarray:
-    """Vectorized eval_f over the rows of a (batch, m) array."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != idx.m:
-        raise ValueError(f"points have shape {pts.shape}, expected (batch, {idx.m})")
-    if idx.n_sets == 0:
-        return np.zeros(pts.shape[0])
-    return np.prod(pts[:, idx.sets], axis=2).sum(axis=1)
-
-
 def eval_h(idx: IndepSetIndex, x) -> float:
     """The K-th root of eval_f; 0 where the polynomial vanishes."""
     f = eval_f(idx, x)
@@ -166,6 +157,42 @@ def eval_F(idx: IndepSetIndex, p) -> float:
     i.i.d. draws are distinct and form an independent set."""
     dist = p if isinstance(p, Distribution) else Distribution(p)
     return factorial(idx.k) * eval_f(idx, dist)
+
+
+def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Per row p of a (batch, m) array: (F(u) - F(p), ||p - u||_2^2) around
+    the uniform distribution u.
+
+    Works with the centered variables w = m p - 1, projected to zero sum,
+    and expands each monomial as u^K (prod(1 + w) - 1).  The expansion is
+    split into its linear part and its order >= 2 remainder: summed over all
+    sets the linear part is sum_e degree(e) w_e, whose mean-degree component
+    multiplies sum(w) = 0 and is dropped analytically rather than left to
+    cancel in floating point.  The computed gap therefore stays accurate
+    relative to ||p - u||^2 even for p extremely close to u, which is what
+    dividing by the squared norm requires.  Sets are gathered one column at
+    a time, so the working memory is a few (batch, n_sets) arrays.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != idx.m:
+        raise ValueError(f"points have shape {pts.shape}, expected (batch, {idx.m})")
+    m = idx.m
+    w = pts * m - 1.0
+    w -= w.mean(axis=1, keepdims=True)
+    norm2 = np.einsum("ij,ij->i", w, w) / (m * m)
+    if idx.n_sets == 0:
+        return np.zeros(pts.shape[0]), norm2
+    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
+    centered_deg = degrees - degrees.mean()  # exactly zero for regular supports
+    linear = np.zeros((pts.shape[0], idx.n_sets))
+    higher = np.zeros_like(linear)
+    for j in range(idx.k):
+        wj = w[:, idx.sets[:, j]]
+        higher += (linear + higher) * wj
+        linear += wj
+    total = higher.sum(axis=1) + w @ centered_deg
+    gaps = -factorial(idx.k) * float(m) ** (-idx.k) * total
+    return gaps, norm2
 
 
 def gradient_f(idx: IndepSetIndex, x) -> np.ndarray:

@@ -131,14 +131,6 @@ class Matroid:
         return f"Matroid({self.name}, m={self.m}, rank={self.rank})"
 
 
-def is_independent(matroid: Matroid, subset) -> bool:
-    return matroid.is_independent(subset)
-
-
-def matroid_rank(matroid: Matroid) -> int:
-    return matroid.rank
-
-
 def _validate_columns(columns, q: int):
     cols = [tuple(int(x) % q for x in col) for col in columns]
     if not cols:

@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .genpoly import Distribution, IndepSetIndex, eval_f, gradient_f
+from .genpoly import Distribution, IndepSetIndex, eval_f, gaps_from_uniform, gradient_f
 
 MIN_STEP = 1e-18
 DECREASE_TOL = 1e-12
@@ -116,5 +116,5 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
 def optimality_gap(idx: IndepSetIndex, p) -> float:
     """F(u) - F(p); nonnegative (to roundoff) for transitive matroids."""
     dist = p if isinstance(p, Distribution) else Distribution(p)
-    u = Distribution.uniform(idx.m)
-    return factorial(idx.k) * (eval_f(idx, u) - eval_f(idx, dist))
+    gaps, _ = gaps_from_uniform(idx, dist.probs[None, :])
+    return float(gaps[0])

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 import numpy as np
 
 from .fields import PrimeField, canonical_point, nonzero_vectors, projective_points
 from .genpoly import (Distribution, IndepSetIndex, enumerate_independent_ksets,
-                      eval_F)
+                      gaps_from_uniform)
 from .matroids import Matroid, ProjectiveSpec, build_matroid
 from .streams import trial_uniforms
 
@@ -90,23 +89,20 @@ def b2_explicit(params: PGParams) -> Fraction:
     return value
 
 
-def b2_count(matroid: Matroid, k: int, e: int, e2: int) -> int:
-    """Count independent k-sets containing both e and e2, by enumeration.
+def b2_count(idx: IndepSetIndex, e: int, e2: int) -> int:
+    """Count the independent k-sets of the index that contain both e and e2.
 
     For a projective matroid this is independent of the chosen pair and
     equals :func:`b2_explicit`.
     """
     if e == e2:
         raise ValueError("the two elements must be distinct")
-    m = matroid.m
-    if not (0 <= e < m and 0 <= e2 < m):
-        raise ValueError(f"elements must lie in [0, {m})")
-    if k < 2:
-        raise ValueError(f"pair count needs k >= 2, got k={k}")
-    rest = [x for x in range(m) if x != e and x != e2]
-    base = (e, e2)
-    return sum(1 for extra in combinations(rest, k - 2)
-               if matroid.is_independent(base + extra))
+    if not (0 <= e < idx.m and 0 <= e2 < idx.m):
+        raise ValueError(f"elements must lie in [0, {idx.m})")
+    if idx.k < 2:
+        raise ValueError(f"pair count needs k >= 2, got k={idx.k}")
+    rows = idx.sets
+    return int(np.count_nonzero((rows == e).any(axis=1) & (rows == e2).any(axis=1)))
 
 
 def hessian_coefficient(params: PGParams) -> Fraction:
@@ -127,13 +123,8 @@ def k2_gap(params: PGParams, p, idx: IndepSetIndex | None = None) -> tuple[float
     if idx is None:
         idx = params.index()
     dist = p if isinstance(p, Distribution) else Distribution(p)
-    if len(dist) != params.m:
-        raise ValueError(f"distribution length {len(dist)} != m={params.m}")
-    u = Distribution.uniform(params.m)
-    lhs = eval_F(idx, u) - eval_F(idx, dist)
-    diff = dist.probs - u.probs
-    rhs = float(diff @ diff)
-    return float(lhs), rhs
+    gaps, norm2 = gaps_from_uniform(idx, dist.probs[None, :])
+    return float(gaps[0]), float(norm2[0])
 
 
 class VectorDistribution:
@@ -145,19 +136,10 @@ class VectorDistribution:
     def __init__(self, probs, n: int, q: int, renormalize: bool = False):
         PrimeField(q)
         expected = q**n - 1
-        v = np.array(probs, dtype=float, copy=True)
+        v = np.asarray(probs, dtype=float)
         if v.ndim != 1 or v.size != expected:
             raise ValueError(f"need {expected} masses for the nonzero vectors of F_{q}^{n}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("vector masses must be finite and nonnegative")
-        total = float(v.sum())
-        if abs(total - 1.0) > 1e-12:
-            if renormalize and abs(total - 1.0) <= 1e-6:
-                v = v / total
-            else:
-                raise ValueError(f"vector distribution sums to {total!r}, not 1")
-        v.flags.writeable = False
-        self.probs = v
+        self.probs = Distribution(v, renormalize=renormalize).probs
         self.n = n
         self.q = q
 
@@ -181,55 +163,12 @@ def pushforward(vector_dist: VectorDistribution, params: PGParams) -> Distributi
     return Distribution(out)
 
 
-def _gaps_and_norms_from_uniform(idx: IndepSetIndex, pts: np.ndarray):
-    """Per row of ``pts``: (F(u) - F(p), ||p - u||_2^2) around the uniform u.
-
-    Works with the centered variables w = m p - 1, projected to zero sum,
-    and expands each monomial as u^K (prod(1 + w) - 1).  The expansion is
-    split into its linear part and its order >= 2 remainder: summed over all
-    sets the linear part is sum_e degree(e) w_e, whose mean-degree component
-    multiplies sum(w) = 0 and is dropped analytically rather than left to
-    cancel in floating point.  The computed gap therefore stays accurate
-    relative to ||p - u||^2 even for p extremely close to u, which is what
-    dividing by the squared norm requires.
-    """
-    m = idx.m
-    w = pts * m - 1.0
-    w -= w.mean(axis=1, keepdims=True)
-    norm2 = np.einsum("ij,ij->i", w, w) / (m * m)
-    if idx.n_sets == 0:
-        return np.zeros(pts.shape[0]), norm2
-    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
-    centered_deg = degrees - degrees.mean()  # exactly zero for regular supports
-    ws = w[:, idx.sets]
-    linear = np.zeros(ws.shape[:2])
-    higher = np.zeros(ws.shape[:2])
-    for j in range(idx.k):
-        wj = ws[:, :, j]
-        higher += (linear + higher) * wj
-        linear += wj
-    total = higher.sum(axis=1) + w @ centered_deg
-    gaps = -factorial(idx.k) * float(m) ** (-idx.k) * total
-    return gaps, norm2
-
-
-def stability_ratio(idx: IndepSetIndex, p, u: Distribution | None = None) -> float:
-    """R(p) = (F(u) - F(p)) / ||p - u||_2^2, the quadratic stability ratio.
-
-    With the default uniform u the numerator is evaluated in factored form
-    around u (see :func:`_gaps_and_norms_from_uniform`); an explicit u falls
-    back to the plain difference of eval_F values.
-    """
+def stability_ratio(idx: IndepSetIndex, p) -> float:
+    """R(p) = (F(u) - F(p)) / ||p - u||_2^2 around the uniform u, the
+    quadratic stability ratio (numerator from :func:`gaps_from_uniform`)."""
     dist = p if isinstance(p, Distribution) else Distribution(p)
-    if len(dist) != idx.m:
-        raise ValueError(f"distribution length {len(dist)} != m={idx.m}")
-    if u is None:
-        gaps, norm2s = _gaps_and_norms_from_uniform(idx, dist.probs[None, :])
-        gap, norm2 = float(gaps[0]), float(norm2s[0])
-    else:
-        diff = dist.probs - u.probs
-        norm2 = float(diff @ diff)
-        gap = eval_F(idx, u) - eval_F(idx, dist)
+    gaps, norm2s = gaps_from_uniform(idx, dist.probs[None, :])
+    gap, norm2 = float(gaps[0]), float(norm2s[0])
     if norm2 <= 1e-24:
         raise ValueError("p coincides with the uniform distribution; ratio undefined")
     return gap / norm2
@@ -308,7 +247,7 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     for start in range(0, n_samples, chunk):
         count = min(chunk, n_samples - start)
         pts = _scan_samples(seed, start, count, m, mode)
-        gaps, norm2 = _gaps_and_norms_from_uniform(idx, pts)
+        gaps, norm2 = gaps_from_uniform(idx, pts)
         keep = norm2 > 1e-24
         skipped += int(count - keep.sum())
         if not np.any(keep):

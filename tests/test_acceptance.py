@@ -78,7 +78,7 @@ def test_criterion_3_hessian_coefficient():
             m = matroid.m
             params = PGParams(n, q, k)
             b2 = b2_explicit(params)
-            assert b2_count(matroid, k, 0, 1) == b2
+            assert b2_count(idx, 0, 1) == b2
             coefficient = float(hessian_coefficient(params))
             assert Fraction(factorial(k)) * b2 / m**(k - 2) == hessian_coefficient(params)
             hess = factorial(k) * hessian_f(idx, np.full(m, 1.0 / m))
@@ -87,7 +87,7 @@ def test_criterion_3_hessian_coefficient():
                 v -= v.mean()
                 quad = v @ hess @ v
                 assert abs(quad + coefficient * (v @ v)) <= 1e-10 * coefficient * (v @ v)
-        assert b2_count(build_matroid(ProjectiveSpec(3, 2)), 3, 2, 5) == 4
+        assert b2_count(PGParams(3, 2, 3).index(), 2, 5) == 4
 
 
 def test_criterion_4_uniform_optimality_and_unique_vs_nonunique():

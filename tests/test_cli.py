@@ -170,6 +170,18 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_flags_are_declared_only_where_read(capsys):
+    for argv in (["eval", "--spec", PROJECTIVE_22, "--k", "2", "--threads", "2"],
+                 ["eval", "--spec", PROJECTIVE_22, "--k", "2", "--seed", "1"],
+                 ["scan", "--spec", PROJECTIVE_22, "--k", "2", "--tol", "1e-3"],
+                 ["exact-uniform", "--spec", PROJECTIVE_32, "--k", "3", "--enum-cap", "9"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UsageError"
+    report = run_json(capsys, "k2check", "--spec", PROJECTIVE_22, "--k", "2")
+    assert report["tol"] == 1e-12
+
+
 def test_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "eval", "--spec", PROJECTIVE_22)  # missing --k
     assert code == 2

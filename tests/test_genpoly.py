@@ -6,7 +6,7 @@ import pytest
 from matroid_sampling import (Distribution, IndepSetIndex,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
-                              eval_F, eval_f, eval_f_many, eval_h, gradient_f,
+                              eval_F, eval_f, eval_h, gradient_f,
                               hessian_f, midpoint_check)
 from conftest import singer_cycle
 from matroid_sampling.symmetry import apply_to_distribution
@@ -56,13 +56,6 @@ def test_eval_f_values(fano_idx, pg12_idx):
     assert eval_f(fano_idx, np.zeros(7)) == 0.0
     assert abs(eval_f(fano_idx, np.full(7, 1 / 7)) - 28 / 343) < 1e-16
     assert abs(eval_f(pg12_idx, np.full(3, 1 / 3)) - 1 / 3) < 1e-16
-
-
-def test_eval_f_many_matches_scalar(fano_idx):
-    rng = np.random.default_rng(31)
-    pts = rng.random((20, 7))
-    batched = eval_f_many(fano_idx, pts)
-    assert batched == pytest.approx([eval_f(fano_idx, p) for p in pts], abs=1e-15)
 
 
 def test_eval_h_values(fano_idx, pg12_idx):

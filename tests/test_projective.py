@@ -71,23 +71,25 @@ def test_b2_explicit_values():
         b2_explicit(PGParams(3, 2, 1))
 
 
-def test_b2_count_matches_explicit(fano, pg12):
-    assert b2_count(fano, 3, 0, 1) == 4
-    assert b2_count(pg12, 2, 0, 1) == 1
+def test_b2_count_matches_explicit(fano_idx, pg12_idx):
+    assert b2_count(fano_idx, 0, 1) == 4
+    assert b2_count(pg12_idx, 0, 1) == 1
     rng = np.random.default_rng(51)
     for (n, q, k) in [(3, 2, 3), (3, 3, 3), (4, 2, 3), (4, 2, 4)]:
-        matroid = build_matroid(ProjectiveSpec(n, q))
+        idx = PGParams(n, q, k).index()
         expected = b2_explicit(PGParams(n, q, k))
         for _ in range(20):
-            e, e2 = rng.choice(matroid.m, size=2, replace=False)
-            assert b2_count(matroid, k, int(e), int(e2)) == expected
+            e, e2 = rng.choice(idx.m, size=2, replace=False)
+            assert b2_count(idx, int(e), int(e2)) == expected
 
 
-def test_b2_count_errors(fano):
+def test_b2_count_errors(fano, fano_idx):
     with pytest.raises(ValueError, match="distinct"):
-        b2_count(fano, 3, 2, 2)
+        b2_count(fano_idx, 2, 2)
     with pytest.raises(ValueError):
-        b2_count(fano, 3, 0, 7)
+        b2_count(fano_idx, 0, 7)
+    with pytest.raises(ValueError, match="k >= 2"):
+        b2_count(enumerate_independent_ksets(fano, 1), 0, 1)
 
 
 def test_hessian_coefficient_values():
