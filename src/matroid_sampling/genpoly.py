@@ -4,7 +4,9 @@ The polynomial is represented by the explicit list of its monomials, i.e.
 the independent K-sets, enumerated once per (matroid, K) pair and cached in
 an :class:`IndepSetIndex`.  Evaluations, gradients and Hessians all reuse
 that support, as does the batched gap F(u) - F(p) around the uniform
-point; sums are accumulated by numpy's pairwise summation.  The
+point, which streams its batch through cache-sized row blocks so that its
+working memory does not grow with the batch; sums are accumulated by
+numpy's pairwise summation.  The
 K-th root of the polynomial is concave on the nonnegative orthant, which
 :func:`concavity_probe` checks empirically on random midpoints.
 """
@@ -21,6 +23,7 @@ from .matroids import Matroid
 SUM_TOL = 1e-12
 REPAIR_TOL = 1e-6
 DEFAULT_ENUM_CAP = 10**7
+GAP_BLOCK_BYTES = 256 * 1024  # per row-block buffer of gaps_from_uniform
 
 
 class Distribution:
@@ -170,8 +173,15 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     multiplies sum(w) = 0 and is dropped analytically rather than left to
     cancel in floating point.  The computed gap therefore stays accurate
     relative to ||p - u||^2 even for p extremely close to u, which is what
-    dividing by the squared norm requires.  Sets are gathered one column at
-    a time, so the working memory is a few (batch, n_sets) arrays.
+    dividing by the squared norm requires.
+
+    The order >= 2 remainder is accumulated over blocks of
+    max(1, GAP_BLOCK_BYTES // (8 n_sets)) rows in four reused
+    (rows, n_sets) buffers, so beyond the (batch, m) inputs and one
+    transposed copy of the index the working memory is about
+    4 max(GAP_BLOCK_BYTES, 8 n_sets) bytes whatever the batch size.  Each
+    row's arithmetic and summation order do not depend on the blocking, so
+    neither do the results.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != idx.m:
@@ -180,17 +190,30 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     w = pts * m - 1.0
     w -= w.mean(axis=1, keepdims=True)
     norm2 = np.einsum("ij,ij->i", w, w) / (m * m)
-    if idx.n_sets == 0:
-        return np.zeros(pts.shape[0]), norm2
+    batch, n_sets = pts.shape[0], idx.n_sets
+    if n_sets == 0:
+        return np.zeros(batch), norm2
     degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
     centered_deg = degrees - degrees.mean()  # exactly zero for regular supports
-    linear = np.zeros((pts.shape[0], idx.n_sets))
-    higher = np.zeros_like(linear)
-    for j in range(idx.k):
-        wj = w[:, idx.sets[:, j]]
-        higher += (linear + higher) * wj
-        linear += wj
-    total = higher.sum(axis=1) + w @ centered_deg
+    rows = max(1, GAP_BLOCK_BYTES // (8 * n_sets))
+    linear, higher, wj, tmp = (np.empty((min(rows, batch), n_sets)) for _ in range(4))
+    higher_sums = np.empty(batch)
+    columns = np.ascontiguousarray(idx.sets.T)  # contiguous indices gather faster
+    for start in range(0, batch, rows):
+        block = w[start:start + rows]
+        r = block.shape[0]
+        lin, hi, wb, tb = linear[:r], higher[:r], wj[:r], tmp[:r]
+        # the j = 0 step would add (0 + 0) * w_0 to the remainder: skip it
+        np.take(block, columns[0], axis=1, out=lin, mode="clip")
+        hi.fill(0.0)
+        for col in columns[1:]:
+            np.take(block, col, axis=1, out=wb, mode="clip")
+            np.add(lin, hi, out=tb)
+            tb *= wb
+            hi += tb
+            lin += wb
+        hi.sum(axis=1, out=higher_sums[start:start + r])
+    total = higher_sums + w @ centered_deg
     gaps = -factorial(idx.k) * float(m) ** (-idx.k) * total
     return gaps, norm2
 
@@ -203,19 +226,19 @@ def gradient_f(idx: IndepSetIndex, x) -> np.ndarray:
     coordinates need no special casing.
     """
     v = as_point(x, idx.m)
-    grad = np.zeros(idx.m)
     if idx.n_sets == 0:
-        return grad
+        return np.zeros(idx.m)
     coords = v[idx.sets]
     k = idx.k
-    left = np.ones_like(coords)
-    right = np.ones_like(coords)
+    left = np.empty_like(coords)
+    right = np.empty_like(coords)
+    left[:, 0] = 1.0
+    right[:, k - 1] = 1.0
     for j in range(1, k):
         left[:, j] = left[:, j - 1] * coords[:, j - 1]
     for j in range(k - 2, -1, -1):
         right[:, j] = right[:, j + 1] * coords[:, j + 1]
-    np.add.at(grad, idx.sets, left * right)
-    return grad
+    return np.bincount(idx.sets.ravel(), weights=(left * right).ravel(), minlength=idx.m)
 
 
 def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
@@ -223,18 +246,20 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     entry (e, e') sums the products of the remaining K-2 coordinates over the
     sets containing both e and e'."""
     v = as_point(x, idx.m)
-    hess = np.zeros((idx.m, idx.m))
+    m = idx.m
     if idx.k < 2 or idx.n_sets == 0:
-        return hess
+        return np.zeros((m, m))
     coords = v[idx.sets]
     k = idx.k
+    keys, weights = [], []
     for a in range(k):
         for b in range(a + 1, k):
             others = [c for c in range(k) if c != a and c != b]
             vals = coords[:, others].prod(axis=1) if others else np.ones(idx.n_sets)
-            np.add.at(hess, (idx.sets[:, a], idx.sets[:, b]), vals)
-            np.add.at(hess, (idx.sets[:, b], idx.sets[:, a]), vals)
-    return hess
+            keys += [idx.sets[:, a] * m + idx.sets[:, b], idx.sets[:, b] * m + idx.sets[:, a]]
+            weights += [vals, vals]
+    flat = np.bincount(np.concatenate(keys), weights=np.concatenate(weights), minlength=m * m)
+    return flat.reshape(m, m)
 
 
 def midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:

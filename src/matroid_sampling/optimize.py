@@ -43,8 +43,13 @@ class AscentResult:
     p: Distribution
     value: float
     iterations: int
-    converged: bool
+    stop_reason: str  # "gradient", "plateau" or "max_iters"
+    halvings: int  # step halvings summed over all iterations
     trajectory: np.ndarray = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gradient"
 
     def to_json(self) -> dict:
         return {
@@ -52,6 +57,8 @@ class AscentResult:
             "F": self.value,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "halvings": self.halvings,
             "trajectory": self.trajectory.tolist(),
         }
 
@@ -63,9 +70,11 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     Each step multiplies the coordinates by exp(step * d log f) and
     renormalizes (a constant gradient shift cancels, so the largest entry
     is subtracted before exponentiating for stability).  Terminates when
-    the simplex-projected gradient of log f has sup-norm at most tol_grad,
-    when backtracking bottoms out (objective plateau), or at max_iters.
-    Accepted iterates never decrease F by more than 1e-12.
+    the simplex-projected gradient of log f has sup-norm at most tol_grad
+    (stop_reason "gradient", the only case reported as converged), when
+    backtracking bottoms out before the gradient test passes ("plateau"),
+    or at max_iters ("max_iters").  Accepted iterates never decrease F by
+    more than 1e-12.
     """
     cfg = config or AscentConfig()
     m = idx.m
@@ -78,29 +87,35 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
         raise ValueError("f vanishes at the start point; ascent on log f cannot begin")
 
     trajectory = [kfact * f]
-    converged = False
+    stop_reason = "max_iters"
+    halvings = 0
     iterations = 0
     while iterations < cfg.max_iters:
         grad_log = gradient_f(idx, x) / f
         projected = grad_log - grad_log.mean()
         if np.max(np.abs(projected)) <= cfg.tol_grad:
-            converged = True
+            stop_reason = "gradient"
             break
         step = cfg.step_size
         accepted = False
         while step >= MIN_STEP:
             y = x * np.exp(step * (grad_log - grad_log.max()))
-            y /= y.sum()
-            fy = eval_f(idx, y)
-            if kfact * fy >= kfact * f - DECREASE_TOL:
-                x, f = y, fy
-                trajectory.append(kfact * f)
-                accepted = True
-                break
+            total = y.sum()
+            # a long step can underflow every coordinate, and a non-finite
+            # gradient gives NaNs: reject such a trial point like a decrease
+            if total > 0:
+                y /= total
+                fy = eval_f(idx, y)
+                if kfact * fy >= kfact * f - DECREASE_TOL:
+                    x, f = y, fy
+                    trajectory.append(kfact * f)
+                    accepted = True
+                    break
             step /= 2.0
+            halvings += 1
         if not accepted:
             # no step of any size improves: numerical plateau
-            converged = True
+            stop_reason = "plateau"
             break
         iterations += 1
 
@@ -108,7 +123,8 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
         p=Distribution(x, renormalize=True),
         value=kfact * f,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
+        halvings=halvings,
         trajectory=np.asarray(trajectory),
     )
 

@@ -236,6 +236,10 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     (numerically) non-unique maximizer, as happens for the parallel-class
     matroid where the maximizer set is a whole manifold.  Results depend
     only on (seed, n_samples, mode), not on the chunking.
+
+    ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
+    vectors; the gaps are evaluated in row blocks of GAP_BLOCK_BYTES (see
+    :func:`gaps_from_uniform`), so no (chunk, n_sets) array is built.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -78,6 +78,8 @@ def test_optimize_round_trips_through_eval(capsys):
     report = run_json(capsys, "optimize", "--spec", PARALLEL_2, "--k", "2",
                       "--dist", "[0.5,0.2,0.2,0.1]")
     assert report["converged"]
+    assert report["stop_reason"] == "gradient"
+    assert isinstance(report["halvings"], int)
     assert report["F"] == pytest.approx(0.5, abs=1e-10)
     # feeding the emitted distribution back reproduces F to the last ulp
     emitted = json.dumps(report["p"])

@@ -2,10 +2,13 @@
 
 Golden values pin the scan's output bit for bit; property tests compare
 the evaluator against exact rational arithmetic on random small linear
-matroids and check that the scan does not depend on its chunk size.
+matroids, check that neither its row blocking nor the scan's chunk size
+changes a bit of the output, and that its memory does not grow with the
+batch.
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_sampling import (LinearSpec, ProjectiveSpec, UniformSpec, build_matroid,
-                              enumerate_independent_ksets, gaps_from_uniform,
+                              enumerate_independent_ksets, gaps_from_uniform, genpoly,
                               stability_scan)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -104,3 +107,65 @@ def test_scan_independent_of_chunk(data):
     assert np.array_equal(parts.histogram_counts, whole.histogram_counts)
     assert np.array_equal(parts.histogram_edges, whole.histogram_edges)
     assert parts.skipped == whole.skipped
+
+
+def unblocked_gaps(idx, pts):
+    """The evaluator's arithmetic on whole (batch, n_sets) arrays, unblocked."""
+    m = idx.m
+    w = pts * m - 1.0
+    w -= w.mean(axis=1, keepdims=True)
+    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
+    linear = np.zeros((pts.shape[0], idx.n_sets))
+    higher = np.zeros_like(linear)
+    for j in range(idx.k):
+        wj = w[:, idx.sets[:, j]]
+        higher += (linear + higher) * wj
+        linear += wj
+    total = higher.sum(axis=1) + w @ (degrees - degrees.mean())
+    return -factorial(idx.k) * float(m) ** (-idx.k) * total
+
+
+@PROPERTY
+@given(st.data())
+def test_gaps_independent_of_row_blocks(data):
+    matroid = data.draw(linear_matroids())
+    idx = enumerate_independent_ksets(matroid, data.draw(st.integers(1, matroid.rank)))
+    batch = data.draw(st.integers(3, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
+    pts[0] = 1.0 / idx.m
+    want = unblocked_gaps(idx, pts)
+    ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
+    row = 8 * idx.n_sets
+    for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
+            gaps, _ = gaps_from_uniform(idx, pts)
+        assert np.array_equal(gaps, want)
+
+
+def traced_peak(idx, pts) -> int:
+    tracemalloc.start()
+    try:
+        gaps_from_uniform(idx, pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gaps_memory_does_not_grow_with_batch():
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(4, 2)), 4)
+    assert idx.n_sets == 840
+    rng = np.random.default_rng(3)
+    small, large = (rng.dirichlet(np.ones(idx.m), size=rows) for rows in (50, 2000))
+    # a (2000, n_sets) float64 array alone would take 13 MB
+    assert traced_peak(idx, small) < 2 * 2**20
+    assert traced_peak(idx, large) < 2 * 2**20
+    assert traced_peak(idx, large) - traced_peak(idx, small) <= 4 * (large.nbytes - small.nbytes)
+
+
+def test_gaps_memory_on_pg_4_2():
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4)
+    pts = np.random.default_rng(4).dirichlet(np.ones(idx.m), size=1000)
+    # 26,040 sets, so one row per block; a (1000, n_sets) array alone is 208 MB
+    assert traced_peak(idx, pts) < 4 * 2**20

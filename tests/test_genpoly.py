@@ -119,6 +119,45 @@ def test_hessian_k1_is_zero():
     assert np.array_equal(hessian_f(idx, np.full(4, 0.25)), np.zeros((4, 4)))
 
 
+def add_at_gradient(idx, x):
+    """Prefix/suffix products scattered by np.add.at in row-major order."""
+    coords = x[idx.sets]
+    left = np.ones_like(coords)
+    right = np.ones_like(coords)
+    for j in range(1, idx.k):
+        left[:, j] = left[:, j - 1] * coords[:, j - 1]
+    for j in range(idx.k - 2, -1, -1):
+        right[:, j] = right[:, j + 1] * coords[:, j + 1]
+    grad = np.zeros(idx.m)
+    np.add.at(grad, idx.sets, left * right)
+    return grad
+
+
+def add_at_hessian(idx, x):
+    """One np.add.at scatter per ordered column pair, pairs in row-major order."""
+    coords = x[idx.sets]
+    hess = np.zeros((idx.m, idx.m))
+    for a, b in combinations(range(idx.k), 2):
+        others = [c for c in range(idx.k) if c not in (a, b)]
+        vals = coords[:, others].prod(axis=1) if others else np.ones(idx.n_sets)
+        np.add.at(hess, (idx.sets[:, a], idx.sets[:, b]), vals)
+        np.add.at(hess, (idx.sets[:, b], idx.sets[:, a]), vals)
+    return hess
+
+
+@pytest.mark.parametrize("spec,k", [(ProjectiveSpec(3, 2), 3), (ProjectiveSpec(3, 3), 3),
+                                    (ProjectiveSpec(4, 2), 4), (UniformSpec(4, 9), 4),
+                                    (UniformSpec(3, 6), 2), (UniformSpec(2, 4), 1)])
+def test_gradient_and_hessian_match_add_at(spec, k):
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
+    rng = np.random.default_rng(34)
+    boundary = rng.dirichlet(np.full(idx.m, 0.2))
+    boundary[0] = 0.0
+    for x in (rng.random(idx.m), boundary, np.full(idx.m, 1 / idx.m)):
+        assert np.array_equal(gradient_f(idx, x), add_at_gradient(idx, x))
+        assert np.array_equal(hessian_f(idx, x), add_at_hessian(idx, x))
+
+
 def test_homogeneity(fano_idx):
     rng = np.random.default_rng(34)
     for _ in range(25):

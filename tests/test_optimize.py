@@ -26,6 +26,7 @@ def test_fano_converges_to_uniform(fano_idx):
     rng = np.random.default_rng(3)
     result = maximize_F(fano_idx, AscentConfig(start=random_interior(7, rng)))
     assert result.converged
+    assert result.stop_reason == "gradient"
     assert np.linalg.norm(result.p.probs - 1 / 7) <= 1e-6
     assert result.value == pytest.approx(24 / 49, abs=1e-10)
 
@@ -102,7 +103,39 @@ def test_max_iters_reached_flags_not_converged(fano_idx):
     start = Distribution(np.array([4.0, 1, 1, 1, 1, 1, 1]) / 10)
     result = maximize_F(fano_idx, AscentConfig(max_iters=2, tol_grad=1e-16, start=start))
     assert not result.converged
+    assert result.stop_reason == "max_iters"
     assert result.iterations == 2
+    assert result.to_json()["stop_reason"] == "max_iters"
+
+
+def test_plateau_is_not_converged():
+    # f(start) = 1e-310 / 9 is subnormal, so d log f / dx_0 overflows to inf:
+    # no trial point is finite and backtracking bottoms out at MIN_STEP
+    matroid = build_matroid(ExplicitSpec(4, 3, ((0, 1, 2),)))
+    idx = enumerate_independent_ksets(matroid, 3)
+    start = Distribution([1e-310, 1 / 3, 1 / 3, 1 / 3], renormalize=True)
+    with np.errstate(all="ignore"):
+        result = maximize_F(idx, AscentConfig(start=start))
+    assert result.stop_reason == "plateau"
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.halvings == 59  # 0.5 / 2**59 < MIN_STEP = 1e-18 <= 0.5 / 2**58
+    assert result.to_json()["halvings"] == 59
+
+
+def test_underflowing_step_is_rejected():
+    # the second full step underflows every coordinate to 0; it is halved
+    # like a decreasing step instead of reaching eval_f as NaNs
+    idx = enumerate_independent_ksets(build_matroid(UniformSpec(3, 6)), 3)
+    p = np.array([3e-8, 0.0, 1e-15, 8e-4, 3e-8, 1e-8])
+    p[1] = 1.0 - p.sum()
+    with np.errstate(all="ignore"):
+        result = maximize_F(idx, AscentConfig(start=Distribution(p), max_iters=50))
+    assert result.stop_reason == "max_iters"
+    assert not result.converged
+    assert result.halvings > 0
+    assert np.all(np.isfinite(result.p.probs))
+    assert np.all(np.diff(result.trajectory) >= -1e-12)
 
 
 def test_optimality_gap_examples(fano_idx, parallel2_idx):
