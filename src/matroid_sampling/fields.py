@@ -4,7 +4,8 @@ Matrices here are small and dense and all arithmetic is exact, so Gaussian
 elimination runs on plain Python row lists with "first nonzero" pivoting
 (an exact field needs no numerical pivoting).  The module also provides the
 F_p^n vector utilities that the projective-geometry matroids are built on:
-nonzero-vector enumeration and canonical projective representatives.
+nonzero-vector enumeration, canonical projective representatives and the
+Gaussian brackets [j]_q that count projective points.
 """
 
 from __future__ import annotations
@@ -107,20 +108,20 @@ def _rank_rows(rows, p: int) -> int:
     for col in range(ncols):
         if rank == nrows:
             break
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
+        for pivot in range(rank, nrows):
+            if rows[pivot][col]:
+                break
+        else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = pow(prow[col], p - 2, p)
-        for c in range(col, ncols):
-            prow[c] = prow[c] * inv % p
+        # columns left of col are zero in every row from rank down, so whole
+        # rows can be combined; the pivot row is left unnormalized
         for r in range(rank + 1, nrows):
-            factor = rows[r][col]
-            if factor:
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] = (row[c] - factor * prow[c]) % p
+            row = rows[r]
+            if row[col]:
+                factor = row[col] * pow(prow[col], p - 2, p) % p
+                rows[r] = [(x - factor * y) % p for x, y in zip(row, prow)]
         rank += 1
     return rank
 
@@ -177,13 +178,21 @@ def canonical_point(v, q: int) -> tuple[int, ...]:
     return tuple(int(x) * inv % q for x in v)
 
 
+def gaussian_bracket(j: int, q: int) -> int:
+    """[j]_q = (q**j - 1) / (q - 1): the number of projective points in the
+    projectivization of a j-dimensional subspace.  [0]_q = 0."""
+    if j < 0:
+        raise ValueError(f"bracket index must be >= 0, got {j}")
+    return (q**j - 1) // (q - 1)
+
+
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     """Canonical representatives of PG(n-1, q), sorted lexicographically.
 
     There are exactly (q**n - 1) / (q - 1) of them.
     """
     pts = sorted({canonical_point(v, q) for v in nonzero_vectors(n, q)})
-    expected = (q**n - 1) // (q - 1)
+    expected = gaussian_bracket(n, q)
     if len(pts) != expected:
         raise AssertionError(f"point count {len(pts)} != {expected}")
     return pts

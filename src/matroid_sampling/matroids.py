@@ -11,18 +11,24 @@ Concrete families:
   directly and the oracle answers only for subsets of size <= k.
 
 Matroids are immutable after construction and oracle calls are pure, so
-instances can be shared freely across threads.
+instances can be shared freely across threads.  The F_q-rank and
+explicit-layer oracles remember their answers in a memo of at most
+``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
+from operator import getitem
 from typing import Union
 
 import numpy as np
 
 from .fields import PrimeField, _rank_rows, projective_points
+
+ORACLE_MEMO_BYTES = 4 << 20  # per matroid, for the answers of its memoized oracle
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,11 @@ class Matroid:
     by the greedy property.  For user-supplied explicit layers that are not
     actually matroid layers the behaviour of rank (and of everything downstream)
     is undefined; :func:`axiom_spot_check` offers a non-exhaustive sanity check.
+
+    A matroid is immutable and its oracle is pure, so one instance may be
+    shared across threads.  The memo behind the expensive oracles does not
+    change that: each write stores the same single byte whichever thread
+    makes it, and a lost write only costs a recomputation.
     """
 
     def __init__(self, ground: GroundSet, spec: MatroidSpec, oracle, name: str):
@@ -146,6 +157,44 @@ def _validate_columns(columns, q: int):
     return tuple(cols), dim
 
 
+def _memoized(oracle, m: int, max_size: int):
+    """Wrap a pure oracle on sorted tuples from range(m) in a bounded memo.
+
+    A set x_0 < ... < x_{s-1} is stored at its colex rank sum_i C(x_i, i + 1),
+    a bijection onto range(C(m, s)), in one bytearray per size (0 unknown,
+    1 dependent, 2 independent) allocated on first use.  Sizes are given
+    tables in increasing order while their C(m, s) bytes fit in what is left
+    of ``ORACLE_MEMO_BYTES``; other sizes, and sizes above ``max_size``, go
+    straight to the oracle.
+    """
+    counts = []
+    left = ORACLE_MEMO_BYTES
+    for size in range(max_size + 1):
+        count = comb(m, size)
+        counts.append(count if count <= left else 0)
+        left -= counts[-1]
+    positions = max((size for size, count in enumerate(counts) if count), default=0)
+    colex = [[comb(x, i + 1) for x in range(m)] for i in range(positions)]
+    tables = [None] * (max_size + 1)
+
+    def memoized(s: tuple) -> bool:
+        size = len(s)
+        if size > max_size or not counts[size]:
+            return oracle(s)
+        table = tables[size]
+        if table is None:
+            table = tables[size] = bytearray(counts[size])
+        key = sum(map(getitem, colex, s))
+        known = table[key]
+        if known:
+            return known == 2
+        answer = oracle(s)
+        table[key] = 2 if answer else 1
+        return answer
+
+    return memoized
+
+
 def _vector_oracle(vectors, q: int, dim: int):
     def oracle(s: tuple) -> bool:
         if len(s) > dim:
@@ -154,7 +203,7 @@ def _vector_oracle(vectors, q: int, dim: int):
             return True
         return _rank_rows([vectors[e] for e in s], q) == len(s)
 
-    return oracle
+    return _memoized(oracle, len(vectors), dim)
 
 
 def build_matroid(spec: MatroidSpec) -> Matroid:
@@ -228,7 +277,8 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             ss = set(s)
             return any(ss <= layer for layer in as_sets)
 
-        return Matroid(GroundSet(spec.ground_size), spec, oracle,
+        return Matroid(GroundSet(spec.ground_size), spec,
+                       _memoized(oracle, spec.ground_size, k),
                        f"explicit(m={spec.ground_size},k={spec.k})")
 
     raise ValueError(f"unknown matroid spec: {spec!r}")

@@ -9,8 +9,12 @@ bit-identical under any chunking or thread partition of the trials.
 
 Independence of a sampled set is decided by the matroid oracle, which for
 linear and projective matroids performs Gaussian elimination on the
-canonical representatives; equal sampled sets are deduplicated per chunk
-before the oracle is consulted, which changes nothing but the running time.
+canonical representatives.  Equal sampled sets are deduplicated per chunk
+before the oracle is consulted: the sorted draws are ordered by
+``np.lexsort`` and the first row of each run of equal rows is asked once,
+its answer counting for the whole run.  The oracle's own memo (see
+:mod:`matroid_sampling.matroids`) then answers sets already seen in
+earlier chunks or calls.  Both change nothing but the running time.
 """
 
 from __future__ import annotations
@@ -46,16 +50,20 @@ def _draw_indices(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cumulative.size - 1)
 
 
+def _check_draws(matroid: Matroid, p: Distribution, k: int):
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(p) != matroid.m:
+        raise ValueError(f"distribution length {len(p)} != ground size {matroid.m}")
+
+
 def sample_kset(matroid: Matroid, p: Distribution, k: int, rng: np.random.Generator
                 ) -> tuple[bool, bool]:
     """One trial: draw k elements i.i.d. from p; report (distinct, independent).
 
     ``independent`` is False whenever the draws collide.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(p) != matroid.m:
-        raise ValueError(f"distribution length {len(p)} != ground size {matroid.m}")
+    _check_draws(matroid, p, k)
     cumulative = np.cumsum(p.probs)
     draws = _draw_indices(cumulative, rng.random(k))
     distinct = np.unique(draws).size == k
@@ -72,12 +80,9 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     size affects memory use only.  Trial t draws the same k uniforms as
     ``sample_kset`` would with ``trial_substream(seed, t, k)``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_draws(matroid, p, k)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if len(p) != matroid.m:
-        raise ValueError(f"distribution length {len(p)} != ground size {matroid.m}")
     cumulative = np.cumsum(p.probs)
     successes = 0
     for start in range(0, n_trials, chunk):
@@ -85,16 +90,16 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
         uniforms = trial_uniforms(seed, start, count, k)
         draws = _draw_indices(cumulative, uniforms.ravel()).reshape(count, k)
         draws.sort(axis=1)
-        if k > 1:
-            distinct = np.all(np.diff(draws, axis=1) > 0, axis=1)
-        else:
-            distinct = np.ones(count, dtype=bool)
-        candidates = draws[distinct]
-        if candidates.size:
-            unique_sets, inverse = np.unique(candidates, axis=0, return_inverse=True)
-            flags = np.fromiter((matroid.is_independent(row) for row in unique_sets.tolist()),
-                                dtype=bool, count=unique_sets.shape[0])
-            successes += int(flags[inverse].sum())
+        rows = draws[np.all(np.diff(draws, axis=1) > 0, axis=1)]
+        if rows.size:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            first = np.ones(rows.shape[0], dtype=bool)
+            first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+            starts = np.flatnonzero(first)
+            group_sizes = np.diff(starts, append=rows.shape[0])
+            flags = np.fromiter((matroid.is_independent(row) for row in rows[starts].tolist()),
+                                dtype=bool, count=starts.size)
+            successes += int(group_sizes[flags].sum())
     p_hat = successes / n_trials
     std_err = sqrt(p_hat * (1.0 - p_hat) / n_trials)
     return McEstimate(n_trials=n_trials, successes=successes, p_hat=p_hat,

@@ -16,21 +16,14 @@ from math import factorial
 
 import numpy as np
 
-from .fields import PrimeField, canonical_point, nonzero_vectors, projective_points
+from .fields import (PrimeField, canonical_point, gaussian_bracket, nonzero_vectors,
+                     projective_points)
 from .genpoly import (Distribution, IndepSetIndex, enumerate_independent_ksets,
                       gaps_from_uniform)
 from .matroids import Matroid, ProjectiveSpec, build_matroid
 from .streams import trial_uniforms
 
 NONUNIQUE_RATIO_THRESHOLD = 1e-6
-
-
-def gaussian_bracket(j: int, q: int) -> int:
-    """[j]_q = (q**j - 1) / (q - 1): the number of projective points in the
-    projectivization of a j-dimensional subspace.  [0]_q = 0."""
-    if j < 0:
-        raise ValueError(f"bracket index must be >= 0, got {j}")
-    return (q**j - 1) // (q - 1)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,22 @@ def uniform25():
     return build_matroid(UniformSpec(2, 5))
 
 
+class CountingMatroid:
+    """Forwards everything to a matroid and records each ``is_independent``
+    query as a sorted tuple."""
+
+    def __init__(self, matroid):
+        self._matroid = matroid
+        self.queries = []
+
+    def __getattr__(self, name):
+        return getattr(self._matroid, name)
+
+    def is_independent(self, subset) -> bool:
+        self.queries.append(tuple(sorted(int(e) for e in subset)))
+        return self._matroid.is_independent(subset)
+
+
 def symmetric_group_gens(m):
     """A transposition and an m-cycle generate the full symmetric group."""
     gens = [Permutation.transposition(m, 0, 1)] if m > 1 else []

@@ -1,10 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_sampling import (FieldMatrix, ProjectiveSpec, build_matroid,
                               canonical_point, field_matmul, field_new,
                               nonzero_vectors, projective_points, rank_over_fp)
 from conftest import random_invertible
+from matroid_sampling.fields import _rank_rows
 
 
 def test_field_new_accepts_small_primes():
@@ -36,6 +40,27 @@ def test_rank_examples():
     assert rank_over_fp(FieldMatrix(np.eye(3, dtype=int), f2)) == 3
     assert rank_over_fp(FieldMatrix([[1, 0], [0, 1], [1, 1]], f2)) == 2
     assert rank_over_fp(FieldMatrix([[0, 0], [0, 0]], f3)) == 0
+
+
+@st.composite
+def small_matrices(draw):
+    """0..4 rows of length 1..5 over F_2, F_3 or F_5."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols),
+                         max_size=4))
+    return q, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_matrices())
+def test_rank_matches_row_space_size(matrix):
+    # the row space of a rank-r matrix over F_q has exactly q**r vectors
+    q, rows = matrix
+    span = {tuple(sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*rows))
+            for coeffs in product(range(q), repeat=len(rows))} if rows else {()}
+    rank = _rank_rows(rows, q)
+    assert q**rank == len(span)
 
 
 def test_entries_validated():

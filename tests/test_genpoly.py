@@ -1,14 +1,15 @@
 from itertools import combinations
+from time import perf_counter
 
 import numpy as np
 import pytest
 
-from matroid_sampling import (Distribution, IndepSetIndex,
+from matroid_sampling import (Distribution, IndepSetIndex, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
                               eval_F, eval_f, eval_h, gradient_f,
                               hessian_f, midpoint_check)
-from conftest import singer_cycle
+from conftest import CountingMatroid, singer_cycle
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -40,6 +41,32 @@ def test_enumeration_cap():
     big = build_matroid(UniformSpec(3, 30))
     with pytest.raises(ValueError, match="cap"):
         enumerate_independent_ksets(big, 3, cap=1000)
+    # no closed-form count: the search itself stops at the cap
+    pairs = CountingMatroid(build_matroid(ParallelClassesSpec(40)))
+    with pytest.raises(ValueError, match="cap of 1000 sets"):
+        enumerate_independent_ksets(pairs, 2, cap=1000)
+    assert pairs.queries
+
+
+@pytest.mark.parametrize("spec,k,count", [
+    (ProjectiveSpec(4, 2), 3, 420),      # PG(3, 2): 15 * 14 * 12 / 3!
+    (ProjectiveSpec(3, 3), 3, 234),      # PG(2, 3): 13 * 12 * 9 / 3!
+    (UniformSpec(4, 30), 4, 27_405),     # C(30, 4)
+])
+def test_enumeration_cap_checked_before_search(spec, k, count):
+    matroid = CountingMatroid(build_matroid(spec))
+    with pytest.raises(ValueError, match=f"cap of {count - 1} sets"):
+        enumerate_independent_ksets(matroid, k, cap=count - 1)
+    assert matroid.queries == []
+    assert enumerate_independent_ksets(matroid, k, cap=count).n_sets == count
+
+
+def test_enumeration_beyond_cap_fails_fast():
+    pg35 = build_matroid(ProjectiveSpec(4, 5))  # PG(3, 5): 18,890,625 independent 4-sets
+    start = perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_independent_ksets(pg35, 4)
+    assert perf_counter() - start < 1.0
 
 
 def test_index_validation(fano_idx):

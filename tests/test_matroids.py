@@ -1,13 +1,18 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_sampling import (ExplicitSpec, GroundSet, LinearSpec,
                               ParallelClassesSpec, ProjectiveSpec, UniformSpec,
                               axiom_spot_check, build_matroid,
-                              enumerate_independent_ksets, spec_from_json,
+                              enumerate_independent_ksets, matroids, spec_from_json,
                               spec_to_json)
+from matroid_sampling.fields import _rank_rows
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_projective_ground_sets():
@@ -167,3 +172,105 @@ def test_axiom_spot_check_flags_non_matroid():
     # {0,1} and {2,3} violate exchange with any singleton from the other block
     fake = build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3))))
     assert axiom_spot_check(fake, trials=300, seed=5) != []
+
+
+def _subsets(m, max_size):
+    return [s for size in range(max_size + 1) for s in combinations(range(m), size)]
+
+
+def _answers_cold_then_warm(spec, budget, subsets, rnd):
+    """Build under a memo budget; answer every subset, then all again shuffled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroids, "ORACLE_MEMO_BYTES", budget)
+        matroid = build_matroid(spec)
+    cold = {s: matroid.is_independent(s) for s in subsets}
+    warm = list(subsets)
+    rnd.shuffle(warm)
+    return cold, {s: matroid.is_independent(s) for s in warm}
+
+
+@st.composite
+def linear_specs(draw):
+    """2..9 random nonzero columns of length 1..4 over F_2, F_3 or F_5."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    dim = draw(st.integers(1, 4))
+    column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
+    return LinearSpec(q, tuple(draw(st.lists(column, min_size=2, max_size=9))))
+
+
+@PROPERTY
+@given(linear_specs(), st.integers(1, 200), st.randoms(use_true_random=False))
+def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
+    # budget 0 sends every size straight to elimination; a partial budget
+    # memoizes only the smallest sizes; the default memoizes all of them
+    rank = build_matroid(spec).rank
+    subsets = _subsets(len(spec.columns), rank + 1)
+    truth = {s: _rank_rows([spec.columns[e] for e in s], spec.q) == len(s) for s in subsets}
+    for budget in (0, partial_budget, matroids.ORACLE_MEMO_BYTES):
+        cold, warm = _answers_cold_then_warm(spec, budget, subsets, rnd)
+        assert cold == truth
+        assert warm == truth
+
+
+@st.composite
+def explicit_specs(draw):
+    """1..10 random k-sets on 2..8 points; not necessarily a matroid layer."""
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(m, 4)))
+    sets = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
+                         min_size=1, max_size=10))
+    return ExplicitSpec(m, k, tuple(sets))
+
+
+@PROPERTY
+@given(explicit_specs(), st.randoms(use_true_random=False))
+def test_explicit_memo_answers_match_direct(spec, rnd):
+    subsets = _subsets(spec.ground_size, spec.k + 1)
+    layers = [set(t) for t in spec.sets]
+    truth = {s: len(s) <= spec.k and any(set(s) <= layer for layer in layers)
+             for s in subsets}
+    for budget in (0, matroids.ORACLE_MEMO_BYTES):
+        cold, warm = _answers_cold_then_warm(spec, budget, subsets, rnd)
+        assert cold == truth
+        assert warm == truth
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_memo_colex_rank_is_a_bijection(m):
+    # Each size's table has C(m, s) slots and indexing past it raises, so if
+    # the cold pass asks the oracle once per set (no two sets share a slot)
+    # and the warm pass never asks it, the colex rank maps the s-subsets
+    # one-to-one onto range(C(m, s)).
+    calls = []
+
+    def oracle(s):
+        calls.append(s)
+        return sum(s) % 3 == 0
+
+    memoized = matroids._memoized(oracle, m, m)
+    for size in range(m + 1):
+        subsets = list(combinations(range(m), size))
+        calls.clear()
+        assert [memoized(s) for s in subsets] == [sum(s) % 3 == 0 for s in subsets]
+        assert calls == subsets
+        calls.clear()
+        assert [memoized(s) for s in reversed(subsets)] == [sum(s) % 3 == 0
+                                                            for s in reversed(subsets)]
+        assert calls == []
+
+
+def test_memo_stays_inside_its_budget():
+    # PG(3, 3), rank 4: tables for sizes 0..4 take 1 + 40 + 780 + 9,880 + 91,390 bytes
+    calls = []
+
+    def oracle(s):
+        calls.append(s)
+        return True
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroids, "ORACLE_MEMO_BYTES", 1 + 40 + 780 + 9_880)
+        memoized = matroids._memoized(oracle, 40, 4)
+    for _ in range(2):
+        memoized((0, 1, 2))
+        memoized((0, 1, 2, 3))
+    assert calls == [(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]

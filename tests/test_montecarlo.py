@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,21 @@ from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               sample_kset)
 from matroid_sampling.streams import (blocks_per_trial, trial_substream,
                                       trial_uniforms)
+
+from conftest import CountingMatroid
+
+
+@pytest.fixture(scope="module")
+def pg33():
+    """PG(3, 3): 40 points, rank 4."""
+    return build_matroid(ProjectiveSpec(4, 3))
+
+
+def _pg33_point(kind):
+    """"u": the uniform point; "p": a fixed seeded Dirichlet point."""
+    if kind == "u":
+        return Distribution.uniform(40)
+    return Distribution(np.random.default_rng(2024).dirichlet(np.ones(40)))
 
 
 def test_stream_slicing_matches_substreams():
@@ -115,11 +132,57 @@ def test_nonuniform_distribution_k2_identity(pg12):
 
 def test_input_validation(fano):
     u = Distribution.uniform(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         estimate_F(fano, u, 0, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_trials must be >= 1, got 0"):
         estimate_F(fano, u, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distribution length 6 != ground size 7"):
         estimate_F(fano, Distribution.uniform(6), 2, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         sample_kset(fano, u, 0, trial_substream(0, 0, 1))
+    with pytest.raises(ValueError, match="distribution length 6 != ground size 7"):
+        sample_kset(fano, Distribution.uniform(6), 2, trial_substream(0, 0, 2))
+
+
+# successes recorded before the lexsort dedupe and the oracle memo existed
+@pytest.mark.parametrize("kind,k,seed,n_trials,chunks,successes", [
+    ("u", 4, 0, 2_000, (1, 997, 2_000), 1193),
+    ("u", 4, 0, 70_000, (997, 65_536, 70_000), 41646),
+    ("u", 4, 901, 2_000, (1, 997, 2_000), 1157),
+    ("u", 4, 901, 70_000, (997, 65_536, 70_000), 41458),
+    ("p", 2, 0, 2_000, (1, 997, 2_000), 1855),
+    ("p", 2, 0, 70_000, (997, 65_536, 70_000), 65589),
+    ("p", 2, 901, 2_000, (1, 997, 2_000), 1891),
+    ("p", 2, 901, 70_000, (997, 65_536, 70_000), 65499),
+])
+def test_golden_successes_pg33(pg33, kind, k, seed, n_trials, chunks, successes):
+    p = _pg33_point(kind)
+    for chunk in chunks:
+        assert estimate_F(pg33, p, k, n_trials, seed=seed, chunk=chunk).successes == successes
+
+
+def _candidate_rows(p, k, n_trials, seed, chunk):
+    """Per chunk, the sorted draws of the trials whose k draws are distinct."""
+    cumulative = np.cumsum(p.probs)
+    for start in range(0, n_trials, chunk):
+        count = min(chunk, n_trials - start)
+        draws = np.searchsorted(cumulative, trial_uniforms(seed, start, count, k), side="left")
+        draws = np.minimum(draws, cumulative.size - 1)
+        draws.sort(axis=1)
+        yield draws[np.all(np.diff(draws, axis=1) > 0, axis=1)]
+
+
+@pytest.mark.parametrize("kind,k,n_trials,chunk", [
+    ("u", 4, 5_000, 997),
+    ("u", 4, 5_000, 5_000),
+    ("p", 2, 3_000, 1_000),
+    ("u", 1, 500, 128),
+])
+def test_one_oracle_call_per_distinct_set_per_chunk(pg33, kind, k, n_trials, chunk):
+    p = _pg33_point(kind)
+    counting = CountingMatroid(pg33)
+    estimate_F(counting, p, k, n_trials, seed=3, chunk=chunk)
+    expected = [tuple(row) for rows in _candidate_rows(p, k, n_trials, 3, chunk)
+                for row in np.unique(rows, axis=0).tolist()]
+    assert len(counting.queries) == len(expected)
+    assert Counter(counting.queries) == Counter(expected)
