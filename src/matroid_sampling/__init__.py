@@ -9,8 +9,8 @@ stability are available in exact closed form.
 """
 
 from .fields import (FieldMatrix, PrimeField, canonical_point, field_matmul,
-                     field_new, gaussian_bracket, is_invertible, mat_vec,
-                     nonzero_vectors, projective_points, rank_over_fp)
+                     field_new, is_invertible, mat_vec, nonzero_vectors,
+                     projective_points, rank_over_fp)
 from .genpoly import (ConcavityReport, Distribution, IndepSetIndex, concavity_probe,
                       enumerate_independent_ksets, eval_F, eval_f, eval_h,
                       gaps_from_uniform, gradient_f, hessian_f, midpoint_check)
@@ -20,7 +20,8 @@ from .matroids import (ExplicitSpec, GroundSet, LinearSpec, Matroid, MatroidSpec
 from .montecarlo import McEstimate, estimate_F, sample_kset
 from .optimize import AscentConfig, AscentResult, maximize_F, optimality_gap
 from .projective import (PGParams, StabilityScanReport, VectorDistribution,
-                         b2_count, b2_explicit, hessian_coefficient, k2_gap, pushforward,
+                         b2_count, b2_explicit, gaussian_bracket,
+                         hessian_coefficient, k2_gap, pushforward,
                          stability_ratio, stability_scan, uniform_optimum)
 from .symmetry import (Permutation, apply_to_distribution, check_invariance,
                        is_transitive, orbit_average, orbits,

@@ -4,8 +4,7 @@ Matrices here are small and dense and all arithmetic is exact, so Gaussian
 elimination runs on plain Python row lists with "first nonzero" pivoting
 (an exact field needs no numerical pivoting).  The module also provides the
 F_p^n vector utilities that the projective-geometry matroids are built on:
-nonzero-vector enumeration, canonical projective representatives and the
-Gaussian brackets [j]_q that count projective points.
+nonzero-vector enumeration and canonical projective representatives.
 """
 
 from __future__ import annotations
@@ -178,21 +177,13 @@ def canonical_point(v, q: int) -> tuple[int, ...]:
     return tuple(int(x) * inv % q for x in v)
 
 
-def gaussian_bracket(j: int, q: int) -> int:
-    """[j]_q = (q**j - 1) / (q - 1): the number of projective points in the
-    projectivization of a j-dimensional subspace.  [0]_q = 0."""
-    if j < 0:
-        raise ValueError(f"bracket index must be >= 0, got {j}")
-    return (q**j - 1) // (q - 1)
-
-
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
     """Canonical representatives of PG(n-1, q), sorted lexicographically.
 
     There are exactly (q**n - 1) / (q - 1) of them.
     """
     pts = sorted({canonical_point(v, q) for v in nonzero_vectors(n, q)})
-    expected = gaussian_bracket(n, q)
+    expected = (q**n - 1) // (q - 1)
     if len(pts) != expected:
         raise AssertionError(f"point count {len(pts)} != {expected}")
     return pts

@@ -14,12 +14,11 @@ K-th root of the polynomial is concave on the nonnegative orthant, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import factorial
 
 import numpy as np
 
-from .fields import gaussian_bracket
-from .matroids import Matroid, ProjectiveSpec, UniformSpec
+from .matroids import Matroid, independent_count
 
 SUM_TOL = 1e-12
 REPAIR_TOL = 1e-6
@@ -104,21 +103,15 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
 
     Prefixes are grown in increasing index order and pruned via downward
     closure (a dependent prefix has no independent superset).  Raises when
-    k is outside [1, rank] or when the count exceeds ``cap``; for uniform
-    matroids, C(n, k), and projective geometries, prod_{j<k} (m - [j]_q) / k!,
-    the count is known in closed form and checked before the search starts.
+    k is outside [1, rank] or when the count exceeds ``cap``; a count known
+    in closed form (:func:`~matroid_sampling.matroids.independent_count`) is
+    checked before the search starts.
     """
     if k < 1 or k > matroid.rank:
         raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
     m = matroid.m
-    spec = matroid.spec
-    if isinstance(spec, UniformSpec):
-        known = comb(m, k)
-    elif isinstance(spec, ProjectiveSpec):
-        known = prod(m - gaussian_bracket(j, spec.q) for j in range(k)) // factorial(k)
-    else:
-        known = 0
-    if known > cap:
+    known = independent_count(matroid.spec, k)
+    if known is not None and known > cap:
         raise ValueError(f"enumeration exceeds cap of {cap} sets")
     out: list[tuple] = []
     prefix: list[int] = []

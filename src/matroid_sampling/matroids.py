@@ -11,16 +11,16 @@ Concrete families:
   directly and the oracle answers only for subsets of size <= k.
 
 Matroids are immutable after construction and oracle calls are pure, so
-instances can be shared freely across threads.  The F_q-rank and
-explicit-layer oracles remember their answers in a memo of at most
-``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
+instances can be shared freely across threads.  The F_q-rank oracle of
+the linear and projective families remembers its answers in a memo of at
+most ``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 from operator import getitem
 from typing import Union
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .fields import PrimeField, _rank_rows, projective_points
 
-ORACLE_MEMO_BYTES = 4 << 20  # per matroid, for the answers of its memoized oracle
+ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
+_COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class Matroid:
     is undefined; :func:`axiom_spot_check` offers a non-exhaustive sanity check.
 
     A matroid is immutable and its oracle is pure, so one instance may be
-    shared across threads.  The memo behind the expensive oracles does not
+    shared across threads.  The memo behind the F_q-rank oracle does not
     change that: each write stores the same single byte whichever thread
     makes it, and a lost write only costs a recomputation.
     """
@@ -162,17 +163,18 @@ def _memoized(oracle, m: int, max_size: int):
 
     A set x_0 < ... < x_{s-1} is stored at its colex rank sum_i C(x_i, i + 1),
     a bijection onto range(C(m, s)), in one bytearray per size (0 unknown,
-    1 dependent, 2 independent) allocated on first use.  Sizes are given
-    tables in increasing order while their C(m, s) bytes fit in what is left
-    of ``ORACLE_MEMO_BYTES``; other sizes, and sizes above ``max_size``, go
-    straight to the oracle.
+    1 dependent, 2 independent) allocated on first use.  Sizes from 2 up get
+    a table, and one more row of m colex entries, while the C(m, s) bytes and
+    those entries fit in what is left of ``ORACLE_MEMO_BYTES``; the first size
+    that does not fit ends the memo.  All other sizes go straight to the oracle.
     """
-    counts = []
-    left = ORACLE_MEMO_BYTES
-    for size in range(max_size + 1):
-        count = comb(m, size)
-        counts.append(count if count <= left else 0)
-        left -= counts[-1]
+    counts = [0] * (max_size + 1)
+    left = ORACLE_MEMO_BYTES - m * _COLEX_ENTRY_BYTES  # row 0 of the colex tables
+    for size in range(2, max_size + 1):
+        left -= comb(m, size) + m * _COLEX_ENTRY_BYTES
+        if left < 0:
+            break
+        counts[size] = comb(m, size)
     positions = max((size for size, count in enumerate(counts) if count), default=0)
     colex = [[comb(x, i + 1) for x in range(m)] for i in range(positions)]
     tables = [None] * (max_size + 1)
@@ -277,11 +279,23 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             ss = set(s)
             return any(ss <= layer for layer in as_sets)
 
-        return Matroid(GroundSet(spec.ground_size), spec,
-                       _memoized(oracle, spec.ground_size, k),
+        return Matroid(GroundSet(spec.ground_size), spec, oracle,
                        f"explicit(m={spec.ground_size},k={spec.k})")
 
     raise ValueError(f"unknown matroid spec: {spec!r}")
+
+
+def independent_count(spec: MatroidSpec, k: int) -> int | None:
+    """Closed-form number of independent k-sets, or None when the family has
+    none: C(n, k) for U(r, n) with k <= r, and for PG(n-1, q) the ordered
+    count prod_{j<k} (q**n - q**j) / (q - 1) (the j-th point avoids the span
+    of the first j) divided by k!."""
+    if isinstance(spec, UniformSpec):
+        return comb(spec.n, k) if k <= spec.r else 0
+    if isinstance(spec, ProjectiveSpec):
+        q, n = spec.q, spec.n
+        return prod((q**n - q**j) // (q - 1) for j in range(k)) // factorial(k)
+    return None
 
 
 def spec_to_json(spec: MatroidSpec) -> dict:

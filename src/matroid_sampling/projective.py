@@ -16,14 +16,21 @@ from math import factorial
 
 import numpy as np
 
-from .fields import (PrimeField, canonical_point, gaussian_bracket, nonzero_vectors,
-                     projective_points)
+from .fields import PrimeField, canonical_point, nonzero_vectors, projective_points
 from .genpoly import (Distribution, IndepSetIndex, enumerate_independent_ksets,
                       gaps_from_uniform)
-from .matroids import Matroid, ProjectiveSpec, build_matroid
+from .matroids import Matroid, ProjectiveSpec, build_matroid, independent_count
 from .streams import trial_uniforms
 
 NONUNIQUE_RATIO_THRESHOLD = 1e-6
+
+
+def gaussian_bracket(j: int, q: int) -> int:
+    """[j]_q = (q**j - 1) / (q - 1): the number of projective points in the
+    projectivization of a j-dimensional subspace.  [0]_q = 0."""
+    if j < 0:
+        raise ValueError(f"bracket index must be >= 0, got {j}")
+    return (q**j - 1) // (q - 1)
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,12 @@ class PGParams:
 def uniform_optimum(params: PGParams) -> Fraction:
     """Exact probability that k uniform projective points are independent.
 
-    Computed as prod_j (1 - [j]_q / m) and cross-checked exactly against
-    the equivalent form prod_j (q**n - q**j) / (q**n - 1).
+    Computed as k! N / m**k from the count N of independent k-sets
+    (:func:`~matroid_sampling.matroids.independent_count`) and cross-checked
+    exactly against the equivalent form prod_j (q**n - q**j) / (q**n - 1).
     """
     n, q, k, m = params.n, params.q, params.k, params.m
-    value = Fraction(1)
-    for j in range(k):
-        value *= Fraction(m - gaussian_bracket(j, q), m)
+    value = Fraction(factorial(k) * independent_count(ProjectiveSpec(n, q), k), m**k)
     alt = Fraction(1)
     for j in range(k):
         alt *= Fraction(q**n - q**j, q**n - 1)
@@ -72,14 +78,15 @@ def uniform_optimum(params: PGParams) -> Fraction:
 
 
 def b2_explicit(params: PGParams) -> Fraction:
-    """Number of independent k-sets through a fixed pair of distinct points:
-    (1/(k-2)!) * prod_{j=2}^{k-1} (m - [j]_q), with the empty product = 1."""
+    """Number of independent k-sets through a fixed pair of distinct points,
+    (1/(k-2)!) * prod_{j=2}^{k-1} (m - [j]_q).  PGL acts transitively on
+    pairs, so double counting (set, pair) incidences gives it as
+    N * C(k, 2) / C(m, 2) from the count N of independent k-sets."""
     if params.k < 2:
         raise ValueError(f"pair count needs k >= 2, got k={params.k}")
-    value = Fraction(1, factorial(params.k - 2))
-    for j in range(2, params.k):
-        value *= params.m - gaussian_bracket(j, params.q)
-    return value
+    k, m = params.k, params.m
+    n_sets = independent_count(ProjectiveSpec(params.n, params.q), k)
+    return Fraction(n_sets * k * (k - 1), m * (m - 1))
 
 
 def b2_count(idx: IndepSetIndex, e: int, e2: int) -> int:

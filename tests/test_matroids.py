@@ -11,6 +11,7 @@ from matroid_sampling import (ExplicitSpec, GroundSet, LinearSpec,
                               enumerate_independent_ksets, matroids, spec_from_json,
                               spec_to_json)
 from matroid_sampling.fields import _rank_rows
+from matroid_sampling.matroids import independent_count
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -199,7 +200,7 @@ def linear_specs(draw):
 
 
 @PROPERTY
-@given(linear_specs(), st.integers(1, 200), st.randoms(use_true_random=False))
+@given(linear_specs(), st.integers(1, 4_000), st.randoms(use_true_random=False))
 def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
     # budget 0 sends every size straight to elimination; a partial budget
     # memoizes only the smallest sizes; the default memoizes all of them
@@ -212,35 +213,12 @@ def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
         assert warm == truth
 
 
-@st.composite
-def explicit_specs(draw):
-    """1..10 random k-sets on 2..8 points; not necessarily a matroid layer."""
-    m = draw(st.integers(2, 8))
-    k = draw(st.integers(1, min(m, 4)))
-    sets = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
-                         min_size=1, max_size=10))
-    return ExplicitSpec(m, k, tuple(sets))
-
-
-@PROPERTY
-@given(explicit_specs(), st.randoms(use_true_random=False))
-def test_explicit_memo_answers_match_direct(spec, rnd):
-    subsets = _subsets(spec.ground_size, spec.k + 1)
-    layers = [set(t) for t in spec.sets]
-    truth = {s: len(s) <= spec.k and any(set(s) <= layer for layer in layers)
-             for s in subsets}
-    for budget in (0, matroids.ORACLE_MEMO_BYTES):
-        cold, warm = _answers_cold_then_warm(spec, budget, subsets, rnd)
-        assert cold == truth
-        assert warm == truth
-
-
-@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("m", range(2, 10))
 def test_memo_colex_rank_is_a_bijection(m):
     # Each size's table has C(m, s) slots and indexing past it raises, so if
     # the cold pass asks the oracle once per set (no two sets share a slot)
     # and the warm pass never asks it, the colex rank maps the s-subsets
-    # one-to-one onto range(C(m, s)).
+    # one-to-one onto range(C(m, s)).  Sizes 0 and 1 are not memoized.
     calls = []
 
     def oracle(s):
@@ -256,11 +234,10 @@ def test_memo_colex_rank_is_a_bijection(m):
         calls.clear()
         assert [memoized(s) for s in reversed(subsets)] == [sum(s) % 3 == 0
                                                             for s in reversed(subsets)]
-        assert calls == []
+        assert calls == ([] if size >= 2 else subsets[::-1])
 
 
-def test_memo_stays_inside_its_budget():
-    # PG(3, 3), rank 4: tables for sizes 0..4 take 1 + 40 + 780 + 9,880 + 91,390 bytes
+def _memo_under_budget(m, max_size, budget):
     calls = []
 
     def oracle(s):
@@ -268,9 +245,46 @@ def test_memo_stays_inside_its_budget():
         return True
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matroids, "ORACLE_MEMO_BYTES", 1 + 40 + 780 + 9_880)
-        memoized = matroids._memoized(oracle, 40, 4)
+        patch.setattr(matroids, "ORACLE_MEMO_BYTES", budget)
+        memoized = matroids._memoized(oracle, m, max_size)
+    return memoized, calls
+
+
+def test_memo_stays_inside_its_budget():
+    # PG(3, 3), rank 4: tables for sizes 2..4 take 780 + 9,880 + 91,390 bytes,
+    # and each of the colex rows 0..size-1 holds 40 entries
+    row = 40 * matroids._COLEX_ENTRY_BYTES
+    memoized, calls = _memo_under_budget(40, 4, row + (780 + row) + (9_880 + row))
     for _ in range(2):
+        memoized((0, 1))
         memoized((0, 1, 2))
         memoized((0, 1, 2, 3))
-    assert calls == [(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]
+    assert calls == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]
+
+
+def test_memo_ends_at_the_first_size_that_does_not_fit():
+    # m = 10: C(10, s) = 45, 120, 210, 252, 210, ... for s = 2, 3, 4, 5, 6.
+    # Size 5 misses by one byte, so size 6, which would fit, is not memoized.
+    row = 10 * matroids._COLEX_ENTRY_BYTES
+    fits = row + (45 + row) + (120 + row) + (210 + row)
+    memoized, calls = _memo_under_budget(10, 10, fits + 252 + row - 1)
+    for _ in range(2):
+        for size in range(2, 7):
+            memoized(tuple(range(size)))
+    first = [tuple(range(size)) for size in range(2, 7)]
+    assert calls == first + [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("spec,max_k", [(UniformSpec(3, 7), 3), (ProjectiveSpec(3, 2), 3),
+                                        (ProjectiveSpec(3, 3), 3), (ProjectiveSpec(4, 2), 4)])
+def test_independent_count_matches_enumeration(spec, max_k):
+    matroid = build_matroid(spec)
+    for k in range(1, max_k + 1):
+        assert independent_count(spec, k) == enumerate_independent_ksets(matroid, k).n_sets
+    assert independent_count(spec, matroid.rank + 1) == 0
+
+
+def test_independent_count_is_none_without_closed_form():
+    assert independent_count(ParallelClassesSpec(3), 2) is None
+    assert independent_count(ExplicitSpec(3, 2, ((0, 1),)), 2) is None
+    assert independent_count(LinearSpec(2, ((1, 0), (0, 1))), 2) is None
