@@ -58,7 +58,7 @@ for k, params in ((2, params2), (3, params3)):
     exact = float(uniform_optimum(params))
     print(f"\nK = {k}: optimal probability {uniform_optimum(params)} = {exact:.12f}")
     for label, vec_dist in candidates.items():
-        value = eval_F(idx, pushforward(vec_dist, params))
+        value = eval_F(idx, pushforward(vec_dist))
         print(f"  {label:32s}: F = {value:.15f} (deviation {abs(value - exact):.1e})")
 
 print("\nPerturbing the pushforward costs probability:")
@@ -73,7 +73,7 @@ for t in (0.05, 0.01, 0.001):
         a, b = members[i]
         probs[a] = masses[i]
     vec_dist = VectorDistribution(probs, n, q, renormalize=True)
-    projected = pushforward(vec_dist, params2)
+    projected = pushforward(vec_dist)
     gap2 = optimality_gap(idx2, projected)
     gap3 = optimality_gap(idx3, projected)
     print(f"  t = {t:5.3f}: ||p - u||^2 = {2 * t * t:.2e}, "

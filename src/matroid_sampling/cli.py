@@ -16,18 +16,19 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .genpoly import (Distribution, enumerate_independent_ksets, eval_F, eval_f,
-                      eval_h, gaps_from_uniform, hessian_f, DEFAULT_ENUM_CAP)
+from .genpoly import (Distribution, enumerate_independent_ksets, eval_F, eval_h,
+                      gaps_from_uniform, hessian_f, DEFAULT_ENUM_CAP)
 from .matroids import ProjectiveSpec, build_matroid, spec_from_json, spec_to_json
 from .optimize import AscentConfig, maximize_F
 from .montecarlo import estimate_F
-from .projective import (PGParams, VectorDistribution, b2_count, b2_explicit,
-                         hessian_coefficient, pushforward, stability_scan,
+from .projective import (PGParams, VectorDistribution, _scan_samples, b2_count,
+                         b2_explicit, hessian_coefficient, pushforward, stability_scan,
                          uniform_optimum)
 from .streams import trial_uniforms
 from .symmetry import Permutation, is_transitive, orbit_average, orbits
@@ -57,30 +58,28 @@ def _rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _read_text(source: str) -> str:
-    stripped = source.strip()
-    if stripped.startswith(("{", "[")):
-        return stripped
-    if not os.path.exists(source):
-        raise ValueError(f"no such file: {source}")
-    with open(source, encoding="utf-8") as handle:
-        return handle.read()
+def _load_json(source: str, what: str):
+    """Inline JSON (starting with ``{`` or ``[``) or the JSON file at a path."""
+    text = source.strip()
+    if not text.startswith(("{", "[")):
+        if not os.path.exists(source):
+            raise ValueError(f"no such file: {source}")
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid {what} JSON: {exc}") from exc
 
 
 def _load_spec(source: str):
-    try:
-        return spec_from_json(json.loads(_read_text(source)))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid spec JSON: {exc}") from exc
+    return spec_from_json(_load_json(source, "spec"))
 
 
 def _load_dist(source: str, m: int) -> Distribution:
     if source.strip().lower() == "uniform":
         return Distribution.uniform(m)
-    try:
-        data = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid distribution JSON: {exc}") from exc
+    data = _load_json(source, "distribution")
     if not isinstance(data, list):
         raise ValueError("a distribution must be a JSON array of probabilities")
     if len(data) != m:
@@ -89,10 +88,7 @@ def _load_dist(source: str, m: int) -> Distribution:
 
 
 def _load_gens(source: str, m: int) -> list[Permutation]:
-    try:
-        data = json.loads(_read_text(source))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid generators JSON: {exc}") from exc
+    data = _load_json(source, "generators")
     if not isinstance(data, list) or not data:
         raise ValueError("generators must be a nonempty JSON array of image arrays")
     gens = [Permutation.from_json(img) for img in data]
@@ -128,23 +124,24 @@ def _write_report(report: dict, args):
         sys.stdout.write(text)
 
 
-def _build(args, need_k: bool = True):
+def _build(args):
     spec = _load_spec(args.spec)
     matroid = build_matroid(spec)
-    if not need_k or args.k is None:
+    if args.k is None:
         return spec, matroid, None
     idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
     return spec, matroid, idx
 
 
-def _pg_params(spec, k: int) -> PGParams:
+def _projective(spec) -> ProjectiveSpec:
+    """The spec, if it is a projective geometry (the closed forms hold only there)."""
     if not isinstance(spec, ProjectiveSpec):
         raise ValueError("this subcommand needs a projective matroid spec")
-    return PGParams(spec.n, spec.q, k)
+    return spec
 
 
 def cmd_info(args) -> dict:
-    spec, matroid, idx = _build(args, need_k=args.k is not None)
+    spec, matroid, idx = _build(args)
     report = {
         "spec": spec_to_json(spec),
         "m": matroid.m,
@@ -169,15 +166,16 @@ def cmd_eval(args) -> dict:
         "k": args.k,
         "F": value,
     }
-    if args.dist.strip().lower() == "uniform" and isinstance(spec, ProjectiveSpec):
-        exact = uniform_optimum(_pg_params(spec, args.k))
-        report["F_rational"] = _rational(exact)
+    if args.dist.strip().lower() == "uniform":
+        with suppress(ValueError):  # the exact optimum is known on PG(n-1, q) only
+            pg = _projective(spec)
+            report["F_rational"] = _rational(uniform_optimum(PGParams(pg.n, pg.q, args.k)))
     return report
 
 
 def cmd_exact_uniform(args) -> dict:
-    spec = _load_spec(args.spec)
-    params = _pg_params(spec, args.k)
+    spec = _projective(_load_spec(args.spec))
+    params = PGParams(spec.n, spec.q, args.k)
     exact = uniform_optimum(params)
     return {
         "n": params.n, "q": params.q, "k": params.k, "m": params.m,
@@ -188,14 +186,11 @@ def cmd_exact_uniform(args) -> dict:
 
 def cmd_optimize(args) -> dict:
     spec, matroid, idx = _build(args)
-    start = None
-    if args.dist and args.dist.strip().lower() != "uniform":
-        start = _load_dist(args.dist, matroid.m)
     cfg = AscentConfig(
         step_size=args.step,
         max_iters=args.iters,
         tol_grad=args.tol,
-        start=start,
+        start=_load_dist(args.dist, matroid.m),
     )
     result = maximize_F(idx, cfg)
     report = {"spec": spec_to_json(spec), "k": args.k}
@@ -204,7 +199,8 @@ def cmd_optimize(args) -> dict:
 
 
 def cmd_mc(args) -> dict:
-    spec, matroid, _ = _build(args, need_k=False)
+    spec = _load_spec(args.spec)
+    matroid = build_matroid(spec)
     dist = _load_dist(args.dist, matroid.m)
     est = estimate_F(matroid, dist, args.k, args.trials, seed=args.seed)
     report = {"spec": spec_to_json(spec), "k": args.k}
@@ -229,9 +225,9 @@ def cmd_k2check(args) -> dict:
     spec, matroid, idx = _build(args)
     if args.k != 2:
         raise ValueError("the K=2 identity check needs --k 2")
-    _pg_params(spec, 2)  # the identity is exact only on projective geometries
-    gammas = -np.log1p(-trial_uniforms(args.seed, 0, args.samples, matroid.m))
-    gaps, norm2 = gaps_from_uniform(idx, gammas / gammas.sum(axis=1, keepdims=True))
+    _projective(spec)  # the identity is exact only on projective geometries
+    pts = _scan_samples(args.seed, 0, args.samples, matroid.m, "dirichlet")
+    gaps, norm2 = gaps_from_uniform(idx, pts)
     worst = float(np.max(np.abs(gaps - norm2), initial=0.0))
     report = {
         "spec": spec_to_json(spec),
@@ -247,42 +243,37 @@ def cmd_k2check(args) -> dict:
 
 
 def cmd_hesscheck(args) -> dict:
+    # v^T H v = -c on unit zero-sum directions v at u, exactly and as the symmetric
+    # difference (F(u + tv) - 2F(u) + F(u - tv)) / t^2 = -(gap(u + tv) + gap(u - tv)) / t^2
     spec, matroid, idx = _build(args)
-    params = _pg_params(spec, args.k)
-    if args.k < 2:
-        raise ValueError("the Hessian check needs k >= 2")
-    m = matroid.m
-    kfact = factorial(args.k)
+    pg = _projective(spec)
+    params = PGParams(pg.n, pg.q, args.k)
     coefficient = hessian_coefficient(params)
     coef = float(coefficient)
-    u = np.full(m, 1.0 / m)
-    hess = kfact * hessian_f(idx, u)
-    rng = np.random.default_rng(args.seed)
-    worst_exact = 0.0
-    worst_fd = 0.0
-    t = 1e-3
-    f_u = kfact * eval_f(idx, u)
-    for _ in range(args.samples):
-        v = rng.standard_normal(m)
-        v -= v.mean()
-        v /= np.linalg.norm(v)
-        quad = v @ hess @ v
-        worst_exact = max(worst_exact, abs(quad + coef) / coef)
-        fd = (kfact * eval_f(idx, u + t * v) - 2.0 * f_u + kfact * eval_f(idx, u - t * v)) / t**2
-        worst_fd = max(worst_fd, abs(fd + coef) / coef)
+    b2 = b2_explicit(params)
+    m, t = matroid.m, 1e-3
+    dirs = trial_uniforms(args.seed, 0, args.samples, m)
+    dirs -= dirs.mean(axis=1, keepdims=True)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    hess = factorial(args.k) * hessian_f(idx, np.full(m, 1.0 / m))
+    quad = np.einsum("ij,jk,ik->i", dirs, hess, dirs)
+    gaps, _ = gaps_from_uniform(idx, np.concatenate([1.0 / m + t * dirs, 1.0 / m - t * dirs]))
+    fd = -(gaps[:args.samples] + gaps[args.samples:]) / t**2
+    worst_exact = float(np.max(np.abs(quad + coef), initial=0.0)) / coef
+    worst_fd = float(np.max(np.abs(fd + coef), initial=0.0)) / coef
     b2_enum = b2_count(idx, 0, 1)
     report = {
         "spec": spec_to_json(spec),
         "k": args.k,
         "coefficient_rational": _rational(coefficient),
         "coefficient": coef,
-        "b2_rational": _rational(b2_explicit(params)),
+        "b2_rational": _rational(b2),
         "b2_count": b2_enum,
         "n_vectors": args.samples,
         "max_relative_error_exact": worst_exact,
         "max_relative_error_fd": worst_fd,
         "tol": args.tol,
-        "pass": worst_exact <= args.tol and b2_enum == b2_explicit(params),
+        "pass": worst_exact <= args.tol and b2_enum == b2,
     }
     if not report["pass"]:
         raise ToleranceFailure(json.dumps(report))
@@ -313,31 +304,20 @@ def cmd_orbitavg(args) -> dict:
 
 
 def cmd_pushforward(args) -> dict:
-    spec = _load_spec(args.spec)
-    if not isinstance(spec, ProjectiveSpec):
-        raise ValueError("pushforward needs a projective matroid spec")
-    count = spec.q**spec.n - 1
-    k = args.k if args.k is not None else 1
-    params = PGParams(spec.n, spec.q, k)
-    if args.dist.strip().lower() == "uniform":
-        vec = VectorDistribution.uniform(spec.n, spec.q)
-    else:
-        data = json.loads(_read_text(args.dist))
-        if not isinstance(data, list) or len(data) != count:
-            raise ValueError(f"vector distribution must be a JSON array of length {count}")
-        vec = VectorDistribution(np.asarray(data, dtype=float), spec.n, spec.q)
-    projected = pushforward(vec, params)
+    spec = _projective(_load_spec(args.spec))
+    count = spec.q**spec.n - 1  # nonzero vectors, read like points by _load_dist
+    vec = VectorDistribution(_load_dist(args.dist, count).probs, spec.n, spec.q)
+    projected = pushforward(vec)
     report = {
         "spec": spec_to_json(spec),
         "n_vectors": count,
         "pushforward": projected.probs.tolist(),
     }
     if args.k is not None:
-        matroid = build_matroid(spec)
-        idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
+        idx = enumerate_independent_ksets(build_matroid(spec), args.k, cap=args.enum_cap)
         report["k"] = args.k
         report["F"] = eval_F(idx, projected)
-        report["F_uniform_rational"] = _rational(uniform_optimum(params))
+        report["F_uniform_rational"] = _rational(uniform_optimum(PGParams(spec.n, spec.q, args.k)))
     return report
 
 

@@ -109,33 +109,27 @@ class Matroid:
         self.spec = spec
         self.name = name
         self._oracle = oracle
-        self.rank = self._greedy_rank()
+        self.rank = self.subset_rank(range(self.m))
 
     @property
     def m(self) -> int:
         return self.ground.m
 
-    def is_independent(self, subset) -> bool:
-        s = sorted({int(e) for e in subset})
+    def _normalize(self, subset) -> tuple:
+        s = tuple(sorted(set(map(int, subset))))
         if s and (s[0] < 0 or s[-1] >= self.m):
-            raise ValueError(f"element out of range [0, {self.m}) in {s}")
-        return bool(self._oracle(tuple(s)))
+            raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
+        return s
 
-    def _greedy_rank(self) -> int:
-        chain: list[int] = []
-        for e in range(self.m):
-            chain.append(e)
-            if not self._oracle(tuple(chain)):
-                chain.pop()
-        return len(chain)
+    def is_independent(self, subset) -> bool:
+        return bool(self._oracle(self._normalize(subset)))
 
     def subset_rank(self, subset) -> int:
         """Rank of a subset: size of a maximal independent subset, greedily."""
-        s = sorted({int(e) for e in subset})
         chain: list[int] = []
-        for e in s:
+        for e in self._normalize(subset):
             chain.append(e)
-            if not self.is_independent(chain):
+            if not self._oracle(tuple(chain)):
                 chain.pop()
         return len(chain)
 

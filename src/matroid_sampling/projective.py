@@ -23,6 +23,7 @@ from .matroids import Matroid, ProjectiveSpec, build_matroid, independent_count
 from .streams import trial_uniforms
 
 NONUNIQUE_RATIO_THRESHOLD = 1e-6
+HISTOGRAM_BINS = 20  # bins of the stability scan's ratio histogram
 
 
 def gaussian_bracket(j: int, q: int) -> int:
@@ -149,17 +150,15 @@ class VectorDistribution:
         return cls(np.full(count, 1.0 / count), n, q, renormalize=True)
 
 
-def pushforward(vector_dist: VectorDistribution, params: PGParams) -> Distribution:
-    """Project a vector distribution to projective space: each point
+def pushforward(vector_dist: VectorDistribution) -> Distribution:
+    """Project a vector distribution on F_q^n to PG(n-1, q): each point
     receives the total mass of its q-1 nonzero scalar multiples."""
-    if (vector_dist.n, vector_dist.q) != (params.n, params.q):
-        raise ValueError(f"vector distribution over F_{vector_dist.q}^{vector_dist.n} "
-                         f"does not match PG({params.n - 1}, {params.q})")
-    points = projective_points(params.n, params.q)
+    n, q = vector_dist.n, vector_dist.q
+    points = projective_points(n, q)
     index = {pt: i for i, pt in enumerate(points)}
     out = np.zeros(len(points))
-    for vec, mass in zip(nonzero_vectors(params.n, params.q), vector_dist.probs):
-        out[index[canonical_point(vec, params.q)]] += mass
+    for vec, mass in zip(nonzero_vectors(n, q), vector_dist.probs):
+        out[index[canonical_point(vec, q)]] += mass
     return Distribution(out)
 
 
@@ -216,9 +215,8 @@ def _scan_samples(seed: int, first: int, count: int, m: int, mode: str) -> np.nd
     elif mode == "sparse":
         sizes = 1 + np.minimum((u[:, 0] * m).astype(np.int64), m - 1)
         order = np.argsort(u[:, 1:1 + m], axis=1)
-        keep = np.zeros((count, m), dtype=bool)
-        for i in range(count):
-            keep[i, order[i, :sizes[i]]] = True
+        # element order[i, j] has rank j in row i: keep the sizes[i] lowest ranks
+        keep = np.argsort(order, axis=1) < sizes[:, None]
         weights = np.where(keep, gammas, 0.0)
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -228,8 +226,7 @@ def _scan_samples(seed: int, first: int, count: int, m: int, mode: str) -> np.nd
 
 
 def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
-                   mode: str = "dirichlet", histogram_bins: int = 20,
-                   chunk: int = 4096) -> StabilityScanReport:
+                   mode: str = "dirichlet", chunk: int = 4096) -> StabilityScanReport:
     """Scan the stability ratio R over random simplex points.
 
     Reports the minimum ratio and its argmin; a minimum below 1e-6 flags a
@@ -263,13 +260,12 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
             best_ratio = float(chunk_ratios[i])
             best_p = pts[keep][i].copy()
     all_ratios = np.concatenate(ratios) if ratios else np.empty(0)
+    lo, hi = 0.0, 1.0  # numpy's own range for no data
     if all_ratios.size:
         lo, hi = float(all_ratios.min()), float(all_ratios.max())
         if hi - lo < 1e-9 * max(abs(lo), abs(hi), 1.0):
             lo, hi = lo - 0.5, hi + 0.5  # essentially constant data: pad the range
-        counts, edges = np.histogram(all_ratios, bins=histogram_bins, range=(lo, hi))
-    else:
-        counts, edges = np.histogram(all_ratios, bins=histogram_bins)
+    counts, edges = np.histogram(all_ratios, bins=HISTOGRAM_BINS, range=(lo, hi))
     return StabilityScanReport(
         min_ratio=best_ratio,
         argmin=best_p,

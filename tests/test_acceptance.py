@@ -243,7 +243,7 @@ def test_criterion_8_pushforward_equality_and_shortfall():
             idx = params.index()
             exact = float(uniform_optimum(params))
             for vec_dist in three:
-                projected = pushforward(vec_dist, params)
+                projected = pushforward(vec_dist)
                 assert abs(eval_F(idx, projected) - exact) <= 1e-12
 
         # perturbed pushforward: move mass t between two points
@@ -254,7 +254,7 @@ def test_criterion_8_pushforward_equality_and_shortfall():
         vec_dist = vector_dist_with_point_masses(perturbed_masses, rng.random(m))
         norm2 = 2 * t * t
         params2 = PGParams(n, q, 2)
-        projected = pushforward(vec_dist, params2)
+        projected = pushforward(vec_dist)
         gap2 = optimality_gap(params2.index(), projected)
         assert gap2 >= norm2 - 1e-12  # K=2: the gap IS the squared distance
         params3 = PGParams(n, q, 3)

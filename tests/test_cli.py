@@ -131,6 +131,24 @@ def test_hesscheck(capsys):
     assert report["b2_count"] == 4
     assert report["pass"] is True
     assert report["max_relative_error_exact"] <= 1e-10
+    # F is a cubic for K=3, so the symmetric second difference has no t^2 error term
+    assert report["max_relative_error_fd"] <= 1e-12
+
+
+def test_hesscheck_needs_k_at_least_2(capsys):
+    code, out, err = run_cli(capsys, "hesscheck", "--spec", PROJECTIVE_32, "--k", "1")
+    assert code == 2
+    assert "k >= 2" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("k2check", "--spec", '{"type":"projective","n":3,"q":3}', "--k", "2", "--samples", "30",
+     "--seed", "5"),
+    ("hesscheck", "--spec", '{"type":"projective","n":4,"q":2}', "--k", "3", "--samples", "20",
+     "--seed", "5"),
+])
+def test_identity_checks_are_deterministic(capsys, argv):
+    assert run_json(capsys, *argv) == run_json(capsys, *argv)
 
 
 def test_orbitavg_transitive_gives_uniform(capsys):
@@ -158,6 +176,37 @@ def test_pushforward_uniform_vector_default(capsys):
                       "--spec", '{"type":"projective","n":2,"q":3}',
                       "--k", "2", "--dist", "uniform")
     assert report["pushforward"] == pytest.approx([0.25] * 4, abs=1e-15)
+
+
+def test_pushforward_dist_from_file(capsys, tmp_path):
+    dist_path = tmp_path / "vectors.json"
+    dist_path.write_text(json.dumps([0.125] * 8))
+    report = run_json(capsys, "pushforward", "--spec", '{"type":"projective","n":2,"q":3}',
+                      "--dist", str(dist_path))
+    assert report["n_vectors"] == 8
+    assert report["pushforward"] == pytest.approx([0.25] * 4, abs=1e-15)
+
+
+def test_pushforward_wrong_length_exits_2(capsys):
+    code, out, err = run_cli(capsys, "pushforward", "--spec", '{"type":"projective","n":2,"q":3}',
+                             "--dist", json.dumps([0.2] * 5))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv,what", [
+    (("eval", "--spec", '{"type": projective}', "--k", "2"), "spec"),
+    (("eval", "--spec", PROJECTIVE_22, "--k", "2", "--dist", "[0.5, 0.5,"), "distribution"),
+    (("info", "--spec", PARALLEL_2, "--gens", "[[1, 0, 2, 3]"), "generators"),
+    (("pushforward", "--spec", '{"type":"projective","n":2,"q":3}', "--dist", "[0.125,"),
+     "distribution"),
+])
+def test_malformed_json_exits_2(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith(f"invalid {what} JSON")
 
 
 def test_validation_errors_exit_2(capsys):

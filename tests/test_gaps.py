@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 from matroid_sampling import (LinearSpec, ProjectiveSpec, UniformSpec, build_matroid,
                               enumerate_independent_ksets, gaps_from_uniform, genpoly,
                               stability_scan)
+from matroid_sampling.projective import _scan_samples
+from matroid_sampling.streams import trial_uniforms
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -38,6 +40,20 @@ def test_scan_golden(spec, mode, min_r, digest):
     assert report.min_ratio == float.fromhex(min_r)
     assert hashlib.sha256(report.argmin.astype(np.float64).tobytes()).hexdigest() == digest
     assert report.skipped == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_sparse_support_is_the_lowest_ranked_elements(m):
+    count = 300
+    pts = _scan_samples(3, 11, count, m, "sparse")
+    u = trial_uniforms(3, 11, count, 2 * m + 1)
+    for i in range(count):
+        size = 1 + min(int(u[i, 0] * m), m - 1)
+        support = np.argsort(u[i, 1:1 + m])[:size]
+        weights = np.zeros(m)
+        weights[support] = -np.log1p(-u[i, 1 + m:])[support]
+        # atol = 0: every entry outside the support must be exactly zero
+        np.testing.assert_allclose(pts[i], weights / weights.sum(), rtol=1e-15, atol=0)
 
 
 def test_gaps_shape_validated(fano_idx):

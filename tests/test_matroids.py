@@ -79,6 +79,37 @@ def test_element_out_of_range(fano):
         fano.is_independent((-1,))
 
 
+@pytest.mark.parametrize("spec", [ProjectiveSpec(3, 2), ProjectiveSpec(3, 3), UniformSpec(3, 6),
+                                  ParallelClassesSpec(3)])
+def test_subset_rank_of_messy_input_is_the_rank_of_its_set(spec):
+    matroid = build_matroid(spec)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        messy = rng.integers(0, matroid.m, size=rng.integers(0, 9))  # unsorted, repeats
+        elements = sorted(set(messy.tolist()))
+        rank = max(r for r in range(len(elements) + 1)
+                   if any(matroid.is_independent(c) for c in combinations(elements, r)))
+        assert matroid.subset_rank(messy) == matroid.subset_rank(list(reversed(messy))) == rank
+
+
+def test_subset_rank_queries_each_sorted_prefix_once():
+    fano = build_matroid(ProjectiveSpec(3, 2))
+    seen = []
+    oracle = fano._oracle
+    fano._oracle = lambda s: seen.append(s) or oracle(s)
+    # the third point of a line of PG(2, 2) depends on the other two
+    line = next(c for c in combinations(range(7), 3) if not oracle(c))
+    assert fano.subset_rank([line[2], line[0], line[1], line[2], line[0]]) == 2
+    assert seen == [line[:1], line[:2], line]
+
+
+def test_subset_rank_out_of_range(fano):
+    with pytest.raises(ValueError, match="out of range"):
+        fano.subset_rank([3, 1, 7])
+    with pytest.raises(ValueError, match="out of range"):
+        fano.subset_rank([-1, 0])
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         build_matroid(UniformSpec(3, 2))

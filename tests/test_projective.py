@@ -11,6 +11,7 @@ from matroid_sampling import (Distribution, PGParams,
                               gaussian_bracket, hessian_coefficient, hessian_f,
                               k2_gap, pushforward, stability_ratio,
                               stability_scan, uniform_optimum)
+from matroid_sampling.projective import HISTOGRAM_BINS
 
 
 def test_gaussian_bracket():
@@ -142,14 +143,12 @@ def test_k2_gap_needs_k2():
 
 
 def test_pushforward_uniform_q2():
-    params = PGParams(2, 2, 2)
-    projected = pushforward(VectorDistribution.uniform(2, 2), params)
+    projected = pushforward(VectorDistribution.uniform(2, 2))
     assert projected.probs == pytest.approx(np.full(3, 1 / 3), abs=1e-15)
 
 
 def test_pushforward_uniform_q3():
-    params = PGParams(2, 3, 2)
-    projected = pushforward(VectorDistribution.uniform(2, 3), params)
+    projected = pushforward(VectorDistribution.uniform(2, 3))
     assert projected.probs == pytest.approx(np.full(4, 0.25), abs=1e-15)
 
 
@@ -160,8 +159,7 @@ def test_pushforward_collapses_scalar_multiples():
     probs = np.zeros(len(vecs))
     probs[vecs.index((1, 2))] = 0.3
     probs[vecs.index((2, 1))] = 0.7
-    params = PGParams(2, 3, 2)
-    projected = pushforward(VectorDistribution(probs, 2, 3), params)
+    projected = pushforward(VectorDistribution(probs, 2, 3))
     from matroid_sampling import projective_points
     point = projective_points(2, 3).index((1, 2))
     assert projected.probs[point] == 1.0
@@ -169,8 +167,6 @@ def test_pushforward_collapses_scalar_multiples():
 
 
 def test_pushforward_dimension_mismatch():
-    with pytest.raises(ValueError):
-        pushforward(VectorDistribution.uniform(2, 3), PGParams(3, 3, 2))
     with pytest.raises(ValueError):
         VectorDistribution(np.full(5, 0.2), 2, 3)
 
@@ -195,7 +191,7 @@ def test_vector_level_equality():
             probs[members[0]] = s / params.m
             probs[members[1]] = (1 - s) / params.m
         vec_dist = VectorDistribution(probs, params.n, params.q, renormalize=True)
-        projected = pushforward(vec_dist, params)
+        projected = pushforward(vec_dist)
         assert abs(eval_F(idx, projected) - exact) <= 1e-12
 
 
@@ -269,3 +265,5 @@ def test_scan_report_serializes(fano_idx):
     data = report.to_json()
     assert set(data) >= {"min_R", "argmin", "n_samples", "seed", "histogram",
                          "nonunique_maximizer_detected"}
+    assert len(data["histogram"]["counts"]) == HISTOGRAM_BINS
+    assert len(data["histogram"]["edges"]) == HISTOGRAM_BINS + 1
