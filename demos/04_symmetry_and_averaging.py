@@ -18,9 +18,9 @@ concrete:
 
 import numpy as np
 
-from matroid_sampling import (Distribution, FieldMatrix, ProjectiveSpec,
+from matroid_sampling import (Distribution, FieldMatrix, PrimeField, ProjectiveSpec,
                               build_matroid, check_invariance,
-                              enumerate_independent_ksets, eval_h, field_new,
+                              enumerate_independent_ksets, eval_h,
                               is_transitive, orbit_average, orbits,
                               pgl_point_permutation)
 
@@ -29,7 +29,7 @@ idx = enumerate_independent_ksets(fano, 3)
 rng = np.random.default_rng(3)
 
 print("Point permutations induced by GL(3, 2) matrices on the Fano plane:")
-singer = FieldMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]], field_new(2))
+singer = FieldMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]], PrimeField(2))
 perm = pgl_point_permutation(singer, fano)
 print(f"  companion matrix of x^3 + x + 1 -> point map {perm.to_json()}")
 print(f"  orbits of that single element: {orbits([perm])}")
@@ -49,7 +49,7 @@ print(f"  avg p is uniform to {np.max(np.abs(averaged.probs - 1 / 7)):.1e}")
 print()
 
 print("A non-transitive subgroup averages within orbits only:")
-transvection = FieldMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], field_new(2))
+transvection = FieldMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], PrimeField(2))
 perm2 = pgl_point_permutation(transvection, fano)
 print(f"  transvection point map {perm2.to_json()}")
 print(f"  orbits: {orbits([perm2])}")
@@ -59,14 +59,14 @@ print(f"  h(p) = {eval_h(idx, p):.12f} <= h(partial avg) = {eval_h(idx, partial)
 print()
 
 print("Averaging over more and more random GL(3,2) elements approaches u:")
-from matroid_sampling import apply_to_distribution, is_invertible
+from matroid_sampling import apply_to_distribution, rank_over_fp
 
 
 def random_invertible(rng):
-    field = field_new(2)
+    field = PrimeField(2)
     while True:
         mat = FieldMatrix(rng.integers(0, 2, size=(3, 3)), field)
-        if is_invertible(mat):
+        if rank_over_fp(mat) == 3:
             return mat
 
 

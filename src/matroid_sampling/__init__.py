@@ -8,13 +8,12 @@ projective geometry matroids, where the optimum and its quadratic
 stability are available in exact closed form.
 """
 
-from .fields import (FieldMatrix, PrimeField, canonical_point, field_matmul,
-                     field_new, is_invertible, mat_vec, nonzero_vectors,
+from .fields import (FieldMatrix, PrimeField, canonical_point, nonzero_vectors,
                      projective_points, rank_over_fp)
 from .genpoly import (ConcavityReport, Distribution, IndepSetIndex, concavity_probe,
                       enumerate_independent_ksets, eval_F, eval_f, eval_h,
-                      gaps_from_uniform, gradient_f, hessian_f, midpoint_check)
-from .matroids import (ExplicitSpec, GroundSet, LinearSpec, Matroid, MatroidSpec,
+                      gaps_from_uniform, gradient_f, hessian_f)
+from .matroids import (ExplicitSpec, LinearSpec, Matroid, MatroidSpec,
                        ParallelClassesSpec, ProjectiveSpec, UniformSpec,
                        axiom_spot_check, build_matroid, spec_from_json, spec_to_json)
 from .montecarlo import McEstimate, estimate_F, sample_kset
@@ -31,18 +30,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AscentConfig", "AscentResult", "ConcavityReport", "Distribution",
-    "ExplicitSpec", "FieldMatrix", "GroundSet", "IndepSetIndex", "LinearSpec",
-    "Matroid", "MatroidSpec", "McEstimate", "PGParams", "ParallelClassesSpec",
-    "Permutation", "PrimeField", "ProjectiveSpec", "StabilityScanReport",
-    "UniformSpec", "VectorDistribution", "apply_to_distribution",
-    "axiom_spot_check", "b2_count", "b2_explicit", "build_matroid",
-    "canonical_point", "check_invariance", "concavity_probe",
-    "enumerate_independent_ksets", "estimate_F", "eval_F", "eval_f",
-    "eval_h", "field_matmul", "field_new", "gaps_from_uniform",
-    "gaussian_bracket", "gradient_f", "hessian_coefficient", "hessian_f",
-    "is_invertible", "is_transitive", "k2_gap", "mat_vec", "maximize_F",
-    "midpoint_check", "nonzero_vectors", "optimality_gap", "orbit_average",
-    "orbits", "pgl_point_permutation", "projective_points", "pushforward",
-    "rank_over_fp", "sample_kset", "spec_from_json", "spec_to_json",
-    "stability_ratio", "stability_scan", "uniform_optimum",
+    "ExplicitSpec", "FieldMatrix", "IndepSetIndex", "LinearSpec", "Matroid",
+    "MatroidSpec", "McEstimate", "PGParams", "ParallelClassesSpec", "Permutation",
+    "PrimeField", "ProjectiveSpec", "StabilityScanReport", "UniformSpec",
+    "VectorDistribution", "apply_to_distribution", "axiom_spot_check", "b2_count",
+    "b2_explicit", "build_matroid", "canonical_point", "check_invariance",
+    "concavity_probe", "enumerate_independent_ksets", "estimate_F", "eval_F",
+    "eval_f", "eval_h", "gaps_from_uniform", "gaussian_bracket", "gradient_f",
+    "hessian_coefficient", "hessian_f", "is_transitive", "k2_gap", "maximize_F",
+    "nonzero_vectors", "optimality_gap", "orbit_average", "orbits",
+    "pgl_point_permutation", "projective_points", "pushforward", "rank_over_fp",
+    "sample_kset", "spec_from_json", "spec_to_json", "stability_ratio",
+    "stability_scan", "uniform_optimum",
 ]

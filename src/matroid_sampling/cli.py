@@ -24,7 +24,7 @@ import numpy as np
 
 from .genpoly import (Distribution, enumerate_independent_ksets, eval_F, eval_h,
                       gaps_from_uniform, hessian_f, DEFAULT_ENUM_CAP)
-from .matroids import ProjectiveSpec, build_matroid, spec_from_json, spec_to_json
+from .matroids import ProjectiveSpec, _ints, build_matroid, spec_from_json, spec_to_json
 from .optimize import AscentConfig, maximize_F
 from .montecarlo import estimate_F
 from .projective import (PGParams, VectorDistribution, _scan_samples, b2_count,
@@ -80,7 +80,8 @@ def _load_dist(source: str, m: int) -> Distribution:
     if source.strip().lower() == "uniform":
         return Distribution.uniform(m)
     data = _load_json(source, "distribution")
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in data):
         raise ValueError("a distribution must be a JSON array of probabilities")
     if len(data) != m:
         raise ValueError(f"distribution has length {len(data)}, expected {m}")
@@ -91,7 +92,7 @@ def _load_gens(source: str, m: int) -> list[Permutation]:
     data = _load_json(source, "generators")
     if not isinstance(data, list) or not data:
         raise ValueError("generators must be a nonempty JSON array of image arrays")
-    gens = [Permutation.from_json(img) for img in data]
+    gens = [Permutation.from_json(img) for img in _ints(data, "generator image", 2)]
     for g in gens:
         if g.m != m:
             raise ValueError(f"generator acts on {g.m} elements, ground set has {m}")
@@ -202,11 +203,14 @@ def cmd_mc(args) -> dict:
     spec = _load_spec(args.spec)
     matroid = build_matroid(spec)
     dist = _load_dist(args.dist, matroid.m)
+    # enumerate the exact reference first: an over-cap request fails before simulating
+    idx = None
+    if 1 <= args.k <= matroid.rank:
+        idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
     est = estimate_F(matroid, dist, args.k, args.trials, seed=args.seed)
     report = {"spec": spec_to_json(spec), "k": args.k}
     report.update(est.to_json())
-    if 1 <= args.k <= matroid.rank:
-        idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
+    if idx is not None:
         report["exact_F"] = eval_F(idx, dist)
     return report
 

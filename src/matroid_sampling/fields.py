@@ -49,17 +49,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"field modulus {self.p} is not prime")
 
-    def inverse(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
-
-
-def field_new(p: int) -> PrimeField:
-    """Construct F_p, rejecting composite or oversized moduli."""
-    return PrimeField(p)
-
 
 @dataclass(frozen=True, eq=False)
 class FieldMatrix:
@@ -76,23 +65,6 @@ class FieldMatrix:
             raise ValueError(f"matrix entries must lie in [0, {self.field.p})")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def from_rows(cls, rows, field: PrimeField) -> "FieldMatrix":
-        """Build a matrix from row sequences, reducing entries mod p."""
-        arr = np.array(rows, dtype=np.int64) % field.p
-        return cls(arr, field)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.entries.T, self.field)
 
     def __repr__(self):
         return f"FieldMatrix({self.entries.tolist()}, p={self.field.p})"
@@ -128,30 +100,6 @@ def _rank_rows(rows, p: int) -> int:
 def rank_over_fp(mat: FieldMatrix) -> int:
     """Rank of ``mat`` over its prime field."""
     return _rank_rows(mat.entries.tolist(), mat.field.p)
-
-
-def field_matmul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Matrix product over a common prime field."""
-    if a.field.p != b.field.p:
-        raise ValueError("matrices live over different fields")
-    if a.cols != b.rows:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    # entries < 2**16 and inner dimension < 2**31, so int64 cannot overflow
-    return FieldMatrix((a.entries @ b.entries) % a.field.p, a.field)
-
-
-def is_invertible(mat: FieldMatrix) -> bool:
-    return mat.rows == mat.cols and rank_over_fp(mat) == mat.rows
-
-
-def mat_vec(mat: FieldMatrix, v) -> tuple:
-    """Apply ``mat`` to a column vector of field elements."""
-    if len(v) != mat.cols:
-        raise ValueError(f"vector length {len(v)} != matrix columns {mat.cols}")
-    a = mat.entries
-    p = mat.field.p
-    return tuple(int(sum(int(a[r, c]) * int(v[c]) for c in range(mat.cols)) % p)
-                 for r in range(mat.rows))
 
 
 def nonzero_vectors(n: int, q: int) -> list[tuple[int, ...]]:

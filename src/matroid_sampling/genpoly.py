@@ -70,9 +70,9 @@ class IndepSetIndex:
     across sets; the array is immutable.
     """
 
-    __slots__ = ("k", "m", "sets", "source")
+    __slots__ = ("k", "m", "sets")
 
-    def __init__(self, k: int, m: int, sets, source: str = ""):
+    def __init__(self, k: int, m: int, sets):
         arr = np.array(sets, dtype=np.int64, copy=True).reshape(-1, k)
         if arr.size:
             if arr.min() < 0 or arr.max() >= m:
@@ -87,14 +87,13 @@ class IndepSetIndex:
         self.k = int(k)
         self.m = int(m)
         self.sets = arr
-        self.source = source
 
     @property
     def n_sets(self) -> int:
         return self.sets.shape[0]
 
     def __repr__(self):
-        return f"IndepSetIndex(k={self.k}, m={self.m}, n_sets={self.n_sets}, source={self.source!r})"
+        return f"IndepSetIndex(k={self.k}, m={self.m}, n_sets={self.n_sets})"
 
 
 def enumerate_independent_ksets(matroid: Matroid, k: int,
@@ -131,7 +130,7 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
 
     extend(0)
     arr = np.array(out, dtype=np.int64).reshape(len(out), k)
-    return IndepSetIndex(k, m, arr, source=matroid.name)
+    return IndepSetIndex(k, m, arr)
 
 
 def as_point(x, m: int) -> np.ndarray:
@@ -267,7 +266,7 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     return flat.reshape(m, m)
 
 
-def midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:
+def _midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:
     """Signed midpoint violations (positive = violation) of
 
     * concavity of the K-th root:  (h(x)+h(y))/2 - h((x+y)/2),
@@ -304,7 +303,7 @@ def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> Co
     for _ in range(trials):
         x = rng.random(idx.m)
         y = rng.random(idx.m)
-        hv, sv = midpoint_check(idx, x, y)
+        hv, sv = _midpoint_check(idx, x, y)
         worst_h = max(worst_h, hv)
         worst_s = max(worst_s, sv)
     return ConcavityReport(trials, seed, worst_h, worst_s)

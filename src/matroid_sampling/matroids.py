@@ -1,10 +1,11 @@
-"""Matroids as a ground set plus an independence oracle.
+"""Matroids as a ground-set size m plus an independence oracle on 0..m-1.
 
 Concrete families:
 
 * uniform matroids U(r, n),
 * linear matroids given by columns over a prime field,
-* projective geometries PG(n-1, q) on canonical projective points,
+* projective geometries PG(n-1, q), whose element i is the canonical
+  projective point ``projective_points(n, q)[i]``,
 * the rank-2 "two parallel classes" matroid whose independent pairs are
   exactly the cross pairs between the classes,
 * explicit size-k layers, where the user supplies the independent k-sets
@@ -19,7 +20,7 @@ most ``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, factorial, prod
 from operator import getitem
 from typing import Union
@@ -30,31 +31,6 @@ from .fields import PrimeField, _rank_rows, projective_points
 
 ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
 _COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Elements 0..m-1, optionally labelled (e.g. by projective points)."""
-
-    m: int
-    labels: tuple | None = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"ground set must have at least one element, got m={self.m}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.m:
-                raise ValueError("label count does not match ground-set size")
-            if len(set(labels)) != self.m:
-                raise ValueError("ground-set labels must be unique")
-            object.__setattr__(self, "labels", labels)
-
-    def label_index(self) -> dict:
-        """Map from label to element index (labels must be present)."""
-        if self.labels is None:
-            raise ValueError("ground set carries no labels")
-        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -87,12 +63,15 @@ class ExplicitSpec:
     sets: tuple  # tuple of sorted k-tuples
 
 MatroidSpec = Union[UniformSpec, LinearSpec, ProjectiveSpec, ParallelClassesSpec, ExplicitSpec]
+_SPEC_TYPES = {"uniform": UniformSpec, "linear": LinearSpec, "projective": ProjectiveSpec,
+               "parallel_classes": ParallelClassesSpec, "explicit": ExplicitSpec}
 
 
 class Matroid:
-    """Ground set, independence oracle, and rank.
+    """Ground-set size, independence oracle, and rank.
 
-    ``oracle`` receives a sorted tuple of distinct in-range element indices.
+    The ground set is 0..m-1, and ``oracle`` receives a sorted tuple of
+    distinct element indices.
     Rank is computed once by greedy extension, which is correct for matroids
     by the greedy property.  For user-supplied explicit layers that are not
     actually matroid layers the behaviour of rank (and of everything downstream)
@@ -104,16 +83,14 @@ class Matroid:
     makes it, and a lost write only costs a recomputation.
     """
 
-    def __init__(self, ground: GroundSet, spec: MatroidSpec, oracle, name: str):
-        self.ground = ground
+    def __init__(self, m: int, spec: MatroidSpec, oracle, name: str):
+        if m < 1:
+            raise ValueError(f"ground set must have at least one element, got m={m}")
+        self.m = m
         self.spec = spec
         self.name = name
         self._oracle = oracle
-        self.rank = self.subset_rank(range(self.m))
-
-    @property
-    def m(self) -> int:
-        return self.ground.m
+        self.rank = self.subset_rank(range(m))
 
     def _normalize(self, subset) -> tuple:
         s = tuple(sorted(set(map(int, subset))))
@@ -213,14 +190,14 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
         if spec.n < 1:
             raise ValueError("uniform matroid needs n >= 1")
         r = spec.r
-        return Matroid(GroundSet(spec.n), spec, lambda s: len(s) <= r,
+        return Matroid(spec.n, spec, lambda s: len(s) <= r,
                        f"uniform(r={spec.r},n={spec.n})")
 
     if isinstance(spec, LinearSpec):
         field = PrimeField(spec.q)
         cols, dim = _validate_columns(spec.columns, field.p)
         spec = LinearSpec(field.p, cols)
-        return Matroid(GroundSet(len(cols)), spec, _vector_oracle(cols, field.p, dim),
+        return Matroid(len(cols), spec, _vector_oracle(cols, field.p, dim),
                        f"linear(q={field.p},m={len(cols)})")
 
     if isinstance(spec, ProjectiveSpec):
@@ -228,10 +205,8 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             raise ValueError(f"projective matroid needs n >= 1, got {spec.n}")
         field = PrimeField(spec.q)
         pts = projective_points(spec.n, field.p)
-        ground = GroundSet(len(pts), labels=tuple(pts))
-        matroid = Matroid(ground, spec, _vector_oracle(pts, field.p, spec.n),
-                          f"projective(n={spec.n},q={field.p})")
-        return matroid
+        return Matroid(len(pts), spec, _vector_oracle(pts, field.p, spec.n),
+                       f"projective(n={spec.n},q={field.p})")
 
     if isinstance(spec, ParallelClassesSpec):
         mpc = spec.m_per_class
@@ -245,7 +220,7 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
                 return (s[0] < mpc) != (s[1] < mpc)
             return False
 
-        return Matroid(GroundSet(2 * mpc), spec, oracle, f"parallel_classes(m={mpc})")
+        return Matroid(2 * mpc, spec, oracle, f"parallel_classes(m={mpc})")
 
     if isinstance(spec, ExplicitSpec):
         if spec.ground_size < 1:
@@ -273,7 +248,7 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             ss = set(s)
             return any(ss <= layer for layer in as_sets)
 
-        return Matroid(GroundSet(spec.ground_size), spec, oracle,
+        return Matroid(spec.ground_size, spec, oracle,
                        f"explicit(m={spec.ground_size},k={spec.k})")
 
     raise ValueError(f"unknown matroid spec: {spec!r}")
@@ -293,43 +268,43 @@ def independent_count(spec: MatroidSpec, k: int) -> int | None:
 
 
 def spec_to_json(spec: MatroidSpec) -> dict:
-    """Serialize a spec to the JSON object form with a "type" discriminator."""
-    if isinstance(spec, UniformSpec):
-        return {"type": "uniform", "r": spec.r, "n": spec.n}
-    if isinstance(spec, LinearSpec):
-        return {"type": "linear", "q": spec.q, "columns": [list(c) for c in spec.columns]}
-    if isinstance(spec, ProjectiveSpec):
-        return {"type": "projective", "n": spec.n, "q": spec.q}
-    if isinstance(spec, ParallelClassesSpec):
-        return {"type": "parallel_classes", "m_per_class": spec.m_per_class}
-    if isinstance(spec, ExplicitSpec):
-        return {"type": "explicit", "ground_size": spec.ground_size, "k": spec.k,
-                "sets": [list(s) for s in spec.sets]}
+    """Serialize a spec to the JSON object form with a "type" discriminator,
+    followed by the spec's fields in declaration order."""
+    for kind, cls in _SPEC_TYPES.items():
+        if isinstance(spec, cls):
+            values = {f.name: getattr(spec, f.name) for f in fields(cls)}
+            return {"type": kind, **{key: [list(x) for x in v] if isinstance(v, tuple) else v
+                                     for key, v in values.items()}}
     raise ValueError(f"unknown matroid spec: {spec!r}")
 
 
+def _ints(value, what: str, depth: int = 0):
+    """``value`` as an int, or (depth > 0) as nested tuples of ints; else ValueError."""
+    if depth:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{what}: expected an array, got {value!r}")
+        return tuple(_ints(x, what, depth - 1) for x in value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_json(data) -> MatroidSpec:
-    """Parse a spec from a JSON object (or a JSON string)."""
+    """Parse a spec from a JSON object (or a JSON string).  Integer fields must
+    be JSON integers; ``columns`` and ``sets`` must be arrays of such arrays."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("matroid spec JSON must be an object with a 'type' field")
     kind = data["type"]
+    cls = _SPEC_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown matroid spec type {kind!r}")
     try:
-        if kind == "uniform":
-            return UniformSpec(int(data["r"]), int(data["n"]))
-        if kind == "linear":
-            return LinearSpec(int(data["q"]), tuple(tuple(int(x) for x in c) for c in data["columns"]))
-        if kind == "projective":
-            return ProjectiveSpec(int(data["n"]), int(data["q"]))
-        if kind == "parallel_classes":
-            return ParallelClassesSpec(int(data["m_per_class"]))
-        if kind == "explicit":
-            return ExplicitSpec(int(data["ground_size"]), int(data["k"]),
-                                tuple(tuple(int(e) for e in s) for s in data["sets"]))
+        return cls(*(_ints(data[f.name], f"matroid spec field {f.name!r}",
+                           2 if f.type == "tuple" else 0) for f in fields(cls)))
     except KeyError as exc:
         raise ValueError(f"matroid spec JSON missing field {exc}") from exc
-    raise ValueError(f"unknown matroid spec type {kind!r}")
 
 
 def axiom_spot_check(matroid: Matroid, trials: int = 300, seed: int = 0) -> list[str]:

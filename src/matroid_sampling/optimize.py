@@ -73,8 +73,9 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     the simplex-projected gradient of log f has sup-norm at most tol_grad
     (stop_reason "gradient", the only case reported as converged), when
     backtracking bottoms out before the gradient test passes ("plateau"),
-    or at max_iters ("max_iters").  Accepted iterates never decrease F by
-    more than 1e-12.
+    or at max_iters ("max_iters").  An accepted iterate never lowers F by
+    more than the relative DECREASE_TOL (1e-12) of its current value, so a
+    step to F = 0 is never taken.
     """
     cfg = config or AscentConfig()
     m = idx.m
@@ -106,7 +107,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             if total > 0:
                 y /= total
                 fy = eval_f(idx, y)
-                if kfact * fy >= kfact * f - DECREASE_TOL:
+                if fy >= f * (1.0 - DECREASE_TOL):
                     x, f = y, fy
                     trajectory.append(kfact * f)
                     accepted = True

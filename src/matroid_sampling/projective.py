@@ -17,9 +17,9 @@ from math import factorial
 import numpy as np
 
 from .fields import PrimeField, canonical_point, nonzero_vectors, projective_points
-from .genpoly import (Distribution, IndepSetIndex, enumerate_independent_ksets,
-                      gaps_from_uniform)
-from .matroids import Matroid, ProjectiveSpec, build_matroid, independent_count
+from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex,
+                      enumerate_independent_ksets, gaps_from_uniform)
+from .matroids import ProjectiveSpec, build_matroid, independent_count
 from .streams import trial_uniforms
 
 NONUNIQUE_RATIO_THRESHOLD = 1e-6
@@ -54,11 +54,9 @@ class PGParams:
         """Number of projective points, (q**n - 1) / (q - 1)."""
         return gaussian_bracket(self.n, self.q)
 
-    def matroid(self) -> Matroid:
-        return build_matroid(ProjectiveSpec(self.n, self.q))
-
-    def index(self, cap: int = 10**7) -> IndepSetIndex:
-        return enumerate_independent_ksets(self.matroid(), self.k, cap=cap)
+    def index(self, cap: int = DEFAULT_ENUM_CAP) -> IndepSetIndex:
+        return enumerate_independent_ksets(build_matroid(ProjectiveSpec(self.n, self.q)),
+                                           self.k, cap=cap)
 
 
 def uniform_optimum(params: PGParams) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldMatrix, canonical_point, mat_vec, rank_over_fp
+from .fields import FieldMatrix, canonical_point, projective_points, rank_over_fp
 from .genpoly import Distribution, IndepSetIndex, eval_f
 from .matroids import Matroid, ProjectiveSpec
 
@@ -165,12 +165,13 @@ def pgl_point_permutation(matrix: FieldMatrix, matroid: Matroid) -> Permutation:
     n, q = matroid.spec.n, matroid.spec.q
     if matrix.field.p != q:
         raise ValueError(f"matrix field p={matrix.field.p} differs from point field q={q}")
-    if matrix.rows != n or matrix.cols != n:
-        raise ValueError(f"matrix must be {n}x{n}, got {matrix.rows}x{matrix.cols}")
+    rows, cols = matrix.entries.shape
+    if rows != n or cols != n:
+        raise ValueError(f"matrix must be {n}x{n}, got {rows}x{cols}")
     if rank_over_fp(matrix) != n:
         raise ValueError("matrix is singular over F_q")
-    index = matroid.ground.label_index()
-    image = np.empty(matroid.m, dtype=np.int64)
-    for i, point in enumerate(matroid.ground.labels):
-        image[i] = index[canonical_point(mat_vec(matrix, point), q)]
-    return Permutation(image)
+    points = projective_points(n, q)
+    index = {point: i for i, point in enumerate(points)}
+    # entries < 2**16 and n < 2**31, so the int64 product cannot overflow
+    images = (np.array(points, dtype=np.int64) @ matrix.entries.T) % q
+    return Permutation([index[canonical_point(v, q)] for v in images.tolist()])

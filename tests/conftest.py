@@ -3,8 +3,8 @@ import pytest
 
 from matroid_sampling import (FieldMatrix, ParallelClassesSpec, Permutation,
                               ProjectiveSpec, UniformSpec, build_matroid,
-                              enumerate_independent_ksets, field_new,
-                              is_invertible, pgl_point_permutation)
+                              PrimeField, enumerate_independent_ksets,
+                              pgl_point_permutation, rank_over_fp)
 
 
 @pytest.fixture(scope="session")
@@ -86,13 +86,13 @@ def parallel_class_gens(m_per_class, include_swap=True):
 def singer_cycle(matroid):
     """A PGL element acting as a single cycle on the points of PG(2, 2),
     induced by the companion matrix of x^3 + x + 1 over F_2."""
-    companion = FieldMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]], field_new(2))
+    companion = FieldMatrix([[0, 0, 1], [1, 0, 1], [0, 1, 0]], PrimeField(2))
     return pgl_point_permutation(companion, matroid)
 
 
 def random_invertible(n, q, rng):
-    field = field_new(q)
+    field = PrimeField(q)
     while True:
         mat = FieldMatrix(rng.integers(0, q, size=(n, n)), field)
-        if is_invertible(mat):
+        if rank_over_fp(mat) == n:
             return mat

@@ -150,8 +150,8 @@ def test_criterion_5_concavity_probes():
 
 
 def singer_cycle_pg12(matroid):
-    from matroid_sampling import FieldMatrix, field_new, pgl_point_permutation
-    companion = FieldMatrix([[0, 1], [1, 1]], field_new(2))  # x^2 + x + 1
+    from matroid_sampling import FieldMatrix, PrimeField, pgl_point_permutation
+    companion = FieldMatrix([[0, 1], [1, 1]], PrimeField(2))  # x^2 + x + 1
     return pgl_point_permutation(companion, matroid)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -207,6 +208,32 @@ def test_malformed_json_exits_2(capsys, argv, what):
     error = json.loads(err)["error"]
     assert error["type"] == "ValidationError"
     assert error["message"].startswith(f"invalid {what} JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--spec", PROJECTIVE_22, "--k", "2", "--dist", "[{}, 1, 2]"),
+    ("eval", "--spec", PROJECTIVE_22, "--k", "2", "--dist", "[true, 0, 0]"),
+    ("info", "--spec", '{"type":"uniform","r":{},"n":3}'),
+    ("info", "--spec", '{"type":"linear","q":3,"columns":5}'),
+    ("info", "--spec", '{"type":"linear","q":3,"columns":[[1, 0.5]]}'),
+    ("info", "--spec", PARALLEL_2, "--gens", "[[{}, 1, 2, 3]]"),
+    ("info", "--spec", '{"type":"projective","n":2,"q":2.5}'),
+    ("info", "--spec", '{"type":"projective","n":true,"q":2}'),
+])
+def test_wrong_typed_json_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+    assert out == ""
+
+
+def test_mc_over_cap_fails_before_simulating(capsys):
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "mc", "--spec", '{"type":"projective","n":4,"q":5}',
+                             "--k", "4", "--trials", "300000")
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds cap" in json.loads(err)["error"]["message"]
 
 
 def test_validation_errors_exit_2(capsys):

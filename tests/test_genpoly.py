@@ -8,8 +8,9 @@ from matroid_sampling import (Distribution, IndepSetIndex, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
                               eval_F, eval_f, eval_h, gradient_f,
-                              hessian_f, midpoint_check)
+                              hessian_f)
 from conftest import CountingMatroid, singer_cycle
+from matroid_sampling.genpoly import _midpoint_check
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -234,6 +235,6 @@ def test_concavity_probe_linear_case():
 def test_midpoint_check_equal_points_exact(fano_idx):
     rng = np.random.default_rng(36)
     x = rng.random(7)
-    hv, sv = midpoint_check(fano_idx, x, x)
+    hv, sv = _midpoint_check(fano_idx, x, x)
     assert hv == 0.0
     assert sv == 0.0

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (ExplicitSpec, GroundSet, LinearSpec,
-                              ParallelClassesSpec, ProjectiveSpec, UniformSpec,
-                              axiom_spot_check, build_matroid,
-                              enumerate_independent_ksets, matroids, spec_from_json,
-                              spec_to_json)
+from matroid_sampling import (ExplicitSpec, LinearSpec, ParallelClassesSpec,
+                              ProjectiveSpec, UniformSpec, axiom_spot_check,
+                              build_matroid, enumerate_independent_ksets, matroids,
+                              projective_points, spec_from_json, spec_to_json)
 from matroid_sampling.fields import _rank_rows
 from matroid_sampling.matroids import independent_count
 
@@ -17,8 +16,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 def test_projective_ground_sets():
-    pg12 = build_matroid(ProjectiveSpec(2, 2))
-    assert set(pg12.ground.labels) == {(1, 0), (0, 1), (1, 1)}
+    assert build_matroid(ProjectiveSpec(2, 2)).m == 3
+    assert set(projective_points(2, 2)) == {(1, 0), (0, 1), (1, 1)}
     assert build_matroid(ProjectiveSpec(3, 2)).m == 7  # the Fano plane
     assert build_matroid(ProjectiveSpec(3, 3)).m == 13
     assert build_matroid(ProjectiveSpec(4, 2)).m == 15
@@ -29,7 +28,7 @@ def test_fano_pairs_and_lines(fano):
     for e in range(7):
         for e2 in range(e + 1, 7):
             assert fano.is_independent((e, e2))
-    index = fano.ground.label_index()
+    index = {point: i for i, point in enumerate(projective_points(3, 2))}
     line = [index[(1, 0, 0)], index[(0, 1, 0)], index[(1, 1, 0)]]
     assert not fano.is_independent(line)
 
@@ -123,11 +122,6 @@ def test_spec_validation_errors():
         build_matroid(ExplicitSpec(4, 2, ((0, 0),)))
     with pytest.raises(ValueError):
         build_matroid(ExplicitSpec(4, 2, ((0, 5),)))
-
-
-def test_ground_set_labels_unique():
-    with pytest.raises(ValueError, match="unique"):
-        GroundSet(2, labels=("a", "a"))
 
 
 def test_spec_json_round_trip():

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec,
-                              ProjectiveSpec, UniformSpec, build_matroid,
-                              enumerate_independent_ksets, eval_F, maximize_F,
-                              optimality_gap)
+                              ParallelClassesSpec, ProjectiveSpec, UniformSpec,
+                              build_matroid, enumerate_independent_ksets, eval_F,
+                              maximize_F, optimality_gap)
 
 
 def random_interior(m, rng):
@@ -136,6 +138,19 @@ def test_underflowing_step_is_rejected():
     assert result.halvings > 0
     assert np.all(np.isfinite(result.p.probs))
     assert np.all(np.diff(result.trajectory) >= -1e-12)
+
+
+def test_no_step_to_zero_from_a_tiny_start_value():
+    # F(start) = 6.58e-13: an absolute tolerance of 1e-12 would accept a
+    # trial point with F = 0, after which d log f divides by zero
+    idx = enumerate_independent_ksets(build_matroid(ParallelClassesSpec(2)), 2)
+    start = Distribution([7.404793176161658e-10, 0.9999999992591917,
+                          2.0821361767457948e-15, 3.268450467631486e-13], renormalize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = maximize_F(idx, AscentConfig(start=start))
+    assert result.value >= eval_F(idx, start) > 0.0
+    assert np.all(np.diff(result.trajectory) >= -1e-12 * result.trajectory[:-1])
 
 
 def test_optimality_gap_examples(fano_idx, parallel2_idx):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from matroid_sampling import (Distribution, FieldMatrix, ParallelClassesSpec,
-                              Permutation, ProjectiveSpec, UniformSpec,
-                              apply_to_distribution, build_matroid,
+                              Permutation, PrimeField, ProjectiveSpec, UniformSpec,
+                              apply_to_distribution, build_matroid, canonical_point,
                               check_invariance, enumerate_independent_ksets,
-                              eval_h, field_matmul, field_new, is_transitive,
-                              orbit_average, orbits, pgl_point_permutation)
+                              eval_h, is_transitive, orbit_average, orbits,
+                              pgl_point_permutation, projective_points)
 from conftest import (parallel_class_gens, random_invertible, singer_cycle,
                       symmetric_group_gens)
 
@@ -151,24 +151,24 @@ def test_check_invariance_non_automorphism(parallel2_idx):
 
 
 def test_pgl_identity_and_swap(pg12):
-    ident = FieldMatrix(np.eye(2, dtype=int), field_new(2))
+    ident = FieldMatrix(np.eye(2, dtype=int), PrimeField(2))
     assert pgl_point_permutation(ident, pg12) == Permutation.identity(3)
-    swap = FieldMatrix([[0, 1], [1, 0]], field_new(2))
+    swap = FieldMatrix([[0, 1], [1, 0]], PrimeField(2))
     perm = pgl_point_permutation(swap, pg12)
-    index = pg12.ground.label_index()
+    index = {point: i for i, point in enumerate(projective_points(2, 2))}
     assert perm(index[(1, 0)]) == index[(0, 1)]
     assert perm(index[(0, 1)]) == index[(1, 0)]
     assert perm(index[(1, 1)]) == index[(1, 1)]
 
 
 def test_pgl_rejects_singular(fano):
-    singular = FieldMatrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]], field_new(2))
+    singular = FieldMatrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]], PrimeField(2))
     with pytest.raises(ValueError, match="singular"):
         pgl_point_permutation(singular, fano)
 
 
 def test_pgl_rejects_non_projective(parallel2):
-    ident = FieldMatrix(np.eye(2, dtype=int), field_new(2))
+    ident = FieldMatrix(np.eye(2, dtype=int), PrimeField(2))
     with pytest.raises(ValueError, match="projective"):
         pgl_point_permutation(ident, parallel2)
 
@@ -178,9 +178,29 @@ def test_pgl_is_group_homomorphism(fano):
     for _ in range(15):
         a = random_invertible(3, 2, rng)
         b = random_invertible(3, 2, rng)
-        left = pgl_point_permutation(field_matmul(a, b), fano)
+        left = pgl_point_permutation(FieldMatrix((a.entries @ b.entries) % 2, a.field), fano)
         right = pgl_point_permutation(a, fano) @ pgl_point_permutation(b, fano)
         assert left == right
+
+
+@pytest.mark.parametrize("n,q", [(2, 5), (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+def test_pgl_matches_per_point_reference(n, q):
+    matroid = build_matroid(ProjectiveSpec(n, q))
+    points = projective_points(n, q)
+    index = {point: i for i, point in enumerate(points)}
+    rng = np.random.default_rng(100 * n + q)
+    for _ in range(5):
+        a = random_invertible(n, q, rng)
+        reference = [index[canonical_point([sum(int(a.entries[r, c]) * x[c] for c in range(n)) % q
+                                            for r in range(n)], q)] for x in points]
+        assert pgl_point_permutation(a, matroid).to_json() == reference
+
+
+def test_pgl_rejects_wrong_shape_or_field(fano):
+    with pytest.raises(ValueError, match="must be 3x3, got 2x3"):
+        pgl_point_permutation(FieldMatrix([[1, 0, 0], [0, 1, 0]], PrimeField(2)), fano)
+    with pytest.raises(ValueError, match="differs from point field"):
+        pgl_point_permutation(FieldMatrix(np.eye(3, dtype=int), PrimeField(3)), fano)
 
 
 def test_singer_cycle_is_transitive(fano):
