@@ -6,15 +6,26 @@ an :class:`IndepSetIndex`.  Evaluations, gradients and Hessians all reuse
 that support, as does the batched gap F(u) - F(p) around the uniform
 point, which streams its batch through cache-sized row blocks so that its
 working memory does not grow with the batch; sums are accumulated by
-numpy's pairwise summation.  The
-K-th root of the polynomial is concave on the nonnegative orthant, which
-:func:`concavity_probe` checks empirically on random midpoints.
+numpy's pairwise summation.
+
+The ascent (:func:`~matroid_sampling.optimize.maximize_F`) evaluates f and
+its gradient through a second, private representation built from the
+index on its first ascent and cached on it: the chains of flats of the
+rank-K truncation, a few hundred flats where the index has tens of
+thousands of K-sets.  The chains are used only after an exact check mod a
+prime shows that they reproduce the K-set polynomial; a support that is
+not a matroid fails it and keeps the K-set sums.
+
+For a matroid support the K-th root of the polynomial is concave on the
+nonnegative orthant, which :func:`concavity_probe` checks empirically on
+random midpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +81,7 @@ class IndepSetIndex:
     across sets; the array is immutable.
     """
 
-    __slots__ = ("k", "m", "sets")
+    __slots__ = ("k", "m", "sets", "_chains")
 
     def __init__(self, k: int, m: int, sets):
         arr = np.array(sets, dtype=np.int64, copy=True).reshape(-1, k)
@@ -87,6 +98,7 @@ class IndepSetIndex:
         self.k = int(k)
         self.m = int(m)
         self.sets = arr
+        self._chains = None  # built by the first ascent, see _chains
 
     @property
     def n_sets(self) -> int:
@@ -266,6 +278,217 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     return flat.reshape(m, m)
 
 
+_CHECK_PRIME = 2**31 - 1  # modulus of the exact check; products of residues fit in int64
+_BUILD_BLOCK = 16384      # (candidate, element) lookups per block of the chain build
+
+
+class _Level(NamedTuple):
+    """The covers F' ⋖ F from one rank level of flats to the next, sorted
+    by F.  ``diff`` holds their difference sets F \\ F' either as padded
+    columns (an integer (max |F \\ F'|, covers) array whose column c lists
+    the set of cover c, padded with m) or, when the largest set fills at
+    least about half the ground set, as dense 0/1 float rows (covers,
+    m + 1), which a matrix product reads faster than a gather; the padding
+    index and the last dense column read an appended zero."""
+
+    src: np.ndarray     # index of F' in the level below, per cover
+    diff: np.ndarray
+    starts: np.ndarray  # first cover of each F of this level
+    counts: np.ndarray  # number of covers of each F of this level
+
+
+class _Chains:
+    """f and its gradient summed over chains of flats instead of K-sets.
+
+    An ordered independent sequence x_1..x_K corresponds to exactly one
+    chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E of flats of the rank-K
+    truncation, with x_i in F_i \\ F_{i-1}; so with G(F_0) = 1 and
+    G(F) = sum over covers F' ⋖ F of G(F') x(F \\ F'), the top value G(E)
+    is K! f(x).  Every factor x(F \\ F') is a sum of nonnegative
+    coordinates over the stored difference set, never x(F) - x(F'), so
+    zero and tiny coordinates lose no digits.  The gradient is the reverse
+    (adjoint) sweep plus one scatter of the cover weights per level; it
+    reuses the forward sweep that :meth:`evaluate` returns with f.
+    """
+
+    __slots__ = ("m", "kfact", "levels")
+
+    def __init__(self, m: int, k: int, levels: list[_Level]):
+        self.m = m
+        self.kfact = float(factorial(k))
+        self.levels = levels
+
+    def _sweep(self, x: np.ndarray, mod: int | None = None):
+        """(G(E), per level the cover factors x(F \\ F') and the values
+        G(F') of the level below).  With ``mod``, x is an integer vector of
+        residues and all arithmetic is mod ``mod``; a dense level's float
+        product is exact there, as m P < 2^53."""
+        xe = np.append(x, 0)
+        g = np.ones(1, dtype=xe.dtype)
+        sweep = []
+        for lv in self.levels:
+            if lv.diff.dtype == float:
+                d = (lv.diff @ xe).astype(xe.dtype, copy=False)
+            else:
+                d = xe[lv.diff].sum(axis=0)
+            if mod:
+                d %= mod
+            w = g[lv.src] * d
+            if mod:
+                w %= mod
+            sweep.append((d, g))
+            g = np.add.reduceat(w, lv.starts)
+            if mod:
+                g %= mod
+        return g[0], sweep
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, list]:
+        """(f(x), the sweep that :meth:`gradient` differentiates)."""
+        top, sweep = self._sweep(x)
+        return float(top / self.kfact), sweep
+
+    def gradient(self, sweep: list) -> np.ndarray:
+        """The gradient of f at the point a sweep was taken at."""
+        adjoint = np.ones(1)  # d G(E) / d G(F), level by level downwards
+        grad = np.zeros(self.m + 1)
+        for lv, (d, g) in zip(reversed(self.levels), reversed(sweep)):
+            a = adjoint.repeat(lv.counts)
+            w = a * g[lv.src]
+            if lv.diff.dtype == float:
+                grad += w @ lv.diff
+            else:
+                grad += np.bincount(lv.diff.ravel(), w[None].repeat(lv.diff.shape[0], 0).ravel(),
+                                    minlength=self.m + 1)
+            adjoint = np.bincount(lv.src, a * d, minlength=g.size)
+        return grad[:-1] / self.kfact
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array (np.unique would import
+    numpy.ma, about 1 MB, on its first call)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _subset_keys(keys: np.ndarray, t: int, m: int) -> np.ndarray:
+    """Sorted distinct keys of the t-subsets of the (t+1)-sets with the
+    given keys; the key of a sorted tuple s is sum_i s_i m^(len(s)-1-i)."""
+    parts = []
+    for c in range(t + 1):
+        low = m ** (t - c)  # weight of digit c in a (t+1)-key
+        parts.append(_unique(keys // (low * m) * low + keys % low))
+    return _unique(np.concatenate(parts))
+
+
+def _covering_flats(masks: np.ndarray, bases: np.ndarray, keys: np.ndarray, m: int):
+    """For each flat cl(B) (membership rows ``masks``, bases ``bases``) and
+    each x outside it: (index of the flat, x, packed membership row of
+    cl(B + x)).  y lies in cl(B + x) iff it lies in cl(B) or the key of
+    sorted(B + x + y) is not among the sorted ``keys``."""
+    parent, x = np.nonzero(~masks)
+    t = bases.shape[1] + 1
+    ys = np.arange(m)
+    weights = m ** np.arange(t, -1, -1, dtype=np.int64)  # digit weights of a (t+1)-key
+    packed = np.empty((parent.size, (m + 7) // 8), dtype=np.uint8)
+    rows = max(1, _BUILD_BLOCK // m)
+    for start in range(0, parent.size, rows):
+        block = slice(start, start + rows)
+        cand = np.sort(np.column_stack([bases[parent[block]], x[block]]), axis=1)
+        key = np.zeros((cand.shape[0], m), dtype=np.int64)
+        pos = np.zeros_like(key)  # where y goes among the digits of B + x
+        for i in range(t):
+            b = cand[:, i, None]
+            less = b < ys
+            key += b * np.where(less, weights[i], weights[i + 1])
+            pos += less
+        key += ys * weights[pos]  # y in B + x repeats a digit: no key matches
+        hit = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        packed[block] = np.packbits((keys[hit] != key) | masks[parent[block]], axis=1)
+    return parent, x, packed
+
+
+def _level(src: np.ndarray, dst: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> _Level:
+    """The level of covers src -> dst (sorted by dst) from flats with
+    membership rows ``lower`` to flats with membership rows ``upper``,
+    filling the difference sets in blocks of covers (see _Level)."""
+    n, m = src.size, lower.shape[1]
+    lens = upper.sum(axis=1)[dst] - lower.sum(axis=1)[src]
+    dense = m + 1 <= 2 * lens.max()
+    diff = np.zeros((n, m + 1)) if dense else np.full((lens.max(), n), m, dtype=np.int64)
+    step = max(1, _BUILD_BLOCK // m)
+    for start in range(0, n, step):
+        b = slice(start, start + step)
+        rows = upper[dst[b]] & ~lower[src[b]]
+        if dense:
+            diff[b, :m] = rows
+        else:
+            cover, elem = np.nonzero(rows)
+            diff[np.arange(cover.size) - (np.cumsum(lens[b]) - lens[b])[cover],
+                 cover + start] = elem
+    counts = np.bincount(dst)
+    return _Level(src, diff, np.cumsum(counts) - counts, counts)
+
+
+def _build_chains(idx: IndepSetIndex) -> _Chains | None:
+    """The chains of flats of the support's rank-K truncation, or None when
+    they fail the exact check (the support is not the K-sets of a matroid)
+    or their integer keys or exact check would overflow.
+
+    Level t holds the rank-t flats, each with a basis B.  An element y
+    lies outside cl(B) iff B + y is a subset of some K-set, so the flats
+    covering cl(B) are cl(B + x) for x outside it; they are found for
+    every (flat, x) pair at once by looking the sorted keys of B + x + y up
+    in the (t+1)-subsets of the K-sets, and deduplicated by membership.
+    """
+    k, m = idx.k, idx.m
+    if idx.n_sets == 0 or m**k >= 2**63 or m >= 2**22:
+        return None
+    keys = {k: np.zeros(idx.n_sets, dtype=np.int64)}
+    for col in idx.sets.T:  # lexsorted rows give ascending keys
+        keys[k] *= m
+        keys[k] += col
+    for t in range(k - 1, 1, -1):
+        keys[t] = _subset_keys(keys[t + 1], t, m)
+
+    masks = (np.bincount(idx.sets.ravel(), minlength=m) == 0)[None, :]  # F_0: the loops
+    bases = np.zeros((1, 0), dtype=np.int64)
+    levels = []
+    for t in range(1, k):
+        parent, x, packed = _covering_flats(masks, bases, keys[t + 1], m)
+        if parent.size == 0:
+            return None
+        _, first, flat = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+        new = np.unpackbits(packed[first], axis=1, count=m).view(bool)
+        n = masks.shape[0]
+        covers = _unique(flat.ravel() * n + parent)
+        levels.append(_level(covers % n, covers // n, new, masks))
+        masks = new
+        bases = np.sort(np.column_stack([bases[parent[first]], x[first]]), axis=1)
+    n = masks.shape[0]
+    levels.append(_level(np.arange(n), np.zeros(n, dtype=np.int64), np.ones((1, m), bool), masks))
+    chains = _Chains(m, k, levels)
+
+    # Schwartz-Zippel: both sides are polynomials of degree K, so at a
+    # random point mod P a wrong chain sum survives with probability <= K/P.
+    r = np.random.Generator(np.random.Philox(key=0)).integers(0, _CHECK_PRIME, m)
+    prod = r[idx.sets[:, 0]]
+    for col in idx.sets.T[1:]:
+        prod *= r[col]
+        prod %= _CHECK_PRIME
+    want = factorial(k) % _CHECK_PRIME * (int(prod.sum()) % _CHECK_PRIME) % _CHECK_PRIME
+    if int(chains._sweep(r, _CHECK_PRIME)[0]) != want:
+        return None
+    return chains
+
+
+def _chains(idx: IndepSetIndex) -> _Chains | None:
+    """The index's chain evaluator, built on first use and cached on the
+    index; None when the chains are unavailable (see _build_chains)."""
+    if idx._chains is None:
+        idx._chains = _build_chains(idx) or False
+    return idx._chains or None
+
+
 def _midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:
     """Signed midpoint violations (positive = violation) of
 
@@ -292,8 +515,13 @@ def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> Co
     """Check midpoint concavity of the K-th root and midpoint superlevel
     convexity on random pairs of points in [0, 1)^m.
 
-    Both reported maxima are signed; values <= ~1e-9 are the expected
-    floating-point noise around the theoretical bound of 0.
+    What is guaranteed: when the index holds the independent K-sets of a
+    matroid, f is the basis generating polynomial of its rank-K
+    truncation, which is Lorentzian (Brändén and Huh), so f^(1/K) is
+    concave on the nonnegative orthant and both maxima are <= 0 up to
+    rounding (values <= ~1e-9 are the expected floating-point noise).  For
+    a support that is not a matroid, such as an arbitrary ``explicit``
+    layer, nothing is guaranteed and positive violations are possible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

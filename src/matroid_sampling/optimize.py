@@ -14,7 +14,8 @@ from math import factorial
 
 import numpy as np
 
-from .genpoly import Distribution, IndepSetIndex, eval_f, gaps_from_uniform, gradient_f
+from .genpoly import (Distribution, IndepSetIndex, _chains, eval_f, gaps_from_uniform,
+                      gradient_f)
 
 MIN_STEP = 1e-18
 DECREASE_TOL = 1e-12
@@ -76,6 +77,11 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     or at max_iters ("max_iters").  An accepted iterate never lowers F by
     more than the relative DECREASE_TOL (1e-12) of its current value, so a
     step to F = 0 is never taken.
+
+    f and its gradient are summed over the chains of flats of the support
+    (built once per index and cached on it); a support whose chains fail
+    their exact check, such as an ``explicit`` layer that is not a
+    matroid, is evaluated with eval_f and gradient_f instead.
     """
     cfg = config or AscentConfig()
     m = idx.m
@@ -83,7 +89,13 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     if cfg.start is not None and x.size != m:
         raise ValueError(f"start has length {x.size}, expected {m}")
     kfact = factorial(idx.k)
-    f = eval_f(idx, x)
+    chains = _chains(idx)
+    if chains is None:  # not a matroid support: sum over the K-sets
+        evaluate = lambda v: (eval_f(idx, v), v)
+        gradient = lambda v: gradient_f(idx, v)
+    else:
+        evaluate, gradient = chains.evaluate, chains.gradient
+    f, state = evaluate(x)
     if f == 0.0:
         raise ValueError("f vanishes at the start point; ascent on log f cannot begin")
 
@@ -92,7 +104,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     halvings = 0
     iterations = 0
     while iterations < cfg.max_iters:
-        grad_log = gradient_f(idx, x) / f
+        grad_log = gradient(state) / f
         projected = grad_log - grad_log.mean()
         if np.max(np.abs(projected)) <= cfg.tol_grad:
             stop_reason = "gradient"
@@ -106,9 +118,9 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             # gradient gives NaNs: reject such a trial point like a decrease
             if total > 0:
                 y /= total
-                fy = eval_f(idx, y)
+                fy, state_y = evaluate(y)
                 if fy >= f * (1.0 - DECREASE_TOL):
-                    x, f = y, fy
+                    x, f, state = y, fy, state_y
                     trajectory.append(kfact * f)
                     accepted = True
                     break
@@ -120,9 +132,13 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             break
         iterations += 1
 
+    # report F as eval_F computes it at the returned point, so that the
+    # result round-trips through eval to the last bit
+    p = Distribution(x, renormalize=True)
+    trajectory[-1] = kfact * eval_f(idx, p)
     return AscentResult(
-        p=Distribution(x, renormalize=True),
-        value=kfact * f,
+        p=p,
+        value=trajectory[-1],
         iterations=iterations,
         stop_reason=stop_reason,
         halvings=halvings,

@@ -20,14 +20,18 @@ from .matroids import Matroid, ProjectiveSpec
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
-    """A bijection of 0..m-1, stored as its image vector."""
+    """A bijection of 0..m-1, stored as its image vector of integers
+    (floats and booleans are rejected, not cast)."""
 
     image: np.ndarray
 
     def __post_init__(self):
-        img = np.array(self.image, dtype=np.int64, copy=True)
+        img = np.array(self.image, copy=True)
         if img.ndim != 1 or img.size < 1:
             raise ValueError("permutation image must be a nonempty vector")
+        if img.dtype.kind not in "iu":  # a float or boolean image would be cast silently
+            raise ValueError(f"permutation image must hold integers, got {img.dtype}")
+        img = img.astype(np.int64, copy=False)
         m = img.size
         if img.min() < 0 or img.max() >= m or np.bincount(img, minlength=m).max() != 1:
             raise ValueError("image vector is not a permutation of 0..m-1")
@@ -70,7 +74,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data) -> "Permutation":
-        return cls(np.asarray(data, dtype=np.int64))
+        return cls(data)
 
     def __repr__(self):
         return f"Permutation({self.image.tolist()})"

@@ -1,0 +1,156 @@
+"""The ascent's evaluator: f and its gradient summed over chains of flats.
+
+The chains are checked against exact rational sums over the independent
+K-sets on random small linear matroids (loops and parallel elements
+included), against the closed forms of projective geometries (flat counts
+per rank, flat sizes, the optimum at u), against eval_f/gradient_f on the
+benchmark instances, and for their build memory.  A support that is not a
+matroid must fail the exact check, and the ascent must then fall back to
+the K-set sums.
+"""
+
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
+                              LinearSpec, PGParams, ProjectiveSpec, UniformSpec,
+                              build_matroid, enumerate_independent_ksets, eval_f,
+                              gradient_f, maximize_F, optimize, uniform_optimum)
+from matroid_sampling.genpoly import _build_chains, _chains
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def linear_matroids(draw):
+    """A linear matroid over F_2, F_3 or F_5 on 1..8 nonzero columns of
+    length 1..4; repeated columns (parallel elements) allowed."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    dim = draw(st.integers(1, 4))
+    column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
+    return build_matroid(LinearSpec(q, tuple(draw(st.lists(column, min_size=1, max_size=8)))))
+
+
+@PROPERTY
+@given(st.data())
+def test_chains_match_exact_kset_sums(data):
+    matroid = data.draw(linear_matroids())
+    k = data.draw(st.integers(1, matroid.rank))
+    # loops: ground elements in no independent set, placed among the others
+    m = matroid.m + data.draw(st.integers(0, 2))
+    place = sorted(data.draw(st.permutations(range(m)))[:matroid.m])
+    sets = [tuple(place[e] for e in s) for s in combinations(range(matroid.m), k)
+            if matroid.is_independent(s)]
+    chains = _build_chains(IndepSetIndex(k, m, sets))
+    assert chains is not None
+    for _ in range(data.draw(st.integers(1, 3))):
+        # a point w / sum(w) with small integer weights, often with zeros
+        low = data.draw(st.sampled_from((0, 1)))
+        w = data.draw(st.lists(st.integers(low, 9), min_size=m, max_size=m).filter(any))
+        total = sum(w)
+        f, sweep = chains.evaluate(np.array(w, dtype=float) / total)
+        f_exact = Fraction(sum(prod(w[e] for e in s) for s in sets), total**k)
+        assert abs(Fraction(f) - f_exact) <= Fraction(1e-12) * f_exact
+        # every component is a sum of nonnegative terms: a relative bound per entry
+        for i, got in enumerate(chains.gradient(sweep)):
+            want = Fraction(sum(prod(w[e] for e in s if e != i) for s in sets if i in s),
+                            total ** (k - 1))
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+
+
+def gaussian_binomial(n, j, q):
+    """[n choose j]_q, the number of (j-1)-dimensional subspaces of PG(n-1, q)."""
+    count = Fraction(1)
+    for i in range(j):
+        count *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
+    return int(count)
+
+
+@pytest.mark.parametrize("n,q,k", [(3, 2, 3), (4, 2, 2), (4, 3, 3), (5, 2, 4)])
+def test_projective_flats_and_optimum(n, q, k):
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(n, q)), k)
+    m = idx.m
+    chains = _build_chains(idx)
+    counts = [lv.starts.size for lv in chains.levels]
+    assert counts == [gaussian_binomial(n, j, q) for j in range(1, k)] + [1]
+    if (n, q, k) == (5, 2, 4):
+        assert counts == [31, 155, 155, 1]
+    # at x = 1 every cover factor is |F \ F'|: flat sizes follow along the covers
+    _, sweep = chains._sweep(np.ones(m))
+    sizes = np.zeros(1)  # F_0 is empty: no loops
+    for j, (lv, (d, _)) in enumerate(zip(chains.levels, sweep), start=1):
+        per_cover = sizes[lv.src] + d
+        flat_of_cover = np.repeat(np.arange(lv.starts.size), lv.counts)
+        sizes = per_cover[lv.starts]
+        assert np.array_equal(per_cover, sizes[flat_of_cover])
+        assert np.all(sizes == (m if j == k else (q**j - 1) // (q - 1)))
+    top, _ = chains._sweep(np.full(m, 1.0 / m))
+    optimum = uniform_optimum(PGParams(n, q, k))
+    assert abs(Fraction(top) - optimum) <= Fraction(1e-15) * optimum
+
+
+@pytest.mark.parametrize("spec,k", [(ProjectiveSpec(5, 2), 4), (ProjectiveSpec(4, 3), 3),
+                                    (UniformSpec(3, 12), 3), (UniformSpec(4, 9), 2)])
+def test_chains_match_kset_evaluators(spec, k):
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
+    chains = _build_chains(idx)
+    rng = np.random.default_rng(3)
+    for trial in range(4):
+        x = rng.dirichlet(np.ones(idx.m))
+        if trial % 2:
+            x[rng.choice(idx.m, 3, replace=False)] = 0.0
+        f, sweep = chains.evaluate(x)
+        assert f == pytest.approx(eval_f(idx, x), rel=1e-13)
+        want = gradient_f(idx, x)
+        assert np.allclose(chains.gradient(sweep), want, rtol=1e-13, atol=0)
+
+
+def test_non_matroid_support_falls_back_to_kset_sums(fano_idx, monkeypatch):
+    calls = []
+
+    def counting_gradient(idx, x):
+        calls.append(idx)
+        return gradient_f(idx, x)
+
+    monkeypatch.setattr(optimize, "gradient_f", counting_gradient)
+    idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
+    assert _build_chains(idx) is None
+    result = maximize_F(idx, AscentConfig(max_iters=50,
+                                          start=Distribution([0.4, 0.3, 0.2, 0.1])))
+    assert _chains(idx) is None
+    assert result.value == 2 * eval_f(idx, result.p)
+    assert len(calls) == result.iterations + (result.stop_reason != "max_iters")
+    calls.clear()
+    maximize_F(fano_idx)  # a matroid: the ascent runs on the chains
+    assert calls == []
+
+
+def test_chains_are_built_by_the_first_ascent_and_kept(fano_idx):
+    idx = IndepSetIndex(fano_idx.k, fano_idx.m, fano_idx.sets)
+    assert idx._chains is None
+    maximize_F(idx)
+    chains = idx._chains
+    assert chains
+    maximize_F(idx)
+    assert idx._chains is chains
+
+
+def test_chain_build_memory_is_bounded():
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4)
+    _build_chains(enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3))  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chains = _build_chains(idx)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chains is not None
+    assert peak - before <= 2 * 2**20
+    assert kept - before <= 2**19

@@ -19,6 +19,15 @@ def test_permutation_validation():
     assert Permutation.identity(4).to_json() == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("image", [[0.5, 1.9, 2.2], [True, False], [0.0, 1.0], ["0", "1"]])
+def test_permutation_rejects_non_integer_images(image):
+    # the int64 cast used to truncate these into valid permutations
+    with pytest.raises(ValueError, match="integers"):
+        Permutation.from_json(image)
+    with pytest.raises(ValueError, match="integers"):
+        Permutation(np.array(image))
+
+
 def test_permutation_compose_and_inverse():
     rng = np.random.default_rng(41)
     for _ in range(20):
