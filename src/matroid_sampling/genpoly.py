@@ -2,19 +2,26 @@
 
 The polynomial is represented by the explicit list of its monomials, i.e.
 the independent K-sets, enumerated once per (matroid, K) pair and cached in
-an :class:`IndepSetIndex`.  Evaluations, gradients and Hessians all reuse
-that support, as does the batched gap F(u) - F(p) around the uniform
-point, which streams its batch through cache-sized row blocks so that its
-working memory does not grow with the batch; sums are accumulated by
-numpy's pairwise summation.
+an :class:`IndepSetIndex`.  :func:`eval_f`, :func:`gradient_f` and
+:func:`hessian_f` sum over that support.
 
-The ascent (:func:`~matroid_sampling.optimize.maximize_F`) evaluates f and
-its gradient through a second, private representation built from the
-index on its first ascent and cached on it: the chains of flats of the
-rank-K truncation, a few hundred flats where the index has tens of
-thousands of K-sets.  The chains are used only after an exact check mod a
-prime shows that they reproduce the K-set polynomial; a support that is
-not a matroid fails it and keeps the K-set sums.
+The ascent (:func:`~matroid_sampling.optimize.maximize_F`) and the batched
+gap F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
+the stability scan and the identity checks call) go through a smaller
+private evaluator, built from the index on first use and cached on it
+(:func:`_chains`):
+
+* when the support holds every K-subset of the ground set, f is the
+  elementary symmetric polynomial e_K, evaluated in O(mK) with no build;
+* otherwise, the chains of flats of the rank-K truncation, a few hundred
+  flats where the index has tens of thousands of K-sets.  They are used
+  only after an exact check mod a prime shows that they reproduce the
+  K-set polynomial; a support that is not a matroid fails it and keeps
+  the K-set sums.
+
+Gaps stream their batch through cache-sized row blocks, so that working
+memory does not grow with the batch, and no row's arithmetic depends on
+the blocking.
 
 For a matroid support the K-th root of the polynomial is concave on the
 nonnegative orthant, which :func:`concavity_probe` checks empirically on
@@ -24,7 +31,7 @@ random midpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +105,7 @@ class IndepSetIndex:
         self.k = int(k)
         self.m = int(m)
         self.sets = arr
-        self._chains = None  # built by the first ascent, see _chains
+        self._chains = None  # the evaluator, built on first use: see _chains
 
     @property
     def n_sets(self) -> int:
@@ -183,19 +190,29 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     the uniform distribution u.
 
     Works with the centered variables w = m p - 1, projected to zero sum,
-    and expands each monomial as u^K (prod(1 + w) - 1).  The expansion is
-    split into its linear part and its order >= 2 remainder: summed over all
-    sets the linear part is sum_e degree(e) w_e, whose mean-degree component
-    multiplies sum(w) = 0 and is dropped analytically rather than left to
-    cancel in floating point.  The computed gap therefore stays accurate
-    relative to ||p - u||^2 even for p extremely close to u, which is what
-    dividing by the squared norm requires.
+    and expands F(p) - F(u) in powers of w.  Its linear part is
+    K! sum_e degree(e) w_e, whose mean-degree component multiplies
+    sum(w) = 0 and is dropped analytically rather than left to cancel in
+    floating point; only the order >= 2 remainder is summed numerically.
+    The computed gap therefore stays accurate relative to ||p - u||^2 even
+    for p extremely close to u, which is what dividing by the squared norm
+    requires.
 
-    The order >= 2 remainder is accumulated over blocks of
-    max(1, GAP_BLOCK_BYTES // (8 n_sets)) rows in four reused
-    (rows, n_sets) buffers, so beyond the (batch, m) inputs and one
-    transposed copy of the index the working memory is about
-    4 max(GAP_BLOCK_BYTES, 8 n_sets) bytes whatever the batch size.  Each
+    The remainder is summed by the index's evaluator (see :func:`_chains`):
+
+    * when every K-subset of the ground set is independent (a free
+      truncation, such as U(r, n) with K <= r or any simple matroid with
+      K <= 2), as -K! m^-K sum_{j>=2} C(m-j, K-j) e_j(w), in O(mK) per row;
+    * otherwise on a matroid support, over the chains of flats, carrying
+      per flat the parts of G(F) of each degree in w;
+    * otherwise (a support that fails the chains' exact check, such as an
+      ``explicit`` layer that is not a matroid) over the K-sets.
+
+    Every path streams the batch through blocks of rows whose widest
+    buffer holds at most GAP_BLOCK_BYTES (but at least one row): m
+    columns for the first path, the covers of the widest chain level for
+    the second, the K-sets for the third.  Beyond the (batch, m) inputs the
+    working memory is a few such buffers whatever the batch size.  Each
     row's arithmetic and summation order do not depend on the blocking, so
     neither do the results.
     """
@@ -209,6 +226,9 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     batch, n_sets = pts.shape[0], idx.n_sets
     if n_sets == 0:
         return np.zeros(batch), norm2
+    evaluator = _chains(idx)
+    if evaluator is not None:
+        return evaluator.gaps(w), norm2
     degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
     centered_deg = degrees - degrees.mean()  # exactly zero for regular supports
     rows = max(1, GAP_BLOCK_BYTES // (8 * n_sets))
@@ -284,21 +304,24 @@ _BUILD_BLOCK = 16384      # (candidate, element) lookups per block of the chain 
 
 class _Level(NamedTuple):
     """The covers F' ⋖ F from one rank level of flats to the next, sorted
-    by F.  ``diff`` holds their difference sets F \\ F' either as padded
-    columns (an integer (max |F \\ F'|, covers) array whose column c lists
-    the set of cover c, padded with m) or, when the largest set fills at
-    least about half the ground set, as dense 0/1 float rows (covers,
-    m + 1), which a matrix product reads faster than a gather; the padding
-    index and the last dense column read an appended zero."""
+    by F.  ``diff`` holds their difference sets F \\ F' as padded columns:
+    an integer (max |F \\ F'|, covers) array whose column c lists the set
+    of cover c, padded with m, an index that reads an appended zero.  When
+    the largest set fills at least about half the ground set, ``dense``
+    also holds them as 0/1 float rows (covers, m + 1), which the ascent's
+    matrix products read faster than a gather; otherwise it is None."""
 
     src: np.ndarray     # index of F' in the level below, per cover
     diff: np.ndarray
+    dense: np.ndarray | None
+    sizes: np.ndarray   # |F \\ F'| per cover, as floats
     starts: np.ndarray  # first cover of each F of this level
     counts: np.ndarray  # number of covers of each F of this level
 
 
 class _Chains:
-    """f and its gradient summed over chains of flats instead of K-sets.
+    """f, its gradient and the gaps F(u) - F(p) summed over chains of flats
+    instead of K-sets.
 
     An ordered independent sequence x_1..x_K corresponds to exactly one
     chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E of flats of the rank-K
@@ -311,24 +334,26 @@ class _Chains:
     reuses the forward sweep that :meth:`evaluate` returns with f.
     """
 
-    __slots__ = ("m", "kfact", "levels")
+    __slots__ = ("m", "k", "kfact", "levels", "slope")
 
-    def __init__(self, m: int, k: int, levels: list[_Level]):
+    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray):
         self.m = m
+        self.k = k
         self.kfact = float(factorial(k))
         self.levels = levels
+        # the linear part of F(p) - F(u) in w = m p - 1, less its multiple of sum(w) = 0
+        self.slope = self.kfact * (degrees - degrees.mean())
 
     def _sweep(self, x: np.ndarray, mod: int | None = None):
         """(G(E), per level the cover factors x(F \\ F') and the values
         G(F') of the level below).  With ``mod``, x is an integer vector of
-        residues and all arithmetic is mod ``mod``; a dense level's float
-        product is exact there, as m P < 2^53."""
+        residues and all arithmetic is mod ``mod``."""
         xe = np.append(x, 0)
         g = np.ones(1, dtype=xe.dtype)
         sweep = []
         for lv in self.levels:
-            if lv.diff.dtype == float:
-                d = (lv.diff @ xe).astype(xe.dtype, copy=False)
+            if lv.dense is not None and not mod:
+                d = lv.dense @ xe
             else:
                 d = xe[lv.diff].sum(axis=0)
             if mod:
@@ -354,13 +379,121 @@ class _Chains:
         for lv, (d, g) in zip(reversed(self.levels), reversed(sweep)):
             a = adjoint.repeat(lv.counts)
             w = a * g[lv.src]
-            if lv.diff.dtype == float:
-                grad += w @ lv.diff
+            if lv.dense is not None:
+                grad += w @ lv.dense
             else:
                 grad += np.bincount(lv.diff.ravel(), w[None].repeat(lv.diff.shape[0], 0).ravel(),
                                     minlength=self.m + 1)
             adjoint = np.bincount(lv.src, a * d, minlength=g.size)
         return grad[:-1] / self.kfact
+
+    def gaps(self, w: np.ndarray) -> np.ndarray:
+        """F(u) - F(p) per row of the centered points w = m p - 1, whose
+        rows sum to zero (see :func:`gaps_from_uniform`).
+
+        With x = (1 + w) / m every cover factor is (|D| + w(D)) / m for its
+        difference set D, so m^t G(F) for a rank-t flat F is a polynomial
+        of degree t in w.  Its degree-d parts c_d(F) follow the covers:
+        c_d(F) = sum over F' ⋖ F of c_d(F') |D| + c_{d-1}(F') w(D), where
+        only c_0, the value at u, has no batch axis.  The gap is
+        -m^-K (sum_{d>=2} c_d(E) + the analytic linear part).  Each w(D)
+        is a sum of gathered columns, never a matrix product, so that no
+        BLAS kernel can pick a different summation order for another block
+        width.  A block has as many rows as its widest buffer, the gathered
+        difference sets or the per-degree cover terms of one level, can
+        hold in GAP_BLOCK_BYTES.
+        """
+        m, levels = self.m, self.levels
+        c0, c0_src = np.ones(1), []  # per level: c_0 of each cover's F'
+        for lv in levels:
+            c0_src.append(c0[lv.src][:, None])
+            c0 = np.add.reduceat(c0[lv.src] * lv.sizes, lv.starts)
+        widest = max(max(lv.diff.size, t * lv.src.size) for t, lv in enumerate(levels, start=1))
+        rows = max(1, GAP_BLOCK_BYTES // (8 * widest))
+        batch = w.shape[0]
+        higher = np.empty(batch)
+        for start in range(0, batch, rows):
+            block = w[start:start + rows]
+            r = block.shape[0]
+            # rows last, so that every gather copies contiguous runs of r values
+            wt = np.zeros((m + 1, r))  # row m: the padding's zero
+            wt[:m] = block.T
+            coef = np.empty((0, 1, r))  # c_1 .. c_{t-1} of the flats below
+            for lv, below0 in zip(levels, c0_src):
+                # w(D): the gathered rows added elementwise, in column order
+                wd = np.take(wt, lv.diff, axis=0).sum(axis=0)
+                below = np.take(coef, lv.src, axis=1)
+                t = below.shape[0] + 1
+                terms = np.empty((t, lv.src.size, r))  # degrees 1..t per cover
+                np.multiply(below, lv.sizes[:, None], out=terms[:-1])
+                terms[-1] = 0.0
+                below *= wd
+                terms[1:] += below
+                terms[0] += below0 * wd
+                coef = np.add.reduceat(terms, lv.starts, axis=1)
+            out = higher[start:start + r]
+            out[:] = 0.0
+            for part in coef[1:, 0]:  # degrees 2..K of the one top flat E
+                out += part
+        total = higher + np.einsum("ij,j->i", w, self.slope)
+        return -float(m) ** (-self.k) * total
+
+
+class _Elementary:
+    """f = e_K(x), its gradient and the gaps F(u) - F(p) when the support
+    holds every K-subset of the ground set (a free truncation).
+
+    The prefix tables e_j(x_0..x_{i-1}), j < K, are exclusive cumulative
+    sums of x times the table below, so every entry is a sum of
+    nonnegative terms at nonnegative x; the partial derivative
+    e_{K-1}(x without x_i) combines them with the same suffix tables, with
+    no subtraction.
+    """
+
+    __slots__ = ("m", "k")
+
+    def __init__(self, m: int, k: int):
+        self.m = m
+        self.k = k
+
+    def _prefix(self, x: np.ndarray) -> list[np.ndarray]:
+        """e_j of the coordinates before each position along the last axis
+        of x, for j = 0..K-1."""
+        q = np.ones_like(x)
+        tables = [q]
+        for _ in range(self.k - 1):
+            t = x * q
+            q = np.zeros_like(x)
+            np.cumsum(t[..., :-1], axis=-1, out=q[..., 1:])
+            tables.append(q)
+        return tables
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, tuple]:
+        """(f(x), the state that :meth:`gradient` differentiates)."""
+        prefix = self._prefix(x)
+        return float(x @ prefix[-1]), (x, prefix)
+
+    def gradient(self, state: tuple) -> np.ndarray:
+        """The gradient of f at the point a state was taken at."""
+        x, prefix = state
+        suffix = [t[::-1] for t in self._prefix(x[::-1])]
+        return sum(p * s for p, s in zip(prefix, reversed(suffix)))
+
+    def gaps(self, w: np.ndarray) -> np.ndarray:
+        """F(u) - F(p) per row of the centered points w = m p - 1, whose
+        rows sum to zero: F(p) = K! m^-K sum_j C(m-j, K-j) e_j(w) with
+        e_0 = 1 and e_1(w) = 0, in blocks of rows of at most
+        GAP_BLOCK_BYTES."""
+        m, k = self.m, self.k
+        batch = w.shape[0]
+        rows = max(1, GAP_BLOCK_BYTES // (8 * m))
+        higher = np.zeros(batch)
+        for start in range(0, batch, rows):
+            block = w[start:start + rows]
+            out = higher[start:start + block.shape[0]]
+            for j, q in enumerate(self._prefix(block)[1:], start=2):
+                out += comb(m - j, k - j) * (block * q).sum(axis=1)
+        return -(factorial(k) * float(m) ** (-k)) * higher
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
@@ -413,20 +546,20 @@ def _level(src: np.ndarray, dst: np.ndarray, upper: np.ndarray, lower: np.ndarra
     filling the difference sets in blocks of covers (see _Level)."""
     n, m = src.size, lower.shape[1]
     lens = upper.sum(axis=1)[dst] - lower.sum(axis=1)[src]
-    dense = m + 1 <= 2 * lens.max()
-    diff = np.zeros((n, m + 1)) if dense else np.full((lens.max(), n), m, dtype=np.int64)
+    diff = np.full((lens.max(), n), m, dtype=np.int64)
     step = max(1, _BUILD_BLOCK // m)
     for start in range(0, n, step):
         b = slice(start, start + step)
-        rows = upper[dst[b]] & ~lower[src[b]]
-        if dense:
-            diff[b, :m] = rows
-        else:
-            cover, elem = np.nonzero(rows)
-            diff[np.arange(cover.size) - (np.cumsum(lens[b]) - lens[b])[cover],
-                 cover + start] = elem
+        cover, elem = np.nonzero(upper[dst[b]] & ~lower[src[b]])
+        diff[np.arange(cover.size) - (np.cumsum(lens[b]) - lens[b])[cover],
+             cover + start] = elem
+    dense = None
+    if m + 1 <= 2 * lens.max():
+        dense = np.zeros((n, m + 1))
+        dense[np.arange(n), diff] = 1.0
+        dense[:, m] = 0.0  # the padding's column
     counts = np.bincount(dst)
-    return _Level(src, diff, np.cumsum(counts) - counts, counts)
+    return _Level(src, diff, dense, lens.astype(float), np.cumsum(counts) - counts, counts)
 
 
 def _build_chains(idx: IndepSetIndex) -> _Chains | None:
@@ -450,7 +583,8 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
     for t in range(k - 1, 1, -1):
         keys[t] = _subset_keys(keys[t + 1], t, m)
 
-    masks = (np.bincount(idx.sets.ravel(), minlength=m) == 0)[None, :]  # F_0: the loops
+    degrees = np.bincount(idx.sets.ravel(), minlength=m)
+    masks = (degrees == 0)[None, :]  # F_0: the loops
     bases = np.zeros((1, 0), dtype=np.int64)
     levels = []
     for t in range(1, k):
@@ -466,7 +600,7 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
         bases = np.sort(np.column_stack([bases[parent[first]], x[first]]), axis=1)
     n = masks.shape[0]
     levels.append(_level(np.arange(n), np.zeros(n, dtype=np.int64), np.ones((1, m), bool), masks))
-    chains = _Chains(m, k, levels)
+    chains = _Chains(m, k, levels, degrees.astype(float))
 
     # Schwartz-Zippel: both sides are polynomials of degree K, so at a
     # random point mod P a wrong chain sum survives with probability <= K/P.
@@ -481,11 +615,17 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
     return chains
 
 
-def _chains(idx: IndepSetIndex) -> _Chains | None:
-    """The index's chain evaluator, built on first use and cached on the
-    index; None when the chains are unavailable (see _build_chains)."""
+def _chains(idx: IndepSetIndex) -> _Elementary | _Chains | None:
+    """The index's evaluator of f, its gradient and the gaps, built on
+    first use and cached on the index: the elementary-symmetric one when
+    the support holds every K-subset of the ground set, otherwise the
+    chains of flats, or None when these are unavailable (see
+    _build_chains)."""
     if idx._chains is None:
-        idx._chains = _build_chains(idx) or False
+        if 0 < idx.n_sets == comb(idx.m, idx.k):
+            idx._chains = _Elementary(idx.m, idx.k)
+        else:
+            idx._chains = _build_chains(idx) or False
     return idx._chains or None
 
 

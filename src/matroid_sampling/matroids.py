@@ -99,6 +99,16 @@ class Matroid:
         return s
 
     def is_independent(self, subset) -> bool:
+        if type(subset) is list or type(subset) is tuple:
+            # fast path: a row that is already strictly increasing ints in range
+            last = -1
+            for e in subset:
+                if type(e) is not int or e <= last:
+                    break
+                last = e
+            else:
+                if last < self.m:
+                    return bool(self._oracle(tuple(subset)))
         return bool(self._oracle(self._normalize(subset)))
 
     def subset_rank(self, subset) -> int:

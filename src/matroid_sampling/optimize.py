@@ -78,9 +78,10 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     more than the relative DECREASE_TOL (1e-12) of its current value, so a
     step to F = 0 is never taken.
 
-    f and its gradient are summed over the chains of flats of the support
-    (built once per index and cached on it); a support whose chains fail
-    their exact check, such as an ``explicit`` layer that is not a
+    f and its gradient come from the index's cached evaluator: e_K when
+    the support holds every K-subset, else the chains of flats of the
+    support (see :mod:`~matroid_sampling.genpoly`); a support whose chains
+    fail their exact check, such as an ``explicit`` layer that is not a
     matroid, is evaluated with eval_f and gradient_f instead.
     """
     cfg = config or AscentConfig()
@@ -89,12 +90,12 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     if cfg.start is not None and x.size != m:
         raise ValueError(f"start has length {x.size}, expected {m}")
     kfact = factorial(idx.k)
-    chains = _chains(idx)
-    if chains is None:  # not a matroid support: sum over the K-sets
+    evaluator = _chains(idx)
+    if evaluator is None:  # not a matroid support: sum over the K-sets
         evaluate = lambda v: (eval_f(idx, v), v)
         gradient = lambda v: gradient_f(idx, v)
     else:
-        evaluate, gradient = chains.evaluate, chains.gradient
+        evaluate, gradient = evaluator.evaluate, evaluator.gradient
     f, state = evaluate(x)
     if f == 0.0:
         raise ValueError("f vanishes at the start point; ascent on log f cannot begin")

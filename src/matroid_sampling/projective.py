@@ -233,8 +233,11 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     only on (seed, n_samples, mode), not on the chunking.
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
-    vectors; the gaps are evaluated in row blocks of GAP_BLOCK_BYTES (see
-    :func:`gaps_from_uniform`), so no (chunk, n_sets) array is built.
+    vectors.  The gaps come from :func:`gaps_from_uniform`: through e_K
+    when every K-subset is independent, else over the chains of flats of a
+    matroid support, else over the K-sets, each in row blocks whose
+    widest buffer holds at most GAP_BLOCK_BYTES, so no (chunk, n_sets) or
+    (chunk, covers) array is built.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

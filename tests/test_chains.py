@@ -1,4 +1,5 @@
-"""The ascent's evaluator: f and its gradient summed over chains of flats.
+"""The ascent's evaluators: f and its gradient summed over chains of flats,
+or as the elementary symmetric polynomial e_K on free truncations.
 
 The chains are checked against exact rational sums over the independent
 K-sets on random small linear matroids (loops and parallel elements
@@ -6,7 +7,9 @@ included), against the closed forms of projective geometries (flat counts
 per rank, flat sizes, the optimum at u), against eval_f/gradient_f on the
 benchmark instances, and for their build memory.  A support that is not a
 matroid must fail the exact check, and the ascent must then fall back to
-the K-set sums.
+the K-set sums.  The e_K evaluator is checked against exact rational sums
+over all K-subsets, and the ascent on a uniform matroid must use it and
+never build chains.
 """
 
 import tracemalloc
@@ -22,7 +25,7 @@ from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSet
                               LinearSpec, PGParams, ProjectiveSpec, UniformSpec,
                               build_matroid, enumerate_independent_ksets, eval_f,
                               gradient_f, maximize_F, optimize, uniform_optimum)
-from matroid_sampling.genpoly import _build_chains, _chains
+from matroid_sampling.genpoly import _build_chains, _chains, _Elementary
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -62,6 +65,41 @@ def test_chains_match_exact_kset_sums(data):
             want = Fraction(sum(prod(w[e] for e in s if e != i) for s in sets if i in s),
                             total ** (k - 1))
             assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+
+
+@PROPERTY
+@given(st.data())
+def test_elementary_matches_exact_subset_sums(data):
+    m = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, m))
+    low = data.draw(st.sampled_from((0, 1)))
+    w = data.draw(st.lists(st.integers(low, 9), min_size=m, max_size=m).filter(any))
+    total = sum(w)
+    sets = list(combinations(range(m), k))
+    evaluator = _Elementary(m, k)
+    f, state = evaluator.evaluate(np.array(w, dtype=float) / total)
+    f_exact = Fraction(sum(prod(w[e] for e in s) for s in sets), total**k)
+    assert abs(Fraction(f) - f_exact) <= Fraction(1e-12) * f_exact
+    # prefix and suffix tables add nonnegative terms only: a relative bound per entry
+    for i, got in enumerate(evaluator.gradient(state)):
+        want = Fraction(sum(prod(w[e] for e in s if e != i) for s in sets if i in s),
+                        total ** (k - 1))
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+
+
+def test_free_truncations_ascend_on_ek_without_chains():
+    idx = enumerate_independent_ksets(build_matroid(UniformSpec(4, 12)), 4)
+    start = Distribution(np.arange(1, 13) / 78)
+    result = maximize_F(idx, AscentConfig(start=start))
+    assert isinstance(idx._chains, _Elementary)
+    assert result.converged
+    assert result.value == 24 * eval_f(idx, result.p)
+    chains = _build_chains(idx)
+    x = start.probs
+    f, state = idx._chains.evaluate(x)
+    f_chains, sweep = chains.evaluate(x)
+    assert f == pytest.approx(f_chains, rel=1e-14)
+    assert np.allclose(idx._chains.gradient(state), chains.gradient(sweep), rtol=1e-14, atol=0)
 
 
 def gaussian_binomial(n, j, q):

@@ -1,25 +1,28 @@
 """The centered gap evaluator F(u) - F(p) and the scan built on it.
 
-Golden values pin the scan's output bit for bit; property tests compare
-the evaluator against exact rational arithmetic on random small linear
-matroids, check that neither its row blocking nor the scan's chunk size
-changes a bit of the output, and that its memory does not grow with the
-batch.
+Golden values pin the scan's argmin bit for bit and its minimum ratio to
+within 4 ulp, and every golden sample's gap is checked against exact
+rational arithmetic.  Property tests compare each of the evaluator's three
+paths (e_K on free truncations, the chains of flats, the K-set sums)
+against exact rational arithmetic on random small linear matroids, check
+that neither the row blocking nor the scan's chunk size changes a bit of
+the output, and that memory does not grow with the batch.
 """
 
 import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (LinearSpec, ProjectiveSpec, UniformSpec, build_matroid,
-                              enumerate_independent_ksets, gaps_from_uniform, genpoly,
-                              stability_scan)
+from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
+                              UniformSpec, build_matroid, enumerate_independent_ksets,
+                              gaps_from_uniform, genpoly, stability_scan)
+from matroid_sampling.genpoly import _build_chains, _chains, _Elementary
 from matroid_sampling.projective import _scan_samples
 from matroid_sampling.streams import trial_uniforms
 
@@ -37,9 +40,32 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 def test_scan_golden(spec, mode, min_r, digest):
     idx = enumerate_independent_ksets(build_matroid(spec), 3)
     report = stability_scan(idx, 2000, 7, mode=mode)
-    assert report.min_ratio == float.fromhex(min_r)
+    # recorded on the K-set sums; the chains and e_K sum in another order
+    assert ulps(report.min_ratio, float.fromhex(min_r)) <= 4
     assert hashlib.sha256(report.argmin.astype(np.float64).tobytes()).hexdigest() == digest
     assert report.skipped == 0
+    pts = _scan_samples(7, 0, 2000, idx.m, mode)
+    gaps, _ = gaps_from_uniform(idx, pts)
+    assert any(np.array_equal(p, report.argmin) for p in pts)
+    for p, gap in zip(pts, gaps):
+        exact = exact_gap(idx, p)
+        assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+def ulps(a: float, b: float) -> int:
+    """Distance between two finite floats of one sign, in units in the last place."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def exact_gap(idx, p) -> Fraction:
+    """F(u) - F(p) in exact arithmetic at the float point p, summed over the
+    K-sets with the coordinates as integers over their common power of two."""
+    m, k = idx.m, idx.k
+    ratios = [Fraction(x).as_integer_ratio() for x in p.tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    total = sum(prod(ints[e] for e in s) for s in idx.sets.tolist())
+    return factorial(k) * (Fraction(idx.n_sets, m**k) - Fraction(total, scale**k))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 31])
@@ -64,12 +90,14 @@ def test_gaps_shape_validated(fano_idx):
 
 
 @st.composite
-def linear_matroids(draw):
-    """A linear matroid over F_2 or F_3 on 2..7 nonzero columns of length 1..3."""
-    q = draw(st.sampled_from((2, 3)))
-    dim = draw(st.integers(1, 3))
+def linear_matroids(draw, fields=(2, 3), max_dim=3, min_size=2):
+    """A linear matroid over one of the prime ``fields`` on min_size..7
+    nonzero columns of length 1..max_dim; repeated columns are parallel
+    elements."""
+    q = draw(st.sampled_from(fields))
+    dim = draw(st.integers(1, max_dim))
     column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
-    columns = draw(st.lists(column, min_size=2, max_size=7))
+    columns = draw(st.lists(column, min_size=min_size, max_size=7))
     return build_matroid(LinearSpec(q, tuple(columns)))
 
 
@@ -125,11 +153,16 @@ def test_scan_independent_of_chunk(data):
     assert parts.skipped == whole.skipped
 
 
-def unblocked_gaps(idx, pts):
-    """The evaluator's arithmetic on whole (batch, n_sets) arrays, unblocked."""
-    m = idx.m
+def centered(pts):
+    m = pts.shape[1]
     w = pts * m - 1.0
-    w -= w.mean(axis=1, keepdims=True)
+    return w - w.mean(axis=1, keepdims=True)
+
+
+def unblocked_gaps(idx, pts):
+    """The K-set path's arithmetic on whole (batch, n_sets) arrays, unblocked."""
+    m = idx.m
+    w = centered(pts)
     degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
     linear = np.zeros((pts.shape[0], idx.n_sets))
     higher = np.zeros_like(linear)
@@ -141,11 +174,19 @@ def unblocked_gaps(idx, pts):
     return -factorial(idx.k) * float(m) ** (-idx.k) * total
 
 
+def kset_index(matroid, k):
+    """The matroid's K-set index with its evaluator marked unavailable, so
+    that gaps_from_uniform takes the K-set path."""
+    idx = enumerate_independent_ksets(matroid, k)
+    idx._chains = False
+    return idx
+
+
 @PROPERTY
 @given(st.data())
 def test_gaps_independent_of_row_blocks(data):
     matroid = data.draw(linear_matroids())
-    idx = enumerate_independent_ksets(matroid, data.draw(st.integers(1, matroid.rank)))
+    idx = kset_index(matroid, data.draw(st.integers(1, matroid.rank)))
     batch = data.draw(st.integers(3, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
@@ -158,6 +199,99 @@ def test_gaps_independent_of_row_blocks(data):
             patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
             gaps, _ = gaps_from_uniform(idx, pts)
         assert np.array_equal(gaps, want)
+
+
+def with_loops(data, matroid, k):
+    """The K-set index of a matroid with 0..2 loops placed among its elements."""
+    m = matroid.m + data.draw(st.integers(0, 2))
+    place = sorted(data.draw(st.permutations(range(m)))[:matroid.m])
+    sets = [tuple(place[e] for e in s) for s in combinations(range(matroid.m), k)
+            if matroid.is_independent(s)]
+    return IndepSetIndex(k, m, sets)
+
+
+def evaluators(idx):
+    """The chain evaluator, and the e_K one when every K-subset is a set."""
+    found = [_build_chains(idx)]
+    if idx.n_sets == comb(idx.m, idx.k):
+        found.append(_Elementary(idx.m, idx.k))
+    return found
+
+
+@PROPERTY
+@given(st.data())
+def test_chain_and_ek_gaps_match_exact_rationals(data):
+    matroid = data.draw(linear_matroids(fields=(2, 3, 5), max_dim=4, min_size=1))
+    k = data.draw(st.integers(1, matroid.rank))
+    idx = with_loops(data, matroid, k)
+    points = data.draw(st.lists(rational_points(idx.m), min_size=1, max_size=4))
+    pts = np.array([[float(x) for x in p] for p in points])
+    # and a point within about 1e-7 of u, where the gap is O(1e-14)
+    nudge = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=idx.m, max_size=idx.m)))
+    w = centered(np.vstack([pts, 1.0 / idx.m + 1e-8 * (nudge - nudge.mean())]))
+    found = evaluators(idx)
+    assert found[0] is not None
+    for evaluator in found:
+        for row, gap in zip(w, evaluator.gaps(w)):
+            exact, norm2 = exact_centered_gap(idx, row)
+            # near u the gap is O(||p - u||^2): measure the error on that scale
+            assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * max(abs(exact), norm2)
+
+
+def exact_centered_gap(idx, w) -> tuple[Fraction, Fraction]:
+    """(the gap the evaluators compute from the float row w, ||w / m||^2),
+    exactly: -K! m^-K (sum over K-sets of prod(1 + w_e) - 1, less the
+    mean-degree multiple of sum(w), which is zero up to rounding)."""
+    m, k = idx.m, idx.k
+    ws = [Fraction(x) for x in w.tolist()]
+    expansion = sum(prod(1 + ws[e] for e in s) - 1 for s in idx.sets.tolist())
+    mean_degree = Fraction(k * idx.n_sets, m)
+    total = expansion - mean_degree * sum(ws)
+    return -factorial(k) * total / m**k, sum(x * x for x in ws) / m**2
+
+
+@PROPERTY
+@given(st.data())
+def test_chain_and_ek_gaps_independent_of_row_blocks(data):
+    matroid = data.draw(linear_matroids())
+    idx = enumerate_independent_ksets(matroid, data.draw(st.integers(1, matroid.rank)))
+    batch = data.draw(st.integers(3, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
+    pts[0] = 1.0 / idx.m
+    w = centered(pts)
+    ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
+    for evaluator in evaluators(idx):
+        if isinstance(evaluator, _Elementary):
+            row = 8 * idx.m
+        else:  # the widest per-row buffer of a chain level (see _Chains.gaps)
+            row = 8 * max(max(lv.diff.size, t * lv.src.size)
+                          for t, lv in enumerate(evaluator.levels, start=1))
+        results = []
+        for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
+                results.append(evaluator.gaps(w))
+        assert np.array_equal(results[0], results[1])
+        assert np.array_equal(results[0], results[2])
+
+
+def test_gaps_route_by_support():
+    """e_K on a free truncation, the chains on other matroids, and the K-set
+    sums, bit for bit as before the chains existed, on a non-matroid."""
+    free = enumerate_independent_ksets(build_matroid(UniformSpec(3, 7)), 3)
+    assert isinstance(_chains(free), _Elementary)
+    fano = enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3)
+    assert isinstance(_chains(fano), genpoly._Chains)
+    idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
+    pts = np.array([[0.4, 0.3, 0.2, 0.1], [0.25] * 4, [1.0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]])
+    gaps, norm2 = gaps_from_uniform(idx, pts)
+    assert _chains(idx) is None
+    assert np.array_equal(gaps, unblocked_gaps(idx, pts))
+    assert [g.hex() for g in gaps] == ["-0x1.eb851eb851eb6p-6", "-0x0.0p+0", "0x1.0000000000000p-2",
+                                       "-0x1.eb851eb851eb6p-6"]
+    assert [n.hex() for n in norm2] == ["0x1.999999999999ap-5", "0x0.0p+0", "0x1.8000000000000p-1",
+                                        "0x1.999999999999ap-5"]
 
 
 def traced_peak(idx, pts) -> int:

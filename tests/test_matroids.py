@@ -78,6 +78,24 @@ def test_element_out_of_range(fano):
         fano.is_independent((-1,))
 
 
+def test_is_independent_sees_each_input_as_its_sorted_set():
+    fano = build_matroid(ProjectiveSpec(3, 2))
+    seen = []
+    oracle = fano._oracle
+    fano._oracle = lambda s: seen.append(s) or oracle(s)
+    line = next(c for c in combinations(range(7), 3) if not oracle(c))
+    inputs = [list(line), line, [line[2], line[0], line[1]], [*line, line[1]],
+              np.array(line), [np.int64(e) for e in line], [float(e) for e in line],
+              (e for e in line), [0, 1], [0, 0, 1], [True, 2], (), []]
+    answers = [fano.is_independent(x) for x in inputs]
+    assert answers == [False] * 8 + [True] * 5
+    assert seen == [line] * 8 + [(0, 1), (0, 1), (1, 2), (), ()]
+    assert all(type(e) is int for s in seen for e in s)
+    for bad in ([0, 7], (3, 9), [-1, 2], [2, -1], [5, 5, 8]):
+        with pytest.raises(ValueError, match="out of range"):
+            fano.is_independent(bad)
+
+
 @pytest.mark.parametrize("spec", [ProjectiveSpec(3, 2), ProjectiveSpec(3, 3), UniformSpec(3, 6),
                                   ParallelClassesSpec(3)])
 def test_subset_rank_of_messy_input_is_the_rank_of_its_set(spec):
