@@ -226,6 +226,8 @@ def cmd_scan(args) -> dict:
 
 
 def cmd_k2check(args) -> dict:
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     spec, matroid, idx = _build(args)
     if args.k != 2:
         raise ValueError("the K=2 identity check needs --k 2")
@@ -249,6 +251,8 @@ def cmd_k2check(args) -> dict:
 def cmd_hesscheck(args) -> dict:
     # v^T H v = -c on unit zero-sum directions v at u, exactly and as the symmetric
     # difference (F(u + tv) - 2F(u) + F(u - tv)) / t^2 = -(gap(u + tv) + gap(u - tv)) / t^2
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     spec, matroid, idx = _build(args)
     pg = _projective(spec)
     params = PGParams(pg.n, pg.q, args.k)

@@ -2,22 +2,24 @@
 
 The polynomial is represented by the explicit list of its monomials, i.e.
 the independent K-sets, enumerated once per (matroid, K) pair and cached in
-an :class:`IndepSetIndex`.  :func:`eval_f`, :func:`gradient_f` and
-:func:`hessian_f` sum over that support.
+an :class:`IndepSetIndex`.  :func:`eval_f` and :func:`hessian_f` sum over
+that support.
 
 The ascent (:func:`~matroid_sampling.optimize.maximize_F`) and the batched
 gap F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
-the stability scan and the identity checks call) go through a smaller
-private evaluator, built from the index on first use and cached on it
+the stability scan and the identity checks call) go through one private
+evaluator, built from the index on first use and cached on it
 (:func:`_chains`):
 
 * when the support holds every K-subset of the ground set, f is the
   elementary symmetric polynomial e_K, evaluated in O(mK) with no build;
 * otherwise, the chains of flats of the rank-K truncation, a few hundred
-  flats where the index has tens of thousands of K-sets.  They are used
-  only after an exact check mod a prime shows that they reproduce the
-  K-set polynomial; a support that is not a matroid fails it and keeps
-  the K-set sums.
+  flats where the index has tens of thousands of K-sets, whose sum counts
+  every K-set in each of its K! orders.  They are used only after an exact
+  check mod a prime shows that they reproduce the K-set polynomial;
+* a support that fails the check, such as an ``explicit`` layer that is
+  not a matroid, gets one chain per K-set instead, which is f term by
+  term.
 
 Gaps stream their batch through cache-sized row blocks, so that working
 memory does not grow with the batch, and no row's arithmetic depends on
@@ -82,7 +84,8 @@ class Distribution:
 
 
 class IndepSetIndex:
-    """All independent K-sets of a matroid, as a (count, K) index array.
+    """All independent K-sets of a matroid, as a (count, K) index array
+    with count >= 1.
 
     Rows are sorted increasingly within each set and lexicographically
     across sets; the array is immutable.
@@ -92,15 +95,16 @@ class IndepSetIndex:
 
     def __init__(self, k: int, m: int, sets):
         arr = np.array(sets, dtype=np.int64, copy=True).reshape(-1, k)
-        if arr.size:
-            if arr.min() < 0 or arr.max() >= m:
-                raise ValueError(f"set elements must lie in [0, {m})")
-            if k > 1 and not np.all(np.diff(arr, axis=1) > 0):
-                raise ValueError("each set must list distinct elements in increasing order")
-            order = np.lexsort(arr.T[::-1])
-            arr = arr[order]
-            if len(arr) > 1 and np.any(np.all(arr[1:] == arr[:-1], axis=1)):
-                raise ValueError("duplicate sets in index")
+        if not arr.size:
+            raise ValueError("an index needs at least one set")
+        if arr.min() < 0 or arr.max() >= m:
+            raise ValueError(f"set elements must lie in [0, {m})")
+        if k > 1 and not np.all(np.diff(arr, axis=1) > 0):
+            raise ValueError("each set must list distinct elements in increasing order")
+        order = np.lexsort(arr.T[::-1])
+        arr = arr[order]
+        if len(arr) > 1 and np.any(np.all(arr[1:] == arr[:-1], axis=1)):
+            raise ValueError("duplicate sets in index")
         arr.flags.writeable = False
         self.k = int(k)
         self.m = int(m)
@@ -165,8 +169,6 @@ def as_point(x, m: int) -> np.ndarray:
 def eval_f(idx: IndepSetIndex, x) -> float:
     """Sum over independent K-sets of the product of the set's coordinates."""
     v = as_point(x, idx.m)
-    if idx.n_sets == 0:
-        return 0.0
     return float(np.prod(v[idx.sets], axis=1).sum())
 
 
@@ -199,22 +201,17 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     requires.
 
     The remainder is summed by the index's evaluator (see :func:`_chains`):
-
-    * when every K-subset of the ground set is independent (a free
-      truncation, such as U(r, n) with K <= r or any simple matroid with
-      K <= 2), as -K! m^-K sum_{j>=2} C(m-j, K-j) e_j(w), in O(mK) per row;
-    * otherwise on a matroid support, over the chains of flats, carrying
-      per flat the parts of G(F) of each degree in w;
-    * otherwise (a support that fails the chains' exact check, such as an
-      ``explicit`` layer that is not a matroid) over the K-sets.
-
-    Every path streams the batch through blocks of rows whose widest
-    buffer holds at most GAP_BLOCK_BYTES (but at least one row): m
-    columns for the first path, the covers of the widest chain level for
-    the second, the K-sets for the third.  Beyond the (batch, m) inputs the
-    working memory is a few such buffers whatever the batch size.  Each
-    row's arithmetic and summation order do not depend on the blocking, so
-    neither do the results.
+    as -K! m^-K sum_{j>=2} C(m-j, K-j) e_j(w), in O(mK) per row, when
+    every K-subset of the ground set is independent (a free truncation,
+    such as U(r, n) with K <= r or any simple matroid with K <= 2), and
+    otherwise over its chains (of flats on a matroid support, one per
+    K-set on any other), carrying per node the parts of G of each degree
+    in w.  Either streams the batch through blocks of rows whose
+    widest buffer holds at most GAP_BLOCK_BYTES (but at least one row):
+    m columns for e_K, the covers of the widest chain level otherwise.
+    Beyond the (batch, m) inputs the working memory is a few such buffers
+    whatever the batch size.  Each row's arithmetic and summation order do
+    not depend on the blocking, so neither do the results.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != idx.m:
@@ -223,58 +220,7 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     w = pts * m - 1.0
     w -= w.mean(axis=1, keepdims=True)
     norm2 = np.einsum("ij,ij->i", w, w) / (m * m)
-    batch, n_sets = pts.shape[0], idx.n_sets
-    if n_sets == 0:
-        return np.zeros(batch), norm2
-    evaluator = _chains(idx)
-    if evaluator is not None:
-        return evaluator.gaps(w), norm2
-    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
-    centered_deg = degrees - degrees.mean()  # exactly zero for regular supports
-    rows = max(1, GAP_BLOCK_BYTES // (8 * n_sets))
-    linear, higher, wj, tmp = (np.empty((min(rows, batch), n_sets)) for _ in range(4))
-    higher_sums = np.empty(batch)
-    columns = np.ascontiguousarray(idx.sets.T)  # contiguous indices gather faster
-    for start in range(0, batch, rows):
-        block = w[start:start + rows]
-        r = block.shape[0]
-        lin, hi, wb, tb = linear[:r], higher[:r], wj[:r], tmp[:r]
-        # the j = 0 step would add (0 + 0) * w_0 to the remainder: skip it
-        np.take(block, columns[0], axis=1, out=lin, mode="clip")
-        hi.fill(0.0)
-        for col in columns[1:]:
-            np.take(block, col, axis=1, out=wb, mode="clip")
-            np.add(lin, hi, out=tb)
-            tb *= wb
-            hi += tb
-            lin += wb
-        hi.sum(axis=1, out=higher_sums[start:start + r])
-    total = higher_sums + w @ centered_deg
-    gaps = -factorial(idx.k) * float(m) ** (-idx.k) * total
-    return gaps, norm2
-
-
-def gradient_f(idx: IndepSetIndex, x) -> np.ndarray:
-    """Exact gradient of eval_f.
-
-    Component e sums, over the sets containing e, the product of the other
-    K-1 coordinates; computed with per-set prefix/suffix products so zero
-    coordinates need no special casing.
-    """
-    v = as_point(x, idx.m)
-    if idx.n_sets == 0:
-        return np.zeros(idx.m)
-    coords = v[idx.sets]
-    k = idx.k
-    left = np.empty_like(coords)
-    right = np.empty_like(coords)
-    left[:, 0] = 1.0
-    right[:, k - 1] = 1.0
-    for j in range(1, k):
-        left[:, j] = left[:, j - 1] * coords[:, j - 1]
-    for j in range(k - 2, -1, -1):
-        right[:, j] = right[:, j + 1] * coords[:, j + 1]
-    return np.bincount(idx.sets.ravel(), weights=(left * right).ravel(), minlength=idx.m)
+    return _chains(idx).gaps(w), norm2
 
 
 def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
@@ -283,7 +229,7 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     sets containing both e and e'."""
     v = as_point(x, idx.m)
     m = idx.m
-    if idx.k < 2 or idx.n_sets == 0:
+    if idx.k < 2:
         return np.zeros((m, m))
     coords = v[idx.sets]
     k = idx.k
@@ -320,29 +266,31 @@ class _Level(NamedTuple):
 
 
 class _Chains:
-    """f, its gradient and the gaps F(u) - F(p) summed over chains of flats
-    instead of K-sets.
+    """f, its gradient and the gaps F(u) - F(p) summed over chains of
+    nodes instead of K-sets: with G(root) = 1 and G(F) = sum over covers
+    F' ⋖ F of G(F') x(F \\ F'), the top value G(E) is ``orderings`` f(x).
 
-    An ordered independent sequence x_1..x_K corresponds to exactly one
-    chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E of flats of the rank-K
-    truncation, with x_i in F_i \\ F_{i-1}; so with G(F_0) = 1 and
-    G(F) = sum over covers F' ⋖ F of G(F') x(F \\ F'), the top value G(E)
-    is K! f(x).  Every factor x(F \\ F') is a sum of nonnegative
+    For the chains of flats, an ordered independent sequence x_1..x_K
+    corresponds to exactly one chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E
+    of flats of the rank-K truncation, with x_i in F_i \\ F_{i-1}, so
+    G(E) is K! f(x).  For one chain per K-set (see _set_chains), G(E) is
+    f(x) itself.  Every factor x(F \\ F') is a sum of nonnegative
     coordinates over the stored difference set, never x(F) - x(F'), so
     zero and tiny coordinates lose no digits.  The gradient is the reverse
     (adjoint) sweep plus one scatter of the cover weights per level; it
     reuses the forward sweep that :meth:`evaluate` returns with f.
     """
 
-    __slots__ = ("m", "k", "kfact", "levels", "slope")
+    __slots__ = ("m", "k", "orderings", "levels", "slope")
 
-    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray):
+    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray,
+                 orderings: int):
         self.m = m
         self.k = k
-        self.kfact = float(factorial(k))
+        self.orderings = float(orderings)
         self.levels = levels
-        # the linear part of F(p) - F(u) in w = m p - 1, less its multiple of sum(w) = 0
-        self.slope = self.kfact * (degrees - degrees.mean())
+        # the linear part of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0
+        self.slope = self.orderings * (degrees - degrees.mean())
 
     def _sweep(self, x: np.ndarray, mod: int | None = None):
         """(G(E), per level the cover factors x(F \\ F') and the values
@@ -370,7 +318,7 @@ class _Chains:
     def evaluate(self, x: np.ndarray) -> tuple[float, list]:
         """(f(x), the sweep that :meth:`gradient` differentiates)."""
         top, sweep = self._sweep(x)
-        return float(top / self.kfact), sweep
+        return float(top / self.orderings), sweep
 
     def gradient(self, sweep: list) -> np.ndarray:
         """The gradient of f at the point a sweep was taken at."""
@@ -385,7 +333,7 @@ class _Chains:
                 grad += np.bincount(lv.diff.ravel(), w[None].repeat(lv.diff.shape[0], 0).ravel(),
                                     minlength=self.m + 1)
             adjoint = np.bincount(lv.src, a * d, minlength=g.size)
-        return grad[:-1] / self.kfact
+        return grad[:-1] / self.orderings
 
     def gaps(self, w: np.ndarray) -> np.ndarray:
         """F(u) - F(p) per row of the centered points w = m p - 1, whose
@@ -396,10 +344,10 @@ class _Chains:
         of degree t in w.  Its degree-d parts c_d(F) follow the covers:
         c_d(F) = sum over F' ⋖ F of c_d(F') |D| + c_{d-1}(F') w(D), where
         only c_0, the value at u, has no batch axis.  The gap is
-        -m^-K (sum_{d>=2} c_d(E) + the analytic linear part).  Each w(D)
-        is a sum of gathered columns, never a matrix product, so that no
-        BLAS kernel can pick a different summation order for another block
-        width.  A block has as many rows as its widest buffer, the gathered
+        -K! m^-K (sum_{d>=2} c_d(E) + the analytic linear part) / orderings.
+        Each w(D) is a sum of gathered columns, never a matrix product, so
+        that no BLAS kernel can pick a different summation order for another
+        block width.  A block has as many rows as its widest buffer, the gathered
         difference sets or the per-degree cover terms of one level, can
         hold in GAP_BLOCK_BYTES.
         """
@@ -436,7 +384,7 @@ class _Chains:
             for part in coef[1:, 0]:  # degrees 2..K of the one top flat E
                 out += part
         total = higher + np.einsum("ij,j->i", w, self.slope)
-        return -float(m) ** (-self.k) * total
+        return -(factorial(self.k) / self.orderings) * float(m) ** (-self.k) * total
 
 
 class _Elementary:
@@ -574,7 +522,7 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
     in the (t+1)-subsets of the K-sets, and deduplicated by membership.
     """
     k, m = idx.k, idx.m
-    if idx.n_sets == 0 or m**k >= 2**63 or m >= 2**22:
+    if m**k >= 2**63 or m >= 2**22:
         return None
     keys = {k: np.zeros(idx.n_sets, dtype=np.int64)}
     for col in idx.sets.T:  # lexsorted rows give ascending keys
@@ -600,7 +548,7 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
         bases = np.sort(np.column_stack([bases[parent[first]], x[first]]), axis=1)
     n = masks.shape[0]
     levels.append(_level(np.arange(n), np.zeros(n, dtype=np.int64), np.ones((1, m), bool), masks))
-    chains = _Chains(m, k, levels, degrees.astype(float))
+    chains = _Chains(m, k, levels, degrees.astype(float), factorial(k))
 
     # Schwartz-Zippel: both sides are polynomials of degree K, so at a
     # random point mod P a wrong chain sum survives with probability <= K/P.
@@ -615,18 +563,33 @@ def _build_chains(idx: IndepSetIndex) -> _Chains | None:
     return chains
 
 
-def _chains(idx: IndepSetIndex) -> _Elementary | _Chains | None:
+def _set_chains(idx: IndepSetIndex) -> _Chains:
+    """One chain per K-set, for any support: level t has one cover per set,
+    from the set's node at level t - 1 (the root at t = 1) with difference
+    set {s_t}, and the top level sums every set into E.  So G(E) is f
+    itself, one ordering per chain, and no check is needed."""
+    n, k = idx.n_sets, idx.k
+    columns = idx.sets.T.copy()  # row t: element t of every set, contiguous for the gathers
+    every, sizes, counts = np.arange(n), np.ones(n), np.ones(n, dtype=np.int64)
+    src = [np.zeros(n, dtype=np.int64)] + [every] * (k - 1)
+    levels = [_Level(src[t], columns[t:t + 1], None, sizes, every, counts) for t in range(k - 1)]
+    top = _Level(src[-1], columns[k - 1:], None, sizes, np.zeros(1, dtype=np.int64), np.array([n]))
+    degrees = np.bincount(idx.sets.ravel(), minlength=idx.m).astype(float)
+    return _Chains(idx.m, k, levels + [top], degrees, 1)
+
+
+def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
     """The index's evaluator of f, its gradient and the gaps, built on
     first use and cached on the index: the elementary-symmetric one when
     the support holds every K-subset of the ground set, otherwise the
-    chains of flats, or None when these are unavailable (see
-    _build_chains)."""
+    chains of flats when they pass their exact check (see _build_chains),
+    otherwise one chain per K-set."""
     if idx._chains is None:
-        if 0 < idx.n_sets == comb(idx.m, idx.k):
+        if idx.n_sets == comb(idx.m, idx.k):
             idx._chains = _Elementary(idx.m, idx.k)
         else:
-            idx._chains = _build_chains(idx) or False
-    return idx._chains or None
+            idx._chains = _build_chains(idx) or _set_chains(idx)
+    return idx._chains
 
 
 def _midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:

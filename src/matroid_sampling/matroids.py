@@ -73,9 +73,13 @@ class Matroid:
     The ground set is 0..m-1, and ``oracle`` receives a sorted tuple of
     distinct element indices.
     Rank is computed once by greedy extension, which is correct for matroids
-    by the greedy property.  For user-supplied explicit layers that are not
-    actually matroid layers the behaviour of rank (and of everything downstream)
-    is undefined; :func:`axiom_spot_check` offers a non-exhaustive sanity check.
+    by the greedy property; it and the pruning of the K-set enumeration (a
+    dependent prefix has no independent superset) are all that rely on the
+    matroid axioms.  F, its gradient and the gaps F(u) - F(p) are summed
+    over whatever support the enumeration returns, so they are right for a
+    user-supplied explicit layer that is not a matroid too, though the
+    paper's theorems about them are not; :func:`axiom_spot_check` offers a
+    non-exhaustive check of the axioms.
 
     A matroid is immutable and its oracle is pure, so one instance may be
     shared across threads.  The memo behind the F_q-rank oracle does not

@@ -83,6 +83,8 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     _check_draws(matroid, p, k)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     cumulative = np.cumsum(p.probs)
     successes = 0
     for start in range(0, n_trials, chunk):

@@ -14,8 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .genpoly import (Distribution, IndepSetIndex, _chains, eval_f, gaps_from_uniform,
-                      gradient_f)
+from .genpoly import Distribution, IndepSetIndex, _chains, eval_f, gaps_from_uniform
 
 MIN_STEP = 1e-18
 DECREASE_TOL = 1e-12
@@ -78,11 +77,8 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     more than the relative DECREASE_TOL (1e-12) of its current value, so a
     step to F = 0 is never taken.
 
-    f and its gradient come from the index's cached evaluator: e_K when
-    the support holds every K-subset, else the chains of flats of the
-    support (see :mod:`~matroid_sampling.genpoly`); a support whose chains
-    fail their exact check, such as an ``explicit`` layer that is not a
-    matroid, is evaluated with eval_f and gradient_f instead.
+    f and its gradient come from the index's cached evaluator (see
+    :mod:`~matroid_sampling.genpoly`).
     """
     cfg = config or AscentConfig()
     m = idx.m
@@ -91,12 +87,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
         raise ValueError(f"start has length {x.size}, expected {m}")
     kfact = factorial(idx.k)
     evaluator = _chains(idx)
-    if evaluator is None:  # not a matroid support: sum over the K-sets
-        evaluate = lambda v: (eval_f(idx, v), v)
-        gradient = lambda v: gradient_f(idx, v)
-    else:
-        evaluate, gradient = evaluator.evaluate, evaluator.gradient
-    f, state = evaluate(x)
+    f, state = evaluator.evaluate(x)
     if f == 0.0:
         raise ValueError("f vanishes at the start point; ascent on log f cannot begin")
 
@@ -105,7 +96,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     halvings = 0
     iterations = 0
     while iterations < cfg.max_iters:
-        grad_log = gradient(state) / f
+        grad_log = evaluator.gradient(state) / f
         projected = grad_log - grad_log.mean()
         if np.max(np.abs(projected)) <= cfg.tol_grad:
             stop_reason = "gradient"
@@ -119,7 +110,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             # gradient gives NaNs: reject such a trial point like a decrease
             if total > 0:
                 y /= total
-                fy, state_y = evaluate(y)
+                fy, state_y = evaluator.evaluate(y)
                 if fy >= f * (1.0 - DECREASE_TOL):
                     x, f, state = y, fy, state_y
                     trajectory.append(kfact * f)

@@ -233,14 +233,15 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     only on (seed, n_samples, mode), not on the chunking.
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
-    vectors.  The gaps come from :func:`gaps_from_uniform`: through e_K
-    when every K-subset is independent, else over the chains of flats of a
-    matroid support, else over the K-sets, each in row blocks whose
-    widest buffer holds at most GAP_BLOCK_BYTES, so no (chunk, n_sets) or
-    (chunk, covers) array is built.
+    vectors.  The gaps come from :func:`gaps_from_uniform`, through the
+    index's one evaluator in row blocks whose widest buffer holds at most
+    GAP_BLOCK_BYTES, so no (chunk, n_sets) or (chunk, covers) array is
+    built.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     m = idx.m
     best_ratio = np.inf
     best_p = np.full(m, 1.0 / m)

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,39 @@ def parallel2_idx(parallel2):
 @pytest.fixture(scope="session")
 def uniform25():
     return build_matroid(UniformSpec(2, 5))
+
+
+def centered(pts):
+    """The rows of a (batch, m) array as w = m p - 1, projected to zero sum."""
+    m = pts.shape[1]
+    w = pts * m - 1.0
+    return w - w.mean(axis=1, keepdims=True)
+
+
+def kset_f(sets, p):
+    """f summed term by term over the sets: exact when p holds Fractions."""
+    return sum(prod(p[e] for e in s) for s in sets)
+
+
+def kset_gradient(sets, p):
+    """The gradient of kset_f: entry i sums, over the sets holding i, the
+    product of their other coordinates."""
+    return [sum(prod(p[e] for e in s if e != i) for s in sets if i in s) for i in range(len(p))]
+
+
+def add_at_gradient(idx, x):
+    """The gradient of f over the index's K-sets in floats: prefix/suffix
+    products scattered by np.add.at in row-major order."""
+    coords = x[idx.sets]
+    left = np.ones_like(coords)
+    right = np.ones_like(coords)
+    for j in range(1, idx.k):
+        left[:, j] = left[:, j - 1] * coords[:, j - 1]
+    for j in range(idx.k - 2, -1, -1):
+        right[:, j] = right[:, j + 1] * coords[:, j + 1]
+    grad = np.zeros(idx.m)
+    np.add.at(grad, idx.sets, left * right)
+    return grad
 
 
 class CountingMatroid:

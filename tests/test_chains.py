@@ -1,31 +1,35 @@
 """The ascent's evaluators: f and its gradient summed over chains of flats,
-or as the elementary symmetric polynomial e_K on free truncations.
+as the elementary symmetric polynomial e_K on free truncations, or over
+one chain per K-set on any other support.
 
-The chains are checked against exact rational sums over the independent
-K-sets on random small linear matroids (loops and parallel elements
-included), against the closed forms of projective geometries (flat counts
-per rank, flat sizes, the optimum at u), against eval_f/gradient_f on the
-benchmark instances, and for their build memory.  A support that is not a
-matroid must fail the exact check, and the ascent must then fall back to
-the K-set sums.  The e_K evaluator is checked against exact rational sums
-over all K-subsets, and the ascent on a uniform matroid must use it and
-never build chains.
+The chains of flats are checked against exact rational sums over the
+independent K-sets on random small linear matroids (loops and parallel
+elements included), against the closed forms of projective geometries
+(flat counts per rank, flat sizes, the optimum at u), against the float
+K-set sums on the benchmark instances, and for their build memory.  A
+support that is not a matroid must fail their exact check and get one
+chain per K-set, which is checked against exact rational sums on random
+supports.  The e_K evaluator is checked against exact rational sums over
+all K-subsets, and the ascent on a uniform matroid must use it and never
+build chains.
 """
 
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import add_at_gradient, centered, kset_f, kset_gradient
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
                               LinearSpec, PGParams, ProjectiveSpec, UniformSpec,
                               build_matroid, enumerate_independent_ksets, eval_f,
-                              gradient_f, maximize_F, optimize, uniform_optimum)
-from matroid_sampling.genpoly import _build_chains, _chains, _Elementary
+                              gaps_from_uniform, maximize_F, uniform_optimum)
+from matroid_sampling.genpoly import (_build_chains, _chains, _Chains, _Elementary,
+                                      _set_chains)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -38,6 +42,23 @@ def linear_matroids(draw):
     dim = draw(st.integers(1, 4))
     column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
     return build_matroid(LinearSpec(q, tuple(draw(st.lists(column, min_size=1, max_size=8)))))
+
+
+@st.composite
+def weights(draw, m):
+    """A point w / sum(w) with small integer weights, often with zeros, as Fractions."""
+    low = draw(st.sampled_from((0, 1)))
+    w = draw(st.lists(st.integers(low, 9), min_size=m, max_size=m).filter(any))
+    return [Fraction(x, sum(w)) for x in w]
+
+
+def assert_matches_kset_sums(evaluator, sets, p):
+    f, state = evaluator.evaluate(np.array([float(x) for x in p]))
+    f_exact = kset_f(sets, p)
+    assert abs(Fraction(f) - f_exact) <= Fraction(1e-12) * f_exact
+    # every component is a sum of nonnegative terms: a relative bound per entry
+    for got, want in zip(evaluator.gradient(state), kset_gradient(sets, p), strict=True):
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 
 
 @PROPERTY
@@ -53,18 +74,8 @@ def test_chains_match_exact_kset_sums(data):
     chains = _build_chains(IndepSetIndex(k, m, sets))
     assert chains is not None
     for _ in range(data.draw(st.integers(1, 3))):
-        # a point w / sum(w) with small integer weights, often with zeros
-        low = data.draw(st.sampled_from((0, 1)))
-        w = data.draw(st.lists(st.integers(low, 9), min_size=m, max_size=m).filter(any))
-        total = sum(w)
-        f, sweep = chains.evaluate(np.array(w, dtype=float) / total)
-        f_exact = Fraction(sum(prod(w[e] for e in s) for s in sets), total**k)
-        assert abs(Fraction(f) - f_exact) <= Fraction(1e-12) * f_exact
-        # every component is a sum of nonnegative terms: a relative bound per entry
-        for i, got in enumerate(chains.gradient(sweep)):
-            want = Fraction(sum(prod(w[e] for e in s if e != i) for s in sets if i in s),
-                            total ** (k - 1))
-            assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+        p = data.draw(weights(m))
+        assert_matches_kset_sums(chains, sets, p)
 
 
 @PROPERTY
@@ -72,19 +83,27 @@ def test_chains_match_exact_kset_sums(data):
 def test_elementary_matches_exact_subset_sums(data):
     m = data.draw(st.integers(1, 9))
     k = data.draw(st.integers(1, m))
-    low = data.draw(st.sampled_from((0, 1)))
-    w = data.draw(st.lists(st.integers(low, 9), min_size=m, max_size=m).filter(any))
-    total = sum(w)
-    sets = list(combinations(range(m), k))
-    evaluator = _Elementary(m, k)
-    f, state = evaluator.evaluate(np.array(w, dtype=float) / total)
-    f_exact = Fraction(sum(prod(w[e] for e in s) for s in sets), total**k)
-    assert abs(Fraction(f) - f_exact) <= Fraction(1e-12) * f_exact
-    # prefix and suffix tables add nonnegative terms only: a relative bound per entry
-    for i, got in enumerate(evaluator.gradient(state)):
-        want = Fraction(sum(prod(w[e] for e in s if e != i) for s in sets if i in s),
-                        total ** (k - 1))
-        assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+    assert_matches_kset_sums(_Elementary(m, k), list(combinations(range(m), k)),
+                             data.draw(weights(m)))
+
+
+@PROPERTY
+@given(st.data())
+def test_set_chains_match_exact_sums_on_any_support(data):
+    """Random K-subsets, most of them not the K-sets of a matroid."""
+    k = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(k, 8))
+    sets = data.draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
+                              min_size=1, max_size=12, unique=True))
+    idx = IndepSetIndex(k, m, sets)
+    points = data.draw(st.lists(weights(m), min_size=1, max_size=3))
+    w = centered(np.array([[float(x) for x in p] for p in points]))
+    f_u = kset_f(sets, [Fraction(1, m)] * m)
+    for evaluator in (_set_chains(idx), _chains(idx)):
+        for p in points:
+            assert_matches_kset_sums(evaluator, sets, p)
+        for p, gap in zip(points, evaluator.gaps(w), strict=True):
+            assert abs(Fraction(gap) - factorial(k) * (f_u - kset_f(sets, p))) <= 1e-12
 
 
 def test_free_truncations_ascend_on_ek_without_chains():
@@ -145,28 +164,20 @@ def test_chains_match_kset_evaluators(spec, k):
             x[rng.choice(idx.m, 3, replace=False)] = 0.0
         f, sweep = chains.evaluate(x)
         assert f == pytest.approx(eval_f(idx, x), rel=1e-13)
-        want = gradient_f(idx, x)
+        want = add_at_gradient(idx, x)
         assert np.allclose(chains.gradient(sweep), want, rtol=1e-13, atol=0)
 
 
-def test_non_matroid_support_falls_back_to_kset_sums(fano_idx, monkeypatch):
-    calls = []
-
-    def counting_gradient(idx, x):
-        calls.append(idx)
-        return gradient_f(idx, x)
-
-    monkeypatch.setattr(optimize, "gradient_f", counting_gradient)
+def test_non_matroid_support_gets_one_chain_per_set():
     idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
     assert _build_chains(idx) is None
-    result = maximize_F(idx, AscentConfig(max_iters=50,
-                                          start=Distribution([0.4, 0.3, 0.2, 0.1])))
-    assert _chains(idx) is None
+    start = Distribution([0.4, 0.3, 0.2, 0.1])
+    result = maximize_F(idx, AscentConfig(max_iters=50, start=start))
+    chains = _chains(idx)
+    assert isinstance(chains, _Chains) and chains.orderings == 1
+    assert [lv.src.size for lv in chains.levels] == [2, 2]
     assert result.value == 2 * eval_f(idx, result.p)
-    assert len(calls) == result.iterations + (result.stop_reason != "max_iters")
-    calls.clear()
-    maximize_F(fano_idx)  # a matroid: the ascent runs on the chains
-    assert calls == []
+    assert result.value > 2 * eval_f(idx, start)
 
 
 def test_chains_are_built_by_the_first_ascent_and_kept(fano_idx):

@@ -152,6 +152,19 @@ def test_identity_checks_are_deterministic(capsys, argv):
     assert run_json(capsys, *argv) == run_json(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("k2check", "--spec", '{"type":"projective","n":3,"q":3}', "--k", "2"),
+    ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3"),
+], ids=["k2check", "hesscheck"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_identity_checks_need_a_sample(capsys, argv, samples):
+    code, out, err = run_cli(capsys, *argv, "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"type": "ValidationError",
+                                        "message": "--samples must be >= 1"}
+
+
 def test_orbitavg_transitive_gives_uniform(capsys):
     gens = "[[1,0,2,3],[0,1,3,2],[2,3,0,1]]"
     report = run_json(capsys, "orbitavg", "--spec", PARALLEL_2, "--k", "2",

@@ -3,7 +3,7 @@
 Golden values pin the scan's argmin bit for bit and its minimum ratio to
 within 4 ulp, and every golden sample's gap is checked against exact
 rational arithmetic.  Property tests compare each of the evaluator's three
-paths (e_K on free truncations, the chains of flats, the K-set sums)
+builds (e_K on free truncations, the chains of flats, one chain per K-set)
 against exact rational arithmetic on random small linear matroids, check
 that neither the row blocking nor the scan's chunk size changes a bit of
 the output, and that memory does not grow with the batch.
@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
                               gaps_from_uniform, genpoly, stability_scan)
-from matroid_sampling.genpoly import _build_chains, _chains, _Elementary
+from conftest import centered, kset_f
+from matroid_sampling.genpoly import _build_chains, _chains, _Elementary, _set_chains
 from matroid_sampling.projective import _scan_samples
 from matroid_sampling.streams import trial_uniforms
 
@@ -129,7 +130,7 @@ def test_gaps_match_exact_rationals(data):
     gaps, norm2 = gaps_from_uniform(enumerate_independent_ksets(matroid, k),
                                     np.array([[float(x) for x in p] for p in points]))
     for p, gap, n2 in zip(points, gaps, norm2):
-        exact_gap = f_u - factorial(k) * sum(prod(p[e] for e in s) for s in sets)
+        exact_gap = f_u - factorial(k) * kset_f(sets, p)
         exact_norm2 = sum((x - Fraction(1, m)) ** 2 for x in p)
         assert abs(gap - float(exact_gap)) <= 1e-12
         assert abs(n2 - float(exact_norm2)) <= 1e-14
@@ -153,54 +154,6 @@ def test_scan_independent_of_chunk(data):
     assert parts.skipped == whole.skipped
 
 
-def centered(pts):
-    m = pts.shape[1]
-    w = pts * m - 1.0
-    return w - w.mean(axis=1, keepdims=True)
-
-
-def unblocked_gaps(idx, pts):
-    """The K-set path's arithmetic on whole (batch, n_sets) arrays, unblocked."""
-    m = idx.m
-    w = centered(pts)
-    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
-    linear = np.zeros((pts.shape[0], idx.n_sets))
-    higher = np.zeros_like(linear)
-    for j in range(idx.k):
-        wj = w[:, idx.sets[:, j]]
-        higher += (linear + higher) * wj
-        linear += wj
-    total = higher.sum(axis=1) + w @ (degrees - degrees.mean())
-    return -factorial(idx.k) * float(m) ** (-idx.k) * total
-
-
-def kset_index(matroid, k):
-    """The matroid's K-set index with its evaluator marked unavailable, so
-    that gaps_from_uniform takes the K-set path."""
-    idx = enumerate_independent_ksets(matroid, k)
-    idx._chains = False
-    return idx
-
-
-@PROPERTY
-@given(st.data())
-def test_gaps_independent_of_row_blocks(data):
-    matroid = data.draw(linear_matroids())
-    idx = kset_index(matroid, data.draw(st.integers(1, matroid.rank)))
-    batch = data.draw(st.integers(3, 40))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
-    pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
-    pts[0] = 1.0 / idx.m
-    want = unblocked_gaps(idx, pts)
-    ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
-    row = 8 * idx.n_sets
-    for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
-            gaps, _ = gaps_from_uniform(idx, pts)
-        assert np.array_equal(gaps, want)
-
-
 def with_loops(data, matroid, k):
     """The K-set index of a matroid with 0..2 loops placed among its elements."""
     m = matroid.m + data.draw(st.integers(0, 2))
@@ -211,8 +164,9 @@ def with_loops(data, matroid, k):
 
 
 def evaluators(idx):
-    """The chain evaluator, and the e_K one when every K-subset is a set."""
-    found = [_build_chains(idx)]
+    """The chains of flats, one chain per K-set, and e_K when every K-subset
+    is a set."""
+    found = [_build_chains(idx), _set_chains(idx)]
     if idx.n_sets == comb(idx.m, idx.k):
         found.append(_Elementary(idx.m, idx.k))
     return found
@@ -276,9 +230,37 @@ def test_chain_and_ek_gaps_independent_of_row_blocks(data):
         assert np.array_equal(results[0], results[2])
 
 
+@PROPERTY
+@given(st.data())
+def test_gaps_independent_of_row_blocks(data):
+    """gaps_from_uniform end to end on one chain per K-set, the route of a
+    non-matroid support: one row, a ragged last block and one block give
+    the same bits, and each agrees with exact rational arithmetic."""
+    matroid = data.draw(linear_matroids())
+    idx = enumerate_independent_ksets(matroid, data.draw(st.integers(1, matroid.rank)))
+    idx._chains = _set_chains(idx)
+    batch = data.draw(st.integers(3, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
+    pts[0] = 1.0 / idx.m
+    ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
+    row = 8 * idx.k * idx.n_sets  # the per-degree cover terms of the top level
+    results = []
+    for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
+            results.append(gaps_from_uniform(idx, pts)[0])
+    assert np.array_equal(results[0], results[1])
+    assert np.array_equal(results[0], results[2])
+    for w, gap in zip(centered(pts), results[0]):
+        exact, norm2 = exact_centered_gap(idx, w)
+        assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * max(abs(exact), norm2)
+
+
 def test_gaps_route_by_support():
-    """e_K on a free truncation, the chains on other matroids, and the K-set
-    sums, bit for bit as before the chains existed, on a non-matroid."""
+    """e_K on a free truncation, the chains of flats on other matroids, and
+    one chain per K-set on a non-matroid, bit for bit as the K-set sums gave
+    before the chains existed."""
     free = enumerate_independent_ksets(build_matroid(UniformSpec(3, 7)), 3)
     assert isinstance(_chains(free), _Elementary)
     fano = enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3)
@@ -286,8 +268,7 @@ def test_gaps_route_by_support():
     idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
     pts = np.array([[0.4, 0.3, 0.2, 0.1], [0.25] * 4, [1.0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]])
     gaps, norm2 = gaps_from_uniform(idx, pts)
-    assert _chains(idx) is None
-    assert np.array_equal(gaps, unblocked_gaps(idx, pts))
+    assert _chains(idx).orderings == 1
     assert [g.hex() for g in gaps] == ["-0x1.eb851eb851eb6p-6", "-0x0.0p+0", "0x1.0000000000000p-2",
                                        "-0x1.eb851eb851eb6p-6"]
     assert [n.hex() for n in norm2] == ["0x1.999999999999ap-5", "0x0.0p+0", "0x1.8000000000000p-1",

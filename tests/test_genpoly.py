@@ -7,10 +7,9 @@ import pytest
 from matroid_sampling import (Distribution, IndepSetIndex, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
-                              eval_F, eval_f, eval_h, gradient_f,
-                              hessian_f)
-from conftest import CountingMatroid, singer_cycle
-from matroid_sampling.genpoly import _midpoint_check
+                              eval_F, eval_f, eval_h, hessian_f)
+from conftest import CountingMatroid, add_at_gradient, singer_cycle
+from matroid_sampling.genpoly import _chains, _midpoint_check
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -77,6 +76,8 @@ def test_index_validation(fano_idx):
         IndepSetIndex(2, 4, [[0, 4]])  # out of range
     with pytest.raises(ValueError):
         IndepSetIndex(2, 4, [[0, 1], [0, 1]])  # duplicate
+    with pytest.raises(ValueError, match="at least one set"):
+        IndepSetIndex(2, 4, [])
 
 
 def test_eval_f_values(fano_idx, pg12_idx):
@@ -105,6 +106,12 @@ def test_dimension_mismatch(fano_idx):
         eval_f(fano_idx, np.ones(6))
     with pytest.raises(ValueError):
         eval_f(fano_idx, -np.ones(7))
+
+
+def gradient_f(idx, x):
+    """The gradient of f from the index's evaluator."""
+    evaluator = _chains(idx)
+    return evaluator.gradient(evaluator.evaluate(x)[1])
 
 
 def test_gradient_examples(fano_idx, pg12_idx):
@@ -147,20 +154,6 @@ def test_hessian_k1_is_zero():
     assert np.array_equal(hessian_f(idx, np.full(4, 0.25)), np.zeros((4, 4)))
 
 
-def add_at_gradient(idx, x):
-    """Prefix/suffix products scattered by np.add.at in row-major order."""
-    coords = x[idx.sets]
-    left = np.ones_like(coords)
-    right = np.ones_like(coords)
-    for j in range(1, idx.k):
-        left[:, j] = left[:, j - 1] * coords[:, j - 1]
-    for j in range(idx.k - 2, -1, -1):
-        right[:, j] = right[:, j + 1] * coords[:, j + 1]
-    grad = np.zeros(idx.m)
-    np.add.at(grad, idx.sets, left * right)
-    return grad
-
-
 def add_at_hessian(idx, x):
     """One np.add.at scatter per ordered column pair, pairs in row-major order."""
     coords = x[idx.sets]
@@ -182,7 +175,8 @@ def test_gradient_and_hessian_match_add_at(spec, k):
     boundary = rng.dirichlet(np.full(idx.m, 0.2))
     boundary[0] = 0.0
     for x in (rng.random(idx.m), boundary, np.full(idx.m, 1 / idx.m)):
-        assert np.array_equal(gradient_f(idx, x), add_at_gradient(idx, x))
+        # the evaluator sums in another order; each entry adds nonnegative terms
+        assert np.allclose(gradient_f(idx, x), add_at_gradient(idx, x), rtol=1e-13, atol=0)
         assert np.array_equal(hessian_f(idx, x), add_at_hessian(idx, x))
 
 

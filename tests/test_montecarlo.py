@@ -136,6 +136,9 @@ def test_input_validation(fano):
         estimate_F(fano, u, 0, 100)
     with pytest.raises(ValueError, match="n_trials must be >= 1, got 0"):
         estimate_F(fano, u, 2, 0)
+    for chunk in (0, -4):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            estimate_F(fano, u, 2, 100, chunk=chunk)
     with pytest.raises(ValueError, match="distribution length 6 != ground size 7"):
         estimate_F(fano, Distribution.uniform(6), 2, 100)
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):

@@ -232,6 +232,14 @@ def test_stability_scan_k2_identity(pg12_idx):
     assert not report.nonunique_maximizer_detected
 
 
+def test_stability_scan_validates_counts(fano_idx):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        stability_scan(fano_idx, n_samples=0)
+    for chunk in (0, -4):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            stability_scan(fano_idx, n_samples=100, chunk=chunk)
+
+
 def test_stability_scan_fano_positive(fano_idx):
     report = stability_scan(fano_idx, n_samples=10_000, seed=7)
     assert report.min_ratio > 0
