@@ -220,7 +220,9 @@ def cmd_scan(args) -> dict:
     scan = stability_scan(idx, n_samples=args.samples, seed=args.seed, mode=args.mode)
     report = {"spec": spec_to_json(spec), "k": args.k}
     report.update(scan.to_json())
-    if scan.nonunique_maximizer_detected:
+    if not scan.uniform_is_maximizer:
+        report["note"] = "uniform is not a maximizer (stability ratio negative)"
+    elif scan.nonunique_maximizer_detected:
         report["note"] = "nonunique maximizer detected (stability ratio near zero)"
     return report
 

@@ -97,6 +97,32 @@ def _rank_rows(rows, p: int) -> int:
     return rank
 
 
+def _independent_stacks(stacks: np.ndarray, p: int) -> np.ndarray:
+    """Per (t, n) matrix of a (B, t, n) stack of entries in [0, p): whether
+    its t rows are linearly independent over F_p.
+
+    All B eliminations run at once.  Row i is reduced against the reduced
+    rows 0..i-1 in order, each of which is zero in the pivot columns (first
+    nonzero columns) of the rows before it: r <- lead * r - r[col] * row
+    with lead = row[col] != 0 clears column col without division, and the
+    set is dependent as soon as some row reduces to zero.  Entries stay
+    below p**2 < 2**32 before each reduction mod p.
+    """
+    batch, t, _ = stacks.shape
+    at = np.arange(batch)
+    independent = np.ones(batch, dtype=bool)
+    reduced = []  # (row, pivot column, entry there) per row so far
+    for i in range(t):
+        row = stacks[:, i]
+        for prow, col, lead in reduced:
+            row = (lead * row - row[at, col, None] * prow) % p
+        nonzero = row != 0
+        independent &= nonzero.any(axis=1)
+        col = nonzero.argmax(axis=1)
+        reduced.append((row, col, row[at, col, None]))
+    return independent
+
+
 def rank_over_fp(mat: FieldMatrix) -> int:
     """Rank of ``mat`` over its prime field."""
     return _rank_rows(mat.entries.tolist(), mat.field.p)

@@ -2,8 +2,11 @@
 
 The polynomial is represented by the explicit list of its monomials, i.e.
 the independent K-sets, enumerated once per (matroid, K) pair and cached in
-an :class:`IndepSetIndex`.  :func:`eval_f` and :func:`hessian_f` sum over
-that support.
+an :class:`IndepSetIndex`.  :func:`enumerate_independent_ksets` grows them
+level by level, from the independent t-sets to the (t+1)-sets, and decides
+each level's candidates in blocks with one call of the matroid's batch
+oracle (:meth:`~matroid_sampling.matroids.Matroid.independent_rows`) per
+block.  :func:`eval_f` and :func:`hessian_f` sum over that support.
 
 The ascent (:func:`~matroid_sampling.optimize.maximize_F`) and the batched
 gap F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
@@ -121,13 +124,20 @@ class IndepSetIndex:
 
 def enumerate_independent_ksets(matroid: Matroid, k: int,
                                 cap: int = DEFAULT_ENUM_CAP) -> IndepSetIndex:
-    """Enumerate { S independent : |S| = k } by depth-first prefix extension.
+    """Enumerate { S independent : |S| = k } level by level.
 
-    Prefixes are grown in increasing index order and pruned via downward
-    closure (a dependent prefix has no independent superset).  Raises when
-    k is outside [1, rank] or when the count exceeds ``cap``; a count known
-    in closed form (:func:`~matroid_sampling.matroids.independent_count`) is
-    checked before the search starts.
+    Level t holds the independent t-sets that leave room for k - t larger
+    elements, as increasing rows in lexicographic order.  Level t + 1
+    appends to each row every such element above its last and keeps the
+    candidates that :meth:`~matroid_sampling.matroids.Matroid.independent_rows`
+    accepts; no independent set is lost, since each of its prefixes is
+    independent (downward closure).  Candidates reach the batch oracle in
+    blocks of at most _BUILD_BLOCK (candidate, element) entries, so
+    working memory beyond the levels themselves does not grow with their
+    size.  Raises when k is outside [1, rank] or when the count exceeds
+    ``cap``; a count known in closed form
+    (:func:`~matroid_sampling.matroids.independent_count`) is checked
+    before the search starts.
     """
     if k < 1 or k > matroid.rank:
         raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
@@ -135,25 +145,29 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
     known = independent_count(matroid.spec, k)
     if known is not None and known > cap:
         raise ValueError(f"enumeration exceeds cap of {cap} sets")
-    out: list[tuple] = []
-    prefix: list[int] = []
-
-    def extend(start: int):
-        if len(prefix) == k:
-            if len(out) >= cap:
+    level = np.empty((1, 0), dtype=np.int64)  # the empty set
+    for t in range(k):
+        # candidates e leave room for the k - t - 1 elements after them: e <= m - k + t
+        first = level[:, -1] + 1 if t else np.zeros(1, dtype=np.int64)
+        counts = np.maximum(m - k + t + 1 - first, 0)
+        ends = np.cumsum(counts)
+        shift = first - ends + counts  # candidate c of parent i appends c + shift[i]
+        total, rows = int(counts.sum()), max(1, _BUILD_BLOCK // (t + 1))
+        kept, found = [np.empty((0, t + 1), dtype=np.int64)], 0
+        for start in range(0, total, rows):
+            cand = np.arange(start, min(start + rows, total))
+            parent = np.searchsorted(ends, cand, side="right")
+            block = np.empty((cand.size, t + 1), dtype=np.int64)
+            block[:, :t] = level[parent]
+            block[:, t] = cand + shift[parent]
+            block = block[matroid.independent_rows(block)]
+            found += block.shape[0]
+            if t + 1 == k and found > cap:
                 raise ValueError(f"enumeration exceeds cap of {cap} sets")
-            out.append(tuple(prefix))
-            return
-        # leave room for the remaining k - len(prefix) - 1 elements
-        for e in range(start, m - (k - len(prefix)) + 1):
-            prefix.append(e)
-            if matroid.is_independent(prefix):
-                extend(e + 1)
-            prefix.pop()
-
-    extend(0)
-    arr = np.array(out, dtype=np.int64).reshape(len(out), k)
-    return IndepSetIndex(k, m, arr)
+            kept.append(block)
+        level = np.concatenate(kept)
+        del kept  # no second copy of the K-sets while the index sorts them
+    return IndepSetIndex(k, m, level)
 
 
 def as_point(x, m: int) -> np.ndarray:
@@ -245,7 +259,7 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
 
 
 _CHECK_PRIME = 2**31 - 1  # modulus of the exact check; products of residues fit in int64
-_BUILD_BLOCK = 16384      # (candidate, element) lookups per block of the chain build
+_BUILD_BLOCK = 16384      # (candidate, element) entries per block of enumeration and chain build
 
 
 class _Level(NamedTuple):

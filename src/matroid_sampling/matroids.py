@@ -11,10 +11,16 @@ Concrete families:
 * explicit size-k layers, where the user supplies the independent k-sets
   directly and the oracle answers only for subsets of size <= k.
 
+Besides the scalar oracle, every matroid answers a batch of same-size sets
+at once with :meth:`Matroid.independent_rows`: one vectorized elimination
+over F_q for the linear and projective families, a closed form for the
+uniform and parallel-class ones, and the scalar oracle in a loop for
+explicit layers.
+
 Matroids are immutable after construction and oracle calls are pure, so
-instances can be shared freely across threads.  The F_q-rank oracle of
-the linear and projective families remembers its answers in a memo of at
-most ``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
+instances can be shared freely across threads.  The scalar F_q-rank oracle
+of the linear and projective families remembers its answers in a memo of
+at most ``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .fields import PrimeField, _rank_rows, projective_points
+from .fields import PrimeField, _independent_stacks, _rank_rows, projective_points
 
 ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
 _COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
@@ -68,10 +74,13 @@ _SPEC_TYPES = {"uniform": UniformSpec, "linear": LinearSpec, "projective": Proje
 
 
 class Matroid:
-    """Ground-set size, independence oracle, and rank.
+    """Ground-set size, independence oracle, batch oracle, and rank.
 
     The ground set is 0..m-1, and ``oracle`` receives a sorted tuple of
-    distinct element indices.
+    distinct element indices.  ``rows_oracle``, when given, receives a
+    validated (B, t) int64 array of strictly increasing rows and answers
+    all of them in one bool array (see :meth:`independent_rows`); without
+    it the batch loops over ``oracle``.
     Rank is computed once by greedy extension, which is correct for matroids
     by the greedy property; it and the pruning of the K-set enumeration (a
     dependent prefix has no independent superset) are all that rely on the
@@ -87,13 +96,14 @@ class Matroid:
     makes it, and a lost write only costs a recomputation.
     """
 
-    def __init__(self, m: int, spec: MatroidSpec, oracle, name: str):
+    def __init__(self, m: int, spec: MatroidSpec, oracle, name: str, rows_oracle=None):
         if m < 1:
             raise ValueError(f"ground set must have at least one element, got m={m}")
         self.m = m
         self.spec = spec
         self.name = name
         self._oracle = oracle
+        self._rows_oracle = rows_oracle
         self.rank = self.subset_rank(range(m))
 
     def _normalize(self, subset) -> tuple:
@@ -114,6 +124,21 @@ class Matroid:
                 if last < self.m:
                     return bool(self._oracle(tuple(subset)))
         return bool(self._oracle(self._normalize(subset)))
+
+    def independent_rows(self, rows) -> np.ndarray:
+        """Independence of each row of a (B, t) integer array whose rows
+        are strictly increasing elements of the ground set, as a length-B
+        bool array; row i agrees with ``is_independent(rows[i])``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must form a (B, t) array, got shape {rows.shape}")
+        if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= self.m
+                          or np.any(rows[:, 1:] <= rows[:, :-1])):
+            raise ValueError(f"rows must list strictly increasing elements of [0, {self.m})")
+        if self._rows_oracle is None:
+            return np.fromiter(map(self._oracle, map(tuple, rows.tolist())), dtype=bool,
+                               count=rows.shape[0])
+        return self._rows_oracle(rows)
 
     def subset_rank(self, subset) -> int:
         """Rank of a subset: size of a maximal independent subset, greedily."""
@@ -193,6 +218,18 @@ def _vector_oracle(vectors, q: int, dim: int):
     return _memoized(oracle, len(vectors), dim)
 
 
+def _vector_rows(vectors, q: int, dim: int):
+    table = np.array(vectors, dtype=np.int64)
+
+    def rows_oracle(rows: np.ndarray) -> np.ndarray:
+        t = rows.shape[1]
+        if t <= 1 or t > dim:
+            return np.full(rows.shape[0], t <= 1)
+        return _independent_stacks(table[rows], q)
+
+    return rows_oracle
+
+
 def build_matroid(spec: MatroidSpec) -> Matroid:
     """Instantiate a matroid family from its spec.
 
@@ -205,14 +242,15 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             raise ValueError("uniform matroid needs n >= 1")
         r = spec.r
         return Matroid(spec.n, spec, lambda s: len(s) <= r,
-                       f"uniform(r={spec.r},n={spec.n})")
+                       f"uniform(r={spec.r},n={spec.n})",
+                       lambda rows: np.full(rows.shape[0], rows.shape[1] <= r))
 
     if isinstance(spec, LinearSpec):
         field = PrimeField(spec.q)
         cols, dim = _validate_columns(spec.columns, field.p)
         spec = LinearSpec(field.p, cols)
         return Matroid(len(cols), spec, _vector_oracle(cols, field.p, dim),
-                       f"linear(q={field.p},m={len(cols)})")
+                       f"linear(q={field.p},m={len(cols)})", _vector_rows(cols, field.p, dim))
 
     if isinstance(spec, ProjectiveSpec):
         if spec.n < 1:
@@ -220,7 +258,7 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
         field = PrimeField(spec.q)
         pts = projective_points(spec.n, field.p)
         return Matroid(len(pts), spec, _vector_oracle(pts, field.p, spec.n),
-                       f"projective(n={spec.n},q={field.p})")
+                       f"projective(n={spec.n},q={field.p})", _vector_rows(pts, field.p, spec.n))
 
     if isinstance(spec, ParallelClassesSpec):
         mpc = spec.m_per_class
@@ -234,7 +272,13 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
                 return (s[0] < mpc) != (s[1] < mpc)
             return False
 
-        return Matroid(2 * mpc, spec, oracle, f"parallel_classes(m={mpc})")
+        def rows_oracle(rows: np.ndarray) -> np.ndarray:
+            t = rows.shape[1]
+            if t == 2:  # sorted rows: a cross pair has its first element in class 0
+                return (rows[:, 0] < mpc) & (rows[:, 1] >= mpc)
+            return np.full(rows.shape[0], t <= 1)
+
+        return Matroid(2 * mpc, spec, oracle, f"parallel_classes(m={mpc})", rows_oracle)
 
     if isinstance(spec, ExplicitSpec):
         if spec.ground_size < 1:

@@ -180,8 +180,18 @@ class StabilityScanReport:
     mode: str
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
-    nonunique_maximizer_detected: bool
     skipped: int
+
+    @property
+    def uniform_is_maximizer(self) -> bool:
+        """No sample lies more than the threshold below uniform in R."""
+        return self.min_ratio >= -NONUNIQUE_RATIO_THRESHOLD
+
+    @property
+    def nonunique_maximizer_detected(self) -> bool:
+        """The minimum ratio is zero within the threshold: uniform is a
+        maximizer and some direction leaves F flat to second order."""
+        return abs(self.min_ratio) < NONUNIQUE_RATIO_THRESHOLD
 
     def to_json(self) -> dict:
         return {
@@ -192,6 +202,7 @@ class StabilityScanReport:
             "mode": self.mode,
             "histogram": {"counts": self.histogram_counts.tolist(),
                           "edges": self.histogram_edges.tolist()},
+            "uniform_is_maximizer": self.uniform_is_maximizer,
             "nonunique_maximizer_detected": self.nonunique_maximizer_detected,
             "skipped": self.skipped,
         }
@@ -227,9 +238,10 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
                    mode: str = "dirichlet", chunk: int = 4096) -> StabilityScanReport:
     """Scan the stability ratio R over random simplex points.
 
-    Reports the minimum ratio and its argmin; a minimum below 1e-6 flags a
-    (numerically) non-unique maximizer, as happens for the parallel-class
-    matroid where the maximizer set is a whole manifold.  Results depend
+    Reports the minimum ratio and its argmin.  A minimum within 1e-6 of
+    zero flags a (numerically) non-unique maximizer, as happens for the
+    parallel-class matroid where the maximizer set is a whole manifold; one
+    below -1e-6 means uniform is not a maximizer at all.  Results depend
     only on (seed, n_samples, mode), not on the chunking.
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
@@ -276,6 +288,5 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
         mode=mode,
         histogram_counts=counts,
         histogram_edges=edges,
-        nonunique_maximizer_detected=bool(best_ratio < NONUNIQUE_RATIO_THRESHOLD),
         skipped=skipped,
     )

@@ -80,7 +80,8 @@ def add_at_gradient(idx, x):
 
 class CountingMatroid:
     """Forwards everything to a matroid and records each ``is_independent``
-    query as a sorted tuple."""
+    query, and each row of each ``independent_rows`` batch, as a sorted
+    tuple."""
 
     def __init__(self, matroid):
         self._matroid = matroid
@@ -92,6 +93,10 @@ class CountingMatroid:
     def is_independent(self, subset) -> bool:
         self.queries.append(tuple(sorted(int(e) for e in subset)))
         return self._matroid.is_independent(subset)
+
+    def independent_rows(self, rows):
+        self.queries.extend(map(tuple, np.asarray(rows).tolist()))
+        return self._matroid.independent_rows(rows)
 
 
 def symmetric_group_gens(m):

@@ -102,7 +102,16 @@ def test_scan_flags_nonunique(capsys):
     report = run_json(capsys, "scan", "--spec", PARALLEL_2, "--k", "2",
                       "--samples", "5000", "--seed", "7")
     assert report["nonunique_maximizer_detected"] is True
+    assert report["uniform_is_maximizer"] is True
     assert "nonunique" in report["note"]
+
+
+def test_scan_notes_uniform_not_a_maximizer(capsys):
+    layer = '{"type":"explicit","ground_size":4,"k":2,"sets":[[0,1],[2,3]]}'
+    report = run_json(capsys, "scan", "--spec", layer, "--k", "2", "--samples", "2000")
+    assert report["uniform_is_maximizer"] is False
+    assert report["nonunique_maximizer_detected"] is False
+    assert report["note"] == "uniform is not a maximizer (stability ratio negative)"
 
 
 def test_scan_projective_positive(capsys):

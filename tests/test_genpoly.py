@@ -1,11 +1,13 @@
+import tracemalloc
 from itertools import combinations
 from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from matroid_sampling import (Distribution, IndepSetIndex, ParallelClassesSpec,
-                              ProjectiveSpec, UniformSpec, build_matroid,
+from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearSpec,
+                              ParallelClassesSpec, ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
                               eval_F, eval_f, eval_h, hessian_f)
 from conftest import CountingMatroid, add_at_gradient, singer_cycle
@@ -13,15 +15,92 @@ from matroid_sampling.genpoly import _chains, _midpoint_check
 from matroid_sampling.symmetry import apply_to_distribution
 
 
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
 def brute_force_ksets(matroid, k):
     return sorted(s for s in combinations(range(matroid.m), k)
                   if matroid.is_independent(s))
 
 
-def test_enumeration_matches_brute_force(fano, pg12, parallel2):
-    for matroid, k in [(fano, 3), (fano, 2), (pg12, 2), (parallel2, 2)]:
-        idx = enumerate_independent_ksets(matroid, k)
-        assert [tuple(s) for s in idx.sets.tolist()] == brute_force_ksets(matroid, k)
+@st.composite
+def enumeration_cases(draw):
+    """(matroid, K) with 1 <= K <= rank: a linear matroid over F_2, F_3 or
+    F_5 with some columns repeated (parallel elements), a small projective
+    geometry, a uniform or parallel-class matroid, or an explicit layer,
+    whose rank is at most its k."""
+    kind = draw(st.sampled_from(("linear", "projective", "uniform", "parallel", "explicit")))
+    if kind == "linear":
+        q = draw(st.sampled_from((2, 3, 5)))
+        dim = draw(st.integers(1, 4))
+        column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
+        columns = draw(st.lists(column, min_size=1, max_size=5))
+        columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+        spec = LinearSpec(q, tuple(draw(st.permutations(columns))))
+    elif kind == "projective":
+        spec = ProjectiveSpec(*draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])))
+    elif kind == "uniform":
+        n = draw(st.integers(1, 8))
+        spec = UniformSpec(draw(st.integers(1, n)), n)
+    elif kind == "parallel":
+        spec = ParallelClassesSpec(draw(st.integers(1, 4)))
+    else:
+        m = draw(st.integers(1, 8))
+        k = draw(st.integers(1, m))
+        layer = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+        spec = ExplicitSpec(m, k, tuple(map(tuple, draw(st.lists(layer, min_size=1, max_size=6)))))
+    matroid = build_matroid(spec)
+    return matroid, draw(st.integers(1, matroid.rank))
+
+
+@PROPERTY
+@given(enumeration_cases())
+@example((build_matroid(ProjectiveSpec(3, 2)), 3))
+@example((build_matroid(ProjectiveSpec(3, 2)), 2))
+@example((build_matroid(ProjectiveSpec(2, 2)), 2))
+@example((build_matroid(ParallelClassesSpec(2)), 2))
+def test_enumeration_matches_brute_force(case):
+    matroid, k = case
+    idx = enumerate_independent_ksets(matroid, k)
+    assert [tuple(s) for s in idx.sets.tolist()] == brute_force_ksets(matroid, k)
+    # the batch oracle agrees with the scalar one on every set, up to one past the rank
+    for t in range(min(matroid.m, matroid.rank + 1) + 1):
+        subsets = list(combinations(range(matroid.m), t))
+        rows = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
+        assert matroid.independent_rows(rows).tolist() == [matroid.is_independent(s)
+                                                            for s in subsets]
+
+
+@pytest.mark.parametrize("spec,k", [
+    (ProjectiveSpec(4, 2), 3),
+    (LinearSpec(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0), (0, 0, 1), (2, 1, 1))), 3),
+    (UniformSpec(4, 9), 4),
+    (ParallelClassesSpec(3), 2),
+])
+def test_enumeration_asks_only_the_batch_oracle(spec, k):
+    matroid = build_matroid(spec)
+    expected = brute_force_ksets(matroid, k)
+
+    def scalar(s):
+        raise AssertionError(f"scalar oracle asked about {s}")
+
+    matroid._oracle = scalar
+    idx = enumerate_independent_ksets(matroid, k)
+    assert [tuple(s) for s in idx.sets.tolist()] == expected
+
+
+def test_enumeration_memory_on_pg_4_2():
+    matroid = build_matroid(ProjectiveSpec(5, 2))
+    tracemalloc.start()
+    try:
+        idx = enumerate_independent_ksets(matroid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.n_sets == 26_040  # 833 kB of int64
+    # the last level, the index's validated and sorted copies, and candidate
+    # blocks of 16,384 (candidate, element) entries, whose F_2 stacks take 655 kB
+    assert peak < 4 * idx.sets.nbytes
 
 
 def test_enumeration_counts(fano_idx, pg12_idx, parallel2_idx):

@@ -78,6 +78,16 @@ def test_element_out_of_range(fano):
         fano.is_independent((-1,))
 
 
+def test_independent_rows_validates_rows(fano):
+    assert fano.independent_rows(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+    assert fano.independent_rows(np.empty((2, 0), dtype=np.int64)).tolist() == [True, True]
+    with pytest.raises(ValueError, match="shape"):
+        fano.independent_rows([0, 1, 2])
+    for bad in ([[0, 7]], [[-1, 2]], [[2, 1]], [[0, 1], [3, 3]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fano.independent_rows(bad)
+
+
 def test_is_independent_sees_each_input_as_its_sorted_set():
     fano = build_matroid(ProjectiveSpec(3, 2))
     seen = []

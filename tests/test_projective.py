@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from matroid_sampling import (Distribution, PGParams,
+from matroid_sampling import (Distribution, ExplicitSpec, PGParams,
                               ProjectiveSpec, VectorDistribution, b2_count,
                               b2_explicit, build_matroid,
                               enumerate_independent_ksets, eval_F,
@@ -244,13 +244,25 @@ def test_stability_scan_fano_positive(fano_idx):
     report = stability_scan(fano_idx, n_samples=10_000, seed=7)
     assert report.min_ratio > 0
     assert not report.nonunique_maximizer_detected
+    assert report.uniform_is_maximizer
     assert report.histogram_counts.sum() == 10_000 - report.skipped
 
 
 def test_stability_scan_flags_nonunique_maximizer(parallel2_idx):
     report = stability_scan(parallel2_idx, n_samples=10_000, seed=7)
-    assert report.min_ratio < 1e-6
+    assert 0 <= report.min_ratio < 1e-6
     assert report.nonunique_maximizer_detected
+    assert report.uniform_is_maximizer
+
+
+def test_stability_scan_flags_uniform_not_a_maximizer():
+    # the layer {01, 23} is not a matroid: F(u) = 1/4 < F(1/2, 1/2, 0, 0) = 1/2
+    layer = build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3))))
+    report = stability_scan(enumerate_independent_ksets(layer, 2), n_samples=10_000, seed=7)
+    assert report.min_ratio < -0.9
+    assert not report.uniform_is_maximizer
+    assert not report.nonunique_maximizer_detected
+    assert report.to_json()["uniform_is_maximizer"] is False
 
 
 def test_stability_scan_deterministic_and_chunk_independent(fano_idx):
@@ -272,6 +284,6 @@ def test_scan_report_serializes(fano_idx):
     report = stability_scan(fano_idx, n_samples=100, seed=1)
     data = report.to_json()
     assert set(data) >= {"min_R", "argmin", "n_samples", "seed", "histogram",
-                         "nonunique_maximizer_detected"}
+                         "uniform_is_maximizer", "nonunique_maximizer_detected"}
     assert len(data["histogram"]["counts"]) == HISTOGRAM_BINS
     assert len(data["histogram"]["edges"]) == HISTOGRAM_BINS + 1
