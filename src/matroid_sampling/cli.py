@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("optimize", help="maximize F over the simplex by multiplicative ascent")
     _add_common(sub, dist=True, tol=1e-10)
-    sub.add_argument("--step", type=float, default=0.5)
+    sub.add_argument("--step", type=float, default=0.5,
+                     help="first step, and the fallback when the curvature estimate is not positive")
     sub.add_argument("--iters", type=int, default=10_000)
     sub.set_defaults(handler=cmd_optimize)
 

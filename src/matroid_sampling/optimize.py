@@ -2,9 +2,11 @@
 
 The ascent works on log f with multiplicative (exponentiated-gradient)
 updates, which keep iterates strictly inside the simplex; log f is concave
-there because the K-th root of f is concave and positive.  The step is
-halved whenever a trial step would decrease the objective and reset to its
-configured value on acceptance, so no smoothness constant is needed.
+there because the K-th root of f is concave and positive.  Each trial step
+is the spectral (Barzilai-Borwein) step, the last step scaled by the
+curvature seen between the last two gradients, and is halved whenever the
+trial point would decrease the objective or underflow a coordinate to 0,
+so no smoothness constant is needed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class AscentResult:
     iterations: int
     stop_reason: str  # "gradient", "plateau" or "max_iters"
     halvings: int  # step halvings summed over all iterations
+    evaluations: int  # f sweeps: the start and every trial point evaluated
     trajectory: np.ndarray = field(repr=False)
 
     @property
@@ -59,6 +62,7 @@ class AscentResult:
             "converged": self.converged,
             "stop_reason": self.stop_reason,
             "halvings": self.halvings,
+            "evaluations": self.evaluations,
             "trajectory": self.trajectory.tolist(),
         }
 
@@ -69,13 +73,17 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
 
     Each step multiplies the coordinates by exp(step * d log f) and
     renormalizes (a constant gradient shift cancels, so the largest entry
-    is subtracted before exponentiating for stability).  Terminates when
-    the simplex-projected gradient of log f has sup-norm at most tol_grad
-    (stop_reason "gradient", the only case reported as converged), when
-    backtracking bottoms out before the gradient test passes ("plateau"),
-    or at max_iters ("max_iters").  An accepted iterate never lowers F by
-    more than the relative DECREASE_TOL (1e-12) of its current value, so a
-    step to F = 0 is never taken.
+    is subtracted before exponentiating for stability).  The first trial
+    step is ``config.step_size``; after a step s is accepted with projected
+    gradient g changing by dg, the next trial step is s |g|^2 / -<g, dg>,
+    or ``step_size`` again when that curvature is not positive.  A trial
+    point that lowers F by more than the relative DECREASE_TOL (1e-12) of
+    its current value, or underflows a coordinate to 0, is rejected and
+    the step halved, so iterates stay strictly inside the simplex.
+    Terminates when the simplex-projected gradient of log f has sup-norm
+    at most tol_grad (stop_reason "gradient", the only case reported as
+    converged), when backtracking bottoms out before the gradient test
+    passes ("plateau"), or at max_iters ("max_iters").
 
     f and its gradient come from the index's cached evaluator (see
     :mod:`~matroid_sampling.genpoly`).
@@ -95,34 +103,41 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     stop_reason = "max_iters"
     halvings = 0
     iterations = 0
+    evaluations = 1
+    grad_log = evaluator.gradient(state) / f
+    step = cfg.step_size
     while iterations < cfg.max_iters:
-        grad_log = evaluator.gradient(state) / f
         projected = grad_log - grad_log.mean()
         if np.max(np.abs(projected)) <= cfg.tol_grad:
             stop_reason = "gradient"
             break
-        step = cfg.step_size
-        accepted = False
         while step >= MIN_STEP:
             y = x * np.exp(step * (grad_log - grad_log.max()))
-            total = y.sum()
-            # a long step can underflow every coordinate, and a non-finite
-            # gradient gives NaNs: reject such a trial point like a decrease
-            if total > 0:
-                y /= total
+            # a long step can underflow a coordinate, after which no
+            # multiplicative step brings it back, and a non-finite gradient
+            # gives NaNs: reject such a trial point like a decrease
+            if np.all(y > 0):
+                y /= y.sum()
                 fy, state_y = evaluator.evaluate(y)
+                evaluations += 1
                 if fy >= f * (1.0 - DECREASE_TOL):
-                    x, f, state = y, fy, state_y
-                    trajectory.append(kfact * f)
-                    accepted = True
                     break
             step /= 2.0
             halvings += 1
-        if not accepted:
+        else:
             # no step of any size improves: numerical plateau
             stop_reason = "plateau"
             break
+        x, f, state = y, fy, state_y
+        trajectory.append(kfact * f)
         iterations += 1
+        grad_next = evaluator.gradient(state) / f
+        # <projected, d grad_log> equals <projected, d projected>: projected sums to 0
+        curvature = -float(projected @ (grad_next - grad_log))
+        step = step * float(projected @ projected) / curvature if curvature > 0 else 0.0
+        if not MIN_STEP <= step < np.inf:
+            step = cfg.step_size
+        grad_log = grad_next
 
     # report F as eval_F computes it at the returned point, so that the
     # result round-trips through eval to the last bit
@@ -134,6 +149,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
         iterations=iterations,
         stop_reason=stop_reason,
         halvings=halvings,
+        evaluations=evaluations,
         trajectory=np.asarray(trajectory),
     )
 

@@ -2,8 +2,9 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from matroid_sampling import (FieldMatrix, ParallelClassesSpec, Permutation,
+from matroid_sampling import (FieldMatrix, LinearSpec, ParallelClassesSpec, Permutation,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               PrimeField, enumerate_independent_ksets,
                               pgl_point_permutation, rank_over_fp)
@@ -43,6 +44,18 @@ def parallel2_idx(parallel2):
 @pytest.fixture(scope="session")
 def uniform25():
     return build_matroid(UniformSpec(2, 5))
+
+
+@st.composite
+def linear_matroids(draw, fields=(2, 3), max_dim=3, min_size=2, max_size=7):
+    """A linear matroid over one of the prime ``fields`` on
+    min_size..max_size nonzero columns of length 1..max_dim; repeated
+    columns are parallel elements."""
+    q = draw(st.sampled_from(fields))
+    dim = draw(st.integers(1, max_dim))
+    column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
+    columns = draw(st.lists(column, min_size=min_size, max_size=max_size))
+    return build_matroid(LinearSpec(q, tuple(columns)))
 
 
 def centered(pts):

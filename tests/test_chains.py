@@ -23,25 +23,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_at_gradient, centered, kset_f, kset_gradient
+from conftest import add_at_gradient, centered, kset_f, kset_gradient, linear_matroids
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
-                              LinearSpec, PGParams, ProjectiveSpec, UniformSpec,
+                              PGParams, ProjectiveSpec, UniformSpec,
                               build_matroid, enumerate_independent_ksets, eval_f,
                               gaps_from_uniform, maximize_F, uniform_optimum)
 from matroid_sampling.genpoly import (_build_chains, _chains, _Chains, _Elementary,
                                       _set_chains)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def linear_matroids(draw):
-    """A linear matroid over F_2, F_3 or F_5 on 1..8 nonzero columns of
-    length 1..4; repeated columns (parallel elements) allowed."""
-    q = draw(st.sampled_from((2, 3, 5)))
-    dim = draw(st.integers(1, 4))
-    column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
-    return build_matroid(LinearSpec(q, tuple(draw(st.lists(column, min_size=1, max_size=8)))))
 
 
 @st.composite
@@ -64,7 +54,7 @@ def assert_matches_kset_sums(evaluator, sets, p):
 @PROPERTY
 @given(st.data())
 def test_chains_match_exact_kset_sums(data):
-    matroid = data.draw(linear_matroids())
+    matroid = data.draw(linear_matroids(fields=(2, 3, 5), max_dim=4, min_size=1, max_size=8))
     k = data.draw(st.integers(1, matroid.rank))
     # loops: ground elements in no independent set, placed among the others
     m = matroid.m + data.draw(st.integers(0, 2))

@@ -81,6 +81,10 @@ def test_optimize_round_trips_through_eval(capsys):
     assert report["converged"]
     assert report["stop_reason"] == "gradient"
     assert isinstance(report["halvings"], int)
+    # one f sweep at the start and one per accepted step; a halved trial
+    # adds one more unless it was rejected before evaluation
+    assert (report["iterations"] + 1 <= report["evaluations"]
+            <= report["iterations"] + 1 + report["halvings"])
     assert report["F"] == pytest.approx(0.5, abs=1e-10)
     # feeding the emitted distribution back reproduces F to the last ulp
     emitted = json.dumps(report["p"])

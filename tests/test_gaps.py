@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
+from matroid_sampling import (ExplicitSpec, IndepSetIndex, ProjectiveSpec,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
                               gaps_from_uniform, genpoly, stability_scan)
-from conftest import centered, kset_f
+from conftest import centered, kset_f, linear_matroids
 from matroid_sampling.genpoly import _build_chains, _chains, _Elementary, _set_chains
 from matroid_sampling.projective import _scan_samples
 from matroid_sampling.streams import trial_uniforms
@@ -88,18 +88,6 @@ def test_gaps_shape_validated(fano_idx):
         gaps_from_uniform(fano_idx, np.full(7, 1 / 7))
     with pytest.raises(ValueError, match="shape"):
         gaps_from_uniform(fano_idx, np.full((2, 6), 1 / 6))
-
-
-@st.composite
-def linear_matroids(draw, fields=(2, 3), max_dim=3, min_size=2):
-    """A linear matroid over one of the prime ``fields`` on min_size..7
-    nonzero columns of length 1..max_dim; repeated columns are parallel
-    elements."""
-    q = draw(st.sampled_from(fields))
-    dim = draw(st.integers(1, max_dim))
-    column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
-    columns = draw(st.lists(column, min_size=min_size, max_size=7))
-    return build_matroid(LinearSpec(q, tuple(columns)))
 
 
 @st.composite

@@ -1,12 +1,16 @@
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec,
+from conftest import linear_matroids
+from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, PGParams,
                               ParallelClassesSpec, ProjectiveSpec, UniformSpec,
                               build_matroid, enumerate_independent_ksets, eval_F,
-                              maximize_F, optimality_gap)
+                              maximize_F, optimality_gap, optimize, uniform_optimum)
 
 
 def random_interior(m, rng):
@@ -123,21 +127,96 @@ def test_plateau_is_not_converged():
     assert result.iterations == 0
     assert result.halvings == 59  # 0.5 / 2**59 < MIN_STEP = 1e-18 <= 0.5 / 2**58
     assert result.to_json()["halvings"] == 59
+    assert result.evaluations == 1  # no trial point reached the evaluator
 
 
 def test_underflowing_step_is_rejected():
-    # the second full step underflows every coordinate to 0; it is halved
-    # like a decreasing step instead of reaching eval_f as NaNs
+    # full steps from this start underflow coordinates to exactly 0, from
+    # where no multiplicative step brings them back (an ascent that took them
+    # ended on a face at F = 3/8); they are halved like decreasing steps, so
+    # the ascent stays inside the simplex and reaches the optimum 5/9
     idx = enumerate_independent_ksets(build_matroid(UniformSpec(3, 6)), 3)
     p = np.array([3e-8, 0.0, 1e-15, 8e-4, 3e-8, 1e-8])
     p[1] = 1.0 - p.sum()
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NaN or division by zero on the way
         result = maximize_F(idx, AscentConfig(start=Distribution(p), max_iters=50))
-    assert result.stop_reason == "max_iters"
-    assert not result.converged
+    assert result.stop_reason == "gradient"
+    assert abs(result.value - 5 / 9) <= 1e-12
     assert result.halvings > 0
     assert np.all(np.isfinite(result.p.probs))
+    assert np.min(result.p.probs) > 0
     assert np.all(np.diff(result.trajectory) >= -1e-12)
+
+
+@pytest.mark.parametrize("spec,k,optimum", [
+    (ProjectiveSpec(5, 2), 4, uniform_optimum(PGParams(5, 2, 4))),
+    (UniformSpec(4, 30), 4, Fraction(30 * 29 * 28 * 27, 30**4)),
+])
+def test_spectral_step_converges_in_few_iterations(spec, k, optimum):
+    # near u the Hessian of F is a multiple of -I on the tangent space, and the
+    # spectral step estimates that curvature: a fixed step 0.5 took 100-130
+    # iterations on these instances
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        start = Distribution(rng.dirichlet(np.ones(idx.m)), renormalize=True)
+        result = maximize_F(idx, AscentConfig(start=start))
+        assert result.converged
+        assert result.iterations <= 25
+        assert abs(result.value - float(optimum)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ascent_on_random_linear_matroids(data):
+    matroid = data.draw(linear_matroids())
+    k = data.draw(st.integers(1, matroid.rank))
+    idx = enumerate_independent_ksets(matroid, k)
+    w = np.array(data.draw(st.lists(st.floats(1e-9, 1.0), min_size=idx.m, max_size=idx.m)))
+    start = Distribution(w / w.sum(), renormalize=True)
+    points = []
+
+    def recording_chains(index):
+        evaluator = chains(index)
+
+        def evaluate(x):
+            points.append(x.copy())
+            return evaluator.evaluate(x)
+
+        return SimpleNamespace(evaluate=evaluate, gradient=evaluator.gradient)
+
+    chains = optimize._chains
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_chains", recording_chains)
+        result = maximize_F(idx, AscentConfig(start=start))
+    assert result.converged
+    trajectory = result.trajectory
+    assert np.all(trajectory[1:] >= trajectory[:-1] * (1.0 - optimize.DECREASE_TOL))
+    # every trial point, and so every iterate, is strictly inside the simplex
+    assert result.evaluations == len(points)
+    assert all(np.all(x > 0) for x in points)
+    assert result.value >= eval_F(idx, start)
+
+
+def test_curvature_fallback_on_a_non_matroid_layer():
+    # log f = log(x0 x1 + x2 x3) is not concave on the simplex, and along this
+    # ascent every curvature estimate is negative: each trial step falls back
+    # to step_size, so the iterates are those of the fixed-step ascent
+    idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
+    start = Distribution([0.4, 0.3, 0.2, 0.1])
+    result = maximize_F(idx, AscentConfig(step_size=0.3, max_iters=8, start=start))
+    assert result.iterations == 8
+    assert result.halvings == 0
+    x = start.probs.copy()
+    for value in result.trajectory[1:]:
+        grad = np.array([x[1], x[0], x[3], x[2]]) / (x[0] * x[1] + x[2] * x[3])
+        x = x * np.exp(0.3 * (grad - grad.max()))
+        x /= x.sum()
+        assert value == pytest.approx(2 * (x[0] * x[1] + x[2] * x[3]), rel=1e-12)
+    result = maximize_F(idx, AscentConfig(start=start))
+    assert np.all(np.diff(result.trajectory) >= -1e-12 * result.trajectory[:-1])
+    assert result.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_no_step_to_zero_from_a_tiny_start_value():
