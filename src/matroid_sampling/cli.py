@@ -13,6 +13,7 @@ distributions can be fed back to reproduce the same values to the last ulp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -358,6 +359,7 @@ def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=No
                          help="tolerance (default: %(default)s)")
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="matroid-sampling",
                      description="Independence probabilities of i.i.d. samples on matroids.")

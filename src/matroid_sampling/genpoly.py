@@ -6,13 +6,15 @@ an :class:`IndepSetIndex`.  :func:`enumerate_independent_ksets` grows them
 level by level, from the independent t-sets to the (t+1)-sets, and decides
 each level's candidates in blocks with one call of the matroid's batch
 oracle (:meth:`~matroid_sampling.matroids.Matroid.independent_rows`) per
-block.  :func:`eval_f` and :func:`hessian_f` sum over that support.
+block.
 
-The ascent (:func:`~matroid_sampling.optimize.maximize_F`) and the batched
-gap F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
-the stability scan and the identity checks call) go through one private
-evaluator, built from the index on first use and cached on it
-(:func:`_chains`):
+Every float value of the polynomial goes through one private evaluator,
+built from the index on first use and cached on it (:func:`_chains`):
+f, h and F (:func:`eval_f`, :func:`eval_h`, :func:`eval_F`), the
+gradient that the ascent (:func:`~matroid_sampling.optimize.maximize_F`)
+follows, the Hessian (:func:`hessian_f`), and the batched gap
+F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
+the stability scan and the identity checks call):
 
 * when the support holds every K-subset of the ground set, f is the
   elementary symmetric polynomial e_K, evaluated in O(mK) with no build;
@@ -35,7 +37,9 @@ random midpoints.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -181,9 +185,9 @@ def as_point(x, m: int) -> np.ndarray:
 
 
 def eval_f(idx: IndepSetIndex, x) -> float:
-    """Sum over independent K-sets of the product of the set's coordinates."""
-    v = as_point(x, idx.m)
-    return float(np.prod(v[idx.sets], axis=1).sum())
+    """Sum over independent K-sets of the product of the set's coordinates,
+    taken by the index's evaluator (see :func:`_chains`)."""
+    return _chains(idx).evaluate(as_point(x, idx.m))[0]
 
 
 def eval_h(idx: IndepSetIndex, x) -> float:
@@ -240,22 +244,9 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
 def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     """Exact Hessian of eval_f: zero diagonal (the polynomial is multi-affine),
     entry (e, e') sums the products of the remaining K-2 coordinates over the
-    sets containing both e and e'."""
-    v = as_point(x, idx.m)
-    m = idx.m
-    if idx.k < 2:
-        return np.zeros((m, m))
-    coords = v[idx.sets]
-    k = idx.k
-    keys, weights = [], []
-    for a in range(k):
-        for b in range(a + 1, k):
-            others = [c for c in range(k) if c != a and c != b]
-            vals = coords[:, others].prod(axis=1) if others else np.ones(idx.n_sets)
-            keys += [idx.sets[:, a] * m + idx.sets[:, b], idx.sets[:, b] * m + idx.sets[:, a]]
-            weights += [vals, vals]
-    flat = np.bincount(np.concatenate(keys), weights=np.concatenate(weights), minlength=m * m)
-    return flat.reshape(m, m)
+    sets containing both e and e'.  Taken by the index's evaluator (see
+    :func:`_chains`) and exactly symmetric."""
+    return _chains(idx).hessian(as_point(x, idx.m))
 
 
 _CHECK_PRIME = 2**31 - 1  # modulus of the exact check; products of residues fit in int64
@@ -280,9 +271,10 @@ class _Level(NamedTuple):
 
 
 class _Chains:
-    """f, its gradient and the gaps F(u) - F(p) summed over chains of
-    nodes instead of K-sets: with G(root) = 1 and G(F) = sum over covers
-    F' ⋖ F of G(F') x(F \\ F'), the top value G(E) is ``orderings`` f(x).
+    """f, its gradient, its Hessian and the gaps F(u) - F(p) summed over
+    chains of nodes instead of K-sets: with G(root) = 1 and G(F) = sum over
+    covers F' ⋖ F of G(F') x(F \\ F'), the top value G(E) is ``orderings``
+    f(x).
 
     For the chains of flats, an ordered independent sequence x_1..x_K
     corresponds to exactly one chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E
@@ -349,6 +341,42 @@ class _Chains:
             adjoint = np.bincount(lv.src, a * d, minlength=g.size)
         return grad[:-1] / self.orderings
 
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """The Hessian of f at x: the reverse sweep of :meth:`gradient`
+        differentiated forward along all m unit directions at once, carried
+        as a trailing axis of the node values and adjoints.  The tangent of
+        a cover factor x(F \\ F') is the cover's membership row, so
+        d G(F) = sum over covers of d G(F') x(F \\ F') + G(F') 1[e in F \\ F'],
+        and row e of the Hessian collects d a G(F') + a d G(F') over the
+        covers whose difference set holds e, for the adjoint a of F.  Every
+        term is nonnegative at nonnegative x.  One triangle is mirrored, so
+        the result is exactly symmetric with a zero diagonal."""
+        m = self.m
+        _, sweep = self._sweep(x)
+        rows, below = [], []  # per level: membership rows, d G of the level below
+        dg = np.zeros((1, m))
+        for lv, (d, g) in zip(self.levels, sweep):
+            member = lv.dense
+            if member is None:
+                member = np.zeros((lv.src.size, m + 1))
+                member[np.arange(lv.src.size), lv.diff] = 1.0
+            rows.append(member[:, :m])
+            below.append(dg)
+            dg = np.add.reduceat(dg[lv.src] * d[:, None] + g[lv.src, None] * rows[-1], lv.starts)
+        adjoint, dadjoint = np.ones(1), np.zeros((1, m))
+        hess = np.zeros((m, m))
+        for lv, (d, g), member, dg in zip(reversed(self.levels), reversed(sweep),
+                                          reversed(rows), reversed(below)):
+            a = adjoint.repeat(lv.counts)
+            da = dadjoint.repeat(lv.counts, axis=0)
+            hess += member.T @ (da * g[lv.src, None] + a[:, None] * dg[lv.src])
+            keys = (lv.src[:, None] * m + np.arange(m)).ravel()
+            dadjoint = np.bincount(keys, (da * d[:, None] + a[:, None] * member).ravel(),
+                                   minlength=g.size * m).reshape(g.size, m)
+            adjoint = np.bincount(lv.src, a * d, minlength=g.size)
+        hess = np.triu(hess, 1)
+        return (hess + hess.T) / self.orderings
+
     def gaps(self, w: np.ndarray) -> np.ndarray:
         """F(u) - F(p) per row of the centered points w = m p - 1, whose
         rows sum to zero (see :func:`gaps_from_uniform`).
@@ -402,8 +430,8 @@ class _Chains:
 
 
 class _Elementary:
-    """f = e_K(x), its gradient and the gaps F(u) - F(p) when the support
-    holds every K-subset of the ground set (a free truncation).
+    """f = e_K(x), its gradient, its Hessian and the gaps F(u) - F(p) when
+    the support holds every K-subset of the ground set (a free truncation).
 
     The prefix tables e_j(x_0..x_{i-1}), j < K, are exclusive cumulative
     sums of x times the table below, so every entry is a sum of
@@ -418,28 +446,42 @@ class _Elementary:
         self.m = m
         self.k = k
 
-    def _prefix(self, x: np.ndarray) -> list[np.ndarray]:
+    def _prefix(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """e_j of the coordinates before each position along the last axis
-        of x, for j = 0..K-1."""
+        of x, for j = 0..K-1, one table at a time, so that a caller that
+        reads each table once holds no more than two of them."""
         q = np.ones_like(x)
-        tables = [q]
+        yield q
         for _ in range(self.k - 1):
             t = x * q
             q = np.zeros_like(x)
             np.cumsum(t[..., :-1], axis=-1, out=q[..., 1:])
-            tables.append(q)
-        return tables
+            yield q
 
     def evaluate(self, x: np.ndarray) -> tuple[float, tuple]:
         """(f(x), the state that :meth:`gradient` differentiates)."""
-        prefix = self._prefix(x)
+        prefix = list(self._prefix(x))
         return float(x @ prefix[-1]), (x, prefix)
 
     def gradient(self, state: tuple) -> np.ndarray:
         """The gradient of f at the point a state was taken at."""
         x, prefix = state
-        suffix = [t[::-1] for t in self._prefix(x[::-1])]
+        suffix = [t[..., ::-1] for t in self._prefix(x[..., ::-1])]
         return sum(p * s for p, s in zip(prefix, reversed(suffix)))
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """The Hessian of f at x: entry (a, b) is e_{K-2}(x without x_a, x_b),
+        the gradient of e_{K-1} at b in row a of a batch that sets x_a to 0
+        there.  One triangle is mirrored, so the result is exactly symmetric
+        with a zero diagonal."""
+        m = self.m
+        if self.k < 2:
+            return np.zeros((m, m))
+        rows = np.tile(x, (m, 1))
+        np.fill_diagonal(rows, 0.0)
+        lower = _Elementary(m, self.k - 1)
+        hess = np.triu(lower.gradient((rows, lower._prefix(rows))), 1)
+        return hess + hess.T
 
     def gaps(self, w: np.ndarray) -> np.ndarray:
         """F(u) - F(p) per row of the centered points w = m p - 1, whose
@@ -453,7 +495,7 @@ class _Elementary:
         for start in range(0, batch, rows):
             block = w[start:start + rows]
             out = higher[start:start + block.shape[0]]
-            for j, q in enumerate(self._prefix(block)[1:], start=2):
+            for j, q in enumerate(islice(self._prefix(block), 1, None), start=2):
                 out += comb(m - j, k - j) * (block * q).sum(axis=1)
         return -(factorial(k) * float(m) ** (-k)) * higher
 
@@ -593,11 +635,11 @@ def _set_chains(idx: IndepSetIndex) -> _Chains:
 
 
 def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
-    """The index's evaluator of f, its gradient and the gaps, built on
-    first use and cached on the index: the elementary-symmetric one when
-    the support holds every K-subset of the ground set, otherwise the
-    chains of flats when they pass their exact check (see _build_chains),
-    otherwise one chain per K-set."""
+    """The index's evaluator of f, its gradient, its Hessian and the gaps,
+    built on first use and cached on the index: the elementary-symmetric
+    one when the support holds every K-subset of the ground set, otherwise
+    the chains of flats when they pass their exact check (see
+    _build_chains), otherwise one chain per K-set."""
     if idx._chains is None:
         if idx.n_sets == comb(idx.m, idx.k):
             idx._chains = _Elementary(idx.m, idx.k)

@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .genpoly import Distribution, IndepSetIndex, _chains, eval_f, gaps_from_uniform
+from .genpoly import Distribution, IndepSetIndex, _chains, gaps_from_uniform
 
 MIN_STEP = 1e-18
 DECREASE_TOL = 1e-12
@@ -139,12 +139,11 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             step = cfg.step_size
         grad_log = grad_next
 
-    # report F as eval_F computes it at the returned point, so that the
-    # result round-trips through eval to the last bit
-    p = Distribution(x, renormalize=True)
-    trajectory[-1] = kfact * eval_f(idx, p)
+    # every iterate is divided by its sum, so x is a distribution as it
+    # stands, and eval_F reads the same evaluator: the reported F is what
+    # eval computes at the returned point, to the last bit
     return AscentResult(
-        p=p,
+        p=Distribution(x),
         value=trajectory[-1],
         iterations=iterations,
         stop_reason=stop_reason,

@@ -76,6 +76,20 @@ def kset_gradient(sets, p):
     return [sum(prod(p[e] for e in s if e != i) for s in sets if i in s) for i in range(len(p))]
 
 
+def kset_hessian(sets, p):
+    """The Hessian of kset_f: entry (i, j), i != j, sums over the sets
+    holding both i and j the product of their other coordinates; the
+    diagonal is 0.  Exact when p holds Fractions."""
+    m = len(p)
+    hess = [[0] * m for _ in range(m)]
+    for s in sets:
+        for i in s:
+            for j in s:
+                if i != j:
+                    hess[i][j] += prod(p[e] for e in s if e not in (i, j))
+    return hess
+
+
 def add_at_gradient(idx, x):
     """The gradient of f over the index's K-sets in floats: prefix/suffix
     products scattered by np.add.at in row-major order."""

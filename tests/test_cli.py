@@ -11,6 +11,7 @@ from matroid_sampling.cli import main
 PROJECTIVE_32 = '{"type":"projective","n":3,"q":2}'
 PROJECTIVE_22 = '{"type":"projective","n":2,"q":2}'
 PARALLEL_2 = '{"type":"parallel_classes","m_per_class":2}'
+LAYER = '{"type":"explicit","ground_size":4,"k":2,"sets":[[0,1],[2,3]]}'
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,39 @@ def test_optimize_round_trips_through_eval(capsys):
     assert again["F"] == report["F"]
 
 
+@pytest.mark.parametrize("spec,k,dist", [
+    (PROJECTIVE_32, 3, "[0.04,0.08,0.12,0.16,0.18,0.2,0.22]"),  # chains of flats
+    ('{"type":"uniform","r":3,"n":6}', 3, "[0.3,0.25,0.2,0.1,0.1,0.05]"),  # e_K
+    (LAYER, 2, "[0.4,0.3,0.2,0.1]"),  # one chain per K-set
+])
+def test_optimize_round_trips_through_eval_on_every_evaluator(capsys, spec, k, dist):
+    report = run_json(capsys, "optimize", "--spec", spec, "--k", str(k), "--dist", dist)
+    again = run_json(capsys, "eval", "--spec", spec, "--k", str(k),
+                     "--dist", json.dumps(report["p"]))
+    assert again["F"] == report["F"]
+
+
+def test_consecutive_calls_share_no_state(capsys, tmp_path):
+    args = ("eval", "--spec", PROJECTIVE_22, "--k", "2", "--dist", "uniform")
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.startswith("key,index,value\n")
+    assert run_json(capsys, *args)["F"] == pytest.approx(2 / 3, abs=1e-15)
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *args, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert json.loads(path.read_text())["F"] == pytest.approx(2 / 3, abs=1e-15)
+    assert run_json(capsys, *args)["F"] == pytest.approx(2 / 3, abs=1e-15)
+    code, out, err = run_cli(capsys, "eval", "--spec", "{not json", "--k", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+    assert run_json(capsys, *args)["F"] == pytest.approx(2 / 3, abs=1e-15)
+    code, out, err = run_cli(capsys, "eval", "--spec", PROJECTIVE_22)  # no --k
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "UsageError"
+    assert run_json(capsys, *args)["F"] == pytest.approx(2 / 3, abs=1e-15)
+
+
 def test_mc_deterministic(capsys):
     args = ("mc", "--spec", PROJECTIVE_22, "--k", "2", "--trials", "20000",
             "--seed", "3")
@@ -111,8 +145,7 @@ def test_scan_flags_nonunique(capsys):
 
 
 def test_scan_notes_uniform_not_a_maximizer(capsys):
-    layer = '{"type":"explicit","ground_size":4,"k":2,"sets":[[0,1],[2,3]]}'
-    report = run_json(capsys, "scan", "--spec", layer, "--k", "2", "--samples", "2000")
+    report = run_json(capsys, "scan", "--spec", LAYER, "--k", "2", "--samples", "2000")
     assert report["uniform_is_maximizer"] is False
     assert report["nonunique_maximizer_detected"] is False
     assert report["note"] == "uniform is not a maximizer (stability ratio negative)"

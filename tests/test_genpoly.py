@@ -1,5 +1,7 @@
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from time import perf_counter
 
 import numpy as np
@@ -10,8 +12,9 @@ from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearS
                               ParallelClassesSpec, ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
                               eval_F, eval_f, eval_h, hessian_f)
-from conftest import CountingMatroid, add_at_gradient, singer_cycle
-from matroid_sampling.genpoly import _chains, _midpoint_check
+from conftest import (CountingMatroid, add_at_gradient, kset_f, kset_hessian, linear_matroids,
+                      singer_cycle)
+from matroid_sampling.genpoly import _chains, _Elementary, _midpoint_check
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -256,7 +259,62 @@ def test_gradient_and_hessian_match_add_at(spec, k):
     for x in (rng.random(idx.m), boundary, np.full(idx.m, 1 / idx.m)):
         # the evaluator sums in another order; each entry adds nonnegative terms
         assert np.allclose(gradient_f(idx, x), add_at_gradient(idx, x), rtol=1e-13, atol=0)
-        assert np.array_equal(hessian_f(idx, x), add_at_hessian(idx, x))
+        hess, want = hessian_f(idx, x), add_at_hessian(idx, x)
+        assert np.allclose(hess, want, rtol=1e-13, atol=0)
+        assert np.array_equal(hess == 0, want == 0)
+
+
+LAYER = ExplicitSpec(4, 2, ((0, 1), (2, 3)))  # not a matroid: one chain per K-set
+
+
+def route(idx):
+    """The evaluator an index with K >= 2 reads: e_K, the chains of flats,
+    or one chain per K-set."""
+    evaluator = _chains(idx)
+    if isinstance(evaluator, _Elementary):
+        return "e_K"
+    return "sets" if evaluator.orderings == 1 else "flats"
+
+
+def assert_matches_exact_kset_sums(idx, x):
+    """f and every Hessian entry within a relative 1e-13 of the exact
+    rational K-set sums at x; exact zeros, the diagonal among them, stay
+    zero, and the Hessian is exactly symmetric."""
+    sets, p = idx.sets.tolist(), [Fraction(v) for v in x]
+    want = kset_f(sets, p)
+    assert abs(Fraction(eval_f(idx, x)) - want) <= Fraction(1e-13) * want
+    hess = hessian_f(idx, x)
+    assert np.array_equal(hess, hess.T)
+    for got_row, want_row in zip(hess.tolist(), kset_hessian(sets, p), strict=True):
+        for got, want in zip(got_row, want_row, strict=True):
+            assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+
+
+@pytest.mark.parametrize("spec,k,kind", [(UniformSpec(3, 6), 3, "e_K"),
+                                         (ProjectiveSpec(3, 2), 3, "flats"),
+                                         (LAYER, 2, "sets")])
+def test_eval_f_and_hessian_match_exact_sums_on_every_evaluator(spec, k, kind):
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
+    assert route(idx) == kind
+    m = idx.m
+    # x = 1 counts every K-set in each of its K! orders, exactly
+    assert factorial(k) * eval_f(idx, np.ones(m)) == factorial(k) * idx.n_sets
+    rng = np.random.default_rng(37)
+    with_zeros = rng.random(m)
+    with_zeros[rng.choice(m, 2, replace=False)] = 0.0
+    for x in (np.ones(m), with_zeros, rng.dirichlet(np.ones(m)), np.full(m, 1 / m)):
+        assert_matches_exact_kset_sums(idx, x)
+
+
+@PROPERTY
+@given(st.data())
+def test_eval_f_and_hessian_match_exact_sums_on_random_matroids(data):
+    matroid = data.draw(linear_matroids())
+    k = data.draw(st.integers(1, matroid.rank))
+    idx = enumerate_independent_ksets(matroid, k)
+    coordinate = st.sampled_from((0.0, 1.0)) | st.floats(1e-3, 1.0)
+    x = np.array(data.draw(st.lists(coordinate, min_size=idx.m, max_size=idx.m)))
+    assert_matches_exact_kset_sums(idx, x)
 
 
 def test_homogeneity(fano_idx):

@@ -219,6 +219,18 @@ def test_curvature_fallback_on_a_non_matroid_layer():
     assert result.value == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec,k", [(ProjectiveSpec(3, 2), 3), (UniformSpec(3, 6), 3),
+                                    (ExplicitSpec(4, 2, ((0, 1), (2, 3))), 2)])
+def test_value_is_eval_F_at_the_returned_point(spec, k):
+    # the chains of flats, e_K and one chain per K-set: eval_F reads the
+    # ascent's evaluator, so the reported F is its value to the last bit
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
+    weights = np.arange(1.0, idx.m + 1)
+    result = maximize_F(idx, AscentConfig(start=Distribution(weights / weights.sum())))
+    assert result.value == eval_F(idx, result.p)
+    assert result.value == result.trajectory[-1]
+
+
 def test_no_step_to_zero_from_a_tiny_start_value():
     # F(start) = 6.58e-13: an absolute tolerance of 1e-12 would accept a
     # trial point with F = 0, after which d log f divides by zero
