@@ -420,7 +420,9 @@ class _Chains:
                 below *= wd
                 terms[1:] += below
                 terms[0] += below0 * wd
-                coef = np.add.reduceat(terms, lv.starts, axis=1)
+                # one cover per node: the sums over one-cover segments are the terms
+                coef = terms if lv.starts.size == lv.src.size else np.add.reduceat(
+                    terms, lv.starts, axis=1)
             out = higher[start:start + r]
             out[:] = 0.0
             for part in coef[1:, 0]:  # degrees 2..K of the one top flat E

@@ -1,4 +1,4 @@
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               enumerate_independent_ksets, estimate_F, eval_F,
                               sample_kset)
+from matroid_sampling.montecarlo import DEFAULT_CHUNK, _draw_indices
 from matroid_sampling.streams import (blocks_per_trial, trial_substream,
                                       trial_uniforms)
 
@@ -180,12 +181,67 @@ def _candidate_rows(p, k, n_trials, seed, chunk):
     ("u", 4, 5_000, 5_000),
     ("p", 2, 3_000, 1_000),
     ("u", 1, 500, 128),
+    # U(11, 64) at its uniform point: 64^11 >= 2^63, so the rows are too
+    # wide for packed keys and are lexsorted
+    ("wide", 11, 3_000, 997),
 ])
 def test_one_oracle_call_per_distinct_set_per_chunk(pg33, kind, k, n_trials, chunk):
-    p = _pg33_point(kind)
-    counting = CountingMatroid(pg33)
+    if kind == "wide":
+        matroid, p = build_matroid(UniformSpec(11, 64)), Distribution.uniform(64)
+    else:
+        matroid, p = pg33, _pg33_point(kind)
+    counting = CountingMatroid(matroid)
     estimate_F(counting, p, k, n_trials, seed=3, chunk=chunk)
+    # np.unique orders each chunk's distinct sets lexicographically
     expected = [tuple(row) for rows in _candidate_rows(p, k, n_trials, 3, chunk)
                 for row in np.unique(rows, axis=0).tolist()]
     assert len(counting.queries) == len(expected)
-    assert Counter(counting.queries) == Counter(expected)
+    assert counting.queries == expected
+
+
+def test_chunks_do_not_hold_memory_across_chunks(pg33):
+    u = _pg33_point("u")
+    # fills the oracle memo with every set the measured calls ask, so that
+    # only the chunks' own arrays are traced
+    estimate_F(pg33, u, 4, 4 * DEFAULT_CHUNK, seed=5)
+    peaks = []
+    for n_trials in (DEFAULT_CHUNK, 4 * DEFAULT_CHUNK):
+        tracemalloc.start()
+        try:
+            estimate_F(pg33, u, 4, n_trials, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# element 0 and the last element have probability 0, and the cumulative
+# sum ends at 1 - 5e-13
+_ZERO_ENDS = [0.0] + [0.1] * 9 + [0.1 - 5e-13, 0.0]
+_EDGE_UNIFORMS = [0.0, np.nextafter(1.0, 0.0)]
+
+
+def test_draws_never_land_on_a_zero_probability_end():
+    probs = Distribution(_ZERO_ENDS).probs
+    assert np.cumsum(probs)[-1] < _EDGE_UNIFORMS[1]
+    assert _draw_indices(probs, np.array(_EDGE_UNIFORMS)).tolist() == [1, 10]
+    # positive ends: the lowest and highest uniforms draw the first and last element
+    probs = Distribution.uniform(7).probs
+    assert _draw_indices(probs, np.array(_EDGE_UNIFORMS)).tolist() == [0, 6]
+
+
+class _FixedUniforms:
+    """A generator stub whose ``random(k)`` returns the first k given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, k):
+        return self.values[:k]
+
+
+def test_sample_kset_never_draws_a_zero_probability_end():
+    counting = CountingMatroid(build_matroid(UniformSpec(2, len(_ZERO_ENDS))))
+    p = Distribution(_ZERO_ENDS)
+    assert sample_kset(counting, p, 2, _FixedUniforms(_EDGE_UNIFORMS)) == (True, True)
+    assert counting.queries == [(1, 10)]
