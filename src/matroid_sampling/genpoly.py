@@ -50,7 +50,7 @@ from .matroids import Matroid, independent_count
 SUM_TOL = 1e-12
 REPAIR_TOL = 1e-6
 DEFAULT_ENUM_CAP = 10**7
-GAP_BLOCK_BYTES = 256 * 1024  # per row-block buffer of gaps_from_uniform
+GAP_BLOCK_BYTES = 256 * 1024  # widest working buffer of a row block of gaps_from_uniform
 
 
 class Distribution:
@@ -223,13 +223,14 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     every K-subset of the ground set is independent (a free truncation,
     such as U(r, n) with K <= r or any simple matroid with K <= 2), and
     otherwise over its chains (of flats on a matroid support, one per
-    K-set on any other), carrying per node the parts of G of each degree
-    in w.  Either streams the batch through blocks of rows whose
-    widest buffer holds at most GAP_BLOCK_BYTES (but at least one row):
-    m columns for e_K, the covers of the widest chain level otherwise.
-    Beyond the (batch, m) inputs the working memory is a few such buffers
-    whatever the batch size.  Each row's arithmetic and summation order do
-    not depend on the blocking, so neither do the results.
+    K-set on any other), carrying per node the linear part of G in w and
+    the remainder of degree >= 2.  Either streams the batch through blocks
+    of rows sized by GAP_BLOCK_BYTES (but at least one row): m columns per
+    row for e_K; for the chains, the widest of one slot's gathered columns
+    and four columns per node of a level (see _Chains.gaps).  Beyond the
+    (batch, m) inputs the working memory is a few such buffers whatever
+    the batch size.  Each row's arithmetic and summation order do not
+    depend on the blocking, so neither do the results.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != idx.m:
@@ -287,7 +288,7 @@ class _Chains:
     reuses the forward sweep that :meth:`evaluate` returns with f.
     """
 
-    __slots__ = ("m", "k", "orderings", "levels", "slope")
+    __slots__ = ("m", "k", "orderings", "levels", "slope", "_plan")
 
     def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray,
                  orderings: int):
@@ -297,6 +298,7 @@ class _Chains:
         self.levels = levels
         # the linear part of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0
         self.slope = self.orderings * (degrees - degrees.mean())
+        self._plan = None  # the tables of gaps, built on first use: see _gap_plan
 
     def _sweep(self, x: np.ndarray, mod: int | None = None):
         """(G(E), per level the cover factors x(F \\ F') and the values
@@ -377,58 +379,128 @@ class _Chains:
         hess = np.triu(hess, 1)
         return (hess + hess.T) / self.orderings
 
+    def _gap_plan(self) -> list[tuple[np.ufunc, list[_Slot]]]:
+        """The tables of :meth:`gaps`, built on first use and cached: per
+        level, the ufunc that applies w(D) and the level's slots.
+
+        Below the top, each level's nodes are numbered by descending cover
+        count, and slot j holds the j-th cover of every node that has more
+        than j: nodes 0..n-1 of the level, so that the slots hold exactly
+        the level's covers, and irregular levels do no padded work.  The
+        next level reads the nodes through that numbering.  The top level
+        has one node, and one slot of all its covers.  Where the
+        complements [m] \\ D of a level's difference sets are narrower than
+        the sets, the slots gather them, and the ufunc is np.subtract,
+        since w(D) = -w([m] \\ D) when w sums to zero.  Each slot gathers
+        only as many columns as its widest set."""
+        if self._plan is None:
+            m, plan = self.m, []
+            renumber, c0 = np.zeros(1, dtype=np.int64), np.ones(1)  # the root
+            for lv in self.levels:
+                order = np.argsort(-lv.counts, kind="stable")
+                firsts, counts = lv.starts[order], lv.counts[order]
+                if lv is self.levels[-1]:
+                    covers = [np.arange(lv.src.size)]
+                else:
+                    covers = [firsts[:np.count_nonzero(counts > j)] + j for j in range(counts[0])]
+                table, apply = lv.diff, np.add
+                widths = lv.sizes.astype(np.int64)
+                if m - widths.min() < table.shape[0]:
+                    n, widths = lv.src.size, m - widths
+                    outside = np.ones((n, m + 1), dtype=bool)
+                    outside[np.arange(n), lv.diff] = False
+                    cover, elem = np.nonzero(outside[:, :m])
+                    table = np.full((widths.max(), n), m, dtype=np.int64)
+                    table[np.arange(cover.size) - (np.cumsum(widths) - widths)[cover], cover] = elem
+                    apply = np.subtract
+                src = renumber[lv.src]
+                plan.append((apply, [_Slot(src[c], table[:widths[c].max(), c], lv.sizes[c, None],
+                                           c0[src[c], None]) for c in covers]))
+                c0 = np.add.reduceat(c0[src] * lv.sizes, lv.starts)[order]
+                renumber = np.empty_like(order)
+                renumber[order] = np.arange(order.size)
+            self._plan = plan
+        return self._plan
+
+    def _row_bytes(self) -> int:
+        """Bytes per row of a block of :meth:`gaps`, which takes
+        max(1, GAP_BLOCK_BYTES // this) rows per block: 8 times the widest
+        of a slot's gathered columns and four columns per cover of a
+        level's first slot (the two parts of its terms and of the nodes
+        they are added into)."""
+        return 8 * max(max(4 * slots[0].src.size, *(s.gather.size for s in slots))
+                       for _, slots in self._gap_plan())
+
     def gaps(self, w: np.ndarray) -> np.ndarray:
         """F(u) - F(p) per row of the centered points w = m p - 1, whose
         rows sum to zero (see :func:`gaps_from_uniform`).
 
         With x = (1 + w) / m every cover factor is (|D| + w(D)) / m for its
-        difference set D, so m^t G(F) for a rank-t flat F is a polynomial
-        of degree t in w.  Its degree-d parts c_d(F) follow the covers:
-        c_d(F) = sum over F' ⋖ F of c_d(F') |D| + c_{d-1}(F') w(D), where
-        only c_0, the value at u, has no batch axis.  The gap is
-        -K! m^-K (sum_{d>=2} c_d(E) + the analytic linear part) / orderings.
+        difference set D, so m^t G(F) for a rank-t node F is a polynomial
+        of degree t in w.  Each node carries two parts of it, the linear
+        one c_1 and the remainder R of degree >= 2, which follow the covers:
+        c_1(F) = sum over F' ⋖ F of |D| c_1(F') + c_0(F') w(D) and
+        R(F) = sum of |D| R(F') + (R(F') + c_1(F')) w(D), where c_0, the
+        value at u, has no batch axis and the root has c_1 = R = 0.  The
+        gap is -K! m^-K (R(E) + the analytic linear part) / orderings.
+
+        Below the top, each slot of a level (see :meth:`_gap_plan`) adds
+        one cover's terms to every node it reaches, so a node sums its
+        covers in cover order, one elementwise add at a time.  The top
+        sums its covers with a single-segment np.add.reduceat, whose
+        per-element loop is the same at any block width (a sum over
+        axis 0 of a one-row block would switch to pairwise summation).
         Each w(D) is a sum of gathered columns, never a matrix product, so
-        that no BLAS kernel can pick a different summation order for another
-        block width.  A block has as many rows as its widest buffer, the gathered
-        difference sets or the per-degree cover terms of one level, can
-        hold in GAP_BLOCK_BYTES.
+        that no BLAS kernel can pick a different summation order for
+        another block width.  Blocks have max(1, GAP_BLOCK_BYTES //
+        :meth:`_row_bytes`) rows.
         """
-        m, levels = self.m, self.levels
-        c0, c0_src = np.ones(1), []  # per level: c_0 of each cover's F'
-        for lv in levels:
-            c0_src.append(c0[lv.src][:, None])
-            c0 = np.add.reduceat(c0[lv.src] * lv.sizes, lv.starts)
-        widest = max(max(lv.diff.size, t * lv.src.size) for t, lv in enumerate(levels, start=1))
-        rows = max(1, GAP_BLOCK_BYTES // (8 * widest))
+        m = self.m
+        *levels, (apply, (top,)) = self._gap_plan()
+        rows = max(1, GAP_BLOCK_BYTES // self._row_bytes())
         batch = w.shape[0]
         higher = np.empty(batch)
         for start in range(0, batch, rows):
             block = w[start:start + rows]
             r = block.shape[0]
-            # rows last, so that every gather copies contiguous runs of r values
-            wt = np.zeros((m + 1, r))  # row m: the padding's zero
-            wt[:m] = block.T
-            coef = np.empty((0, 1, r))  # c_1 .. c_{t-1} of the flats below
-            for lv, below0 in zip(levels, c0_src):
-                # w(D): the gathered rows added elementwise, in column order
-                wd = np.take(wt, lv.diff, axis=0).sum(axis=0)
-                below = np.take(coef, lv.src, axis=1)
-                t = below.shape[0] + 1
-                terms = np.empty((t, lv.src.size, r))  # degrees 1..t per cover
-                np.multiply(below, lv.sizes[:, None], out=terms[:-1])
-                terms[-1] = 0.0
-                below *= wd
-                terms[1:] += below
-                terms[0] += below0 * wd
-                # one cover per node: the sums over one-cover segments are the terms
-                coef = terms if lv.starts.size == lv.src.size else np.add.reduceat(
-                    terms, lv.starts, axis=1)
-            out = higher[start:start + r]
-            out[:] = 0.0
-            for part in coef[1:, 0]:  # degrees 2..K of the one top flat E
-                out += part
+            # rows last, so that every gather copies contiguous runs; at least
+            # two columns, so that no gathered sum is one strided run, which
+            # numpy would sum pairwise
+            wt = np.zeros((m + 1, max(r, 2)))  # row m: the padding's zero
+            wt[:m, :r] = block.T
+            parts = np.zeros((2, 1, wt.shape[1]))  # c_1 and R of the root
+            for level_apply, slots in levels:
+                level = _cover_terms(wt, level_apply, slots[0], parts)  # slot 0 reaches every node
+                for s in slots[1:]:
+                    level[:, :s.src.size] += _cover_terms(wt, level_apply, s, parts)
+                parts = level
+            rest = _cover_terms(wt, apply, top, parts)[1]
+            higher[start:start + r] = np.add.reduceat(rest, [0], axis=0)[0, :r]
         total = higher + np.einsum("ij,j->i", w, self.slope)
         return -(factorial(self.k) / self.orderings) * float(m) ** (-self.k) * total
+
+
+class _Slot(NamedTuple):
+    """One cover of each of n nodes of a level, for :meth:`_Chains.gaps`."""
+
+    src: np.ndarray     # F' of each cover, in the kernel's numbering of the level below
+    gather: np.ndarray  # (width, n) columns of w that sum to w(D), or to w([m] \\ D)
+    sizes: np.ndarray   # (n, 1) |D|
+    c0: np.ndarray      # (n, 1) c_0(F')
+
+
+def _cover_terms(wt: np.ndarray, apply: np.ufunc, s: _Slot, parts: np.ndarray) -> np.ndarray:
+    """The terms |D| c_1(F') + c_0(F') w(D) and |D| R(F') + (R(F') + c_1(F')) w(D)
+    of a slot's covers, as a (2, n, columns) array, from the (2, nodes,
+    columns) parts of the level below; ``apply`` adds w(D) or subtracts
+    the complement's sum."""
+    wd = np.take(wt, s.gather, axis=0).sum(axis=0)
+    below = np.take(parts, s.src, axis=1)
+    terms = below * s.sizes
+    below[1] += below[0]
+    below[0] = s.c0
+    below *= wd
+    return apply(terms, below, out=terms)
 
 
 class _Elementary:

@@ -246,9 +246,9 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
     vectors.  The gaps come from :func:`gaps_from_uniform`, through the
-    index's one evaluator in row blocks whose widest buffer holds at most
-    GAP_BLOCK_BYTES, so no (chunk, n_sets) or (chunk, covers) array is
-    built.
+    index's one evaluator in row blocks sized by GAP_BLOCK_BYTES (on the
+    chains, two parts per node, each level summed one slot of covers at a
+    time), so no (chunk, n_sets) or (chunk, covers) array is built.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (ExplicitSpec, IndepSetIndex, ProjectiveSpec,
+from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
                               gaps_from_uniform, genpoly, stability_scan)
 from conftest import centered, kset_f, linear_matroids
@@ -30,27 +30,35 @@ from matroid_sampling.streams import trial_uniforms
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-@pytest.mark.parametrize("spec,mode,min_r,digest", [
-    (ProjectiveSpec(4, 2), "dirichlet", "0x1.84ae0973d9304p+0",
+@pytest.mark.parametrize("spec,k,mode,min_r,digest", [
+    (ProjectiveSpec(4, 2), 3, "dirichlet", "0x1.84ae0973d9304p+0",
      "cac91d4088c2bb552bae4117a9465856d98503efacb05dc950a7f84bb3fe8278"),
-    (ProjectiveSpec(4, 2), "sparse", "0x1.999999999999ap-1",
+    (ProjectiveSpec(4, 2), 3, "sparse", "0x1.999999999999ap-1",
      "a18ff79d412c3b64c1ca688ff90e66cdde2613d7a11cbfa9de7cdccb41a5404b"),
-    (UniformSpec(3, 8), "dirichlet", "0x1.39c44e9cdc4fdp+0",
+    (UniformSpec(3, 8), 3, "dirichlet", "0x1.39c44e9cdc4fdp+0",
      "fb5ffeb6994a5970b101d633a75b647bfa77c02b2825b6e0c4a5346096594011"),
+    # PG(4,2) K=4, whose top level gathers the 7 points of each plane instead
+    # of the 24 outside it
+    (ProjectiveSpec(5, 2), 4, "dirichlet", "0x1.683d407ec0f72p+1",
+     "c786edfe8e17753d4386122b7d7f001cf1b04010374667e5cbff1b98c737e507"),
+    (ProjectiveSpec(5, 2), 4, "sparse", "0x1.6606ed161c3cbp-1",
+     "46bf47313eb00c9539d8e5438696cf4693c54d3e01336ca87cc8ba19e3cfb7ab"),
 ])
-def test_scan_golden(spec, mode, min_r, digest):
-    idx = enumerate_independent_ksets(build_matroid(spec), 3)
+def test_scan_golden(spec, k, mode, min_r, digest):
+    idx = enumerate_independent_ksets(build_matroid(spec), k)
     report = stability_scan(idx, 2000, 7, mode=mode)
-    # recorded on the K-set sums; the chains and e_K sum in another order
+    # the K = 3 values were recorded on the K-set sums; the chains and e_K sum in another order
     assert ulps(report.min_ratio, float.fromhex(min_r)) <= 4
     assert hashlib.sha256(report.argmin.astype(np.float64).tobytes()).hexdigest() == digest
     assert report.skipped == 0
     pts = _scan_samples(7, 0, 2000, idx.m, mode)
     gaps, _ = gaps_from_uniform(idx, pts)
-    assert any(np.array_equal(p, report.argmin) for p in pts)
-    for p, gap in zip(pts, gaps):
-        exact = exact_gap(idx, p)
-        assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * abs(exact)
+    at = [i for i, p in enumerate(pts) if np.array_equal(p, report.argmin)]
+    assert at
+    # every sample's exact gap on the small indexes; the argmin's on PG(4,2) K=4
+    for i in (range(len(pts)) if idx.n_sets < 1000 else at):
+        exact = exact_gap(idx, pts[i])
+        assert abs(Fraction(gaps[i]) - exact) <= Fraction(1e-12) * abs(exact)
 
 
 def ulps(a: float, b: float) -> int:
@@ -204,11 +212,7 @@ def test_chain_and_ek_gaps_independent_of_row_blocks(data):
     w = centered(pts)
     ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
     for evaluator in evaluators(idx):
-        if isinstance(evaluator, _Elementary):
-            row = 8 * idx.m
-        else:  # the widest per-row buffer of a chain level (see _Chains.gaps)
-            row = 8 * max(max(lv.diff.size, t * lv.src.size)
-                          for t, lv in enumerate(evaluator.levels, start=1))
+        row = 8 * idx.m if isinstance(evaluator, _Elementary) else evaluator._row_bytes()
         results = []
         for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
             with pytest.MonkeyPatch.context() as patch:
@@ -232,7 +236,7 @@ def test_gaps_independent_of_row_blocks(data):
     pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
     pts[0] = 1.0 / idx.m
     ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
-    row = 8 * idx.k * idx.n_sets  # the per-degree cover terms of the top level
+    row = idx._chains._row_bytes()
     results = []
     for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
         with pytest.MonkeyPatch.context() as patch:
@@ -243,6 +247,51 @@ def test_gaps_independent_of_row_blocks(data):
     for w, gap in zip(centered(pts), results[0]):
         exact, norm2 = exact_centered_gap(idx, w)
         assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * max(abs(exact), norm2)
+
+
+def test_gaps_on_irregular_covers():
+    """Parallel elements give the nodes of a level unequal cover counts: the
+    line through a, b and a + b has three covers, each line through c two.
+    Slot j of a level holds one cover of each node with more than j, so
+    the slots hold every cover once, and the gaps match exact rationals."""
+    a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    matroid = build_matroid(LinearSpec(2, (a, a, a, b, (1, 1, 0), c, c)))
+    pts = np.array([[1 / 7] * 7, [1, 0, 0, 0, 0, 0, 0], [0, 0.5, 0, 0.25, 0, 0.25, 0],
+                    [0.3, 0.05, 0.1, 0.2, 0.15, 0.1, 0.1]])
+    nudge = np.array([3, -1, 4, -1, -5, 9, -9])
+    w = centered(np.vstack([pts, 1 / 7 + 1e-8 * (nudge - nudge.mean())]))
+    for k in (2, 3):
+        idx = enumerate_independent_ksets(matroid, k)
+        chains = _build_chains(idx)
+        *levels, top = chains._gap_plan()
+        for lv, (_, slots) in zip(chains.levels, levels):
+            touched = [s.src.size for s in slots]
+            assert touched == [np.count_nonzero(lv.counts > j) for j in range(lv.counts.max())]
+            assert sum(touched) == lv.src.size
+        assert [s.src.size for s in top[1]] == [chains.levels[-1].src.size]
+        for row, gap in zip(w, chains.gaps(w)):
+            exact, norm2 = exact_centered_gap(idx, row)
+            assert abs(Fraction(gap) - exact) <= Fraction(1e-12) * max(abs(exact), norm2)
+    assert sorted(chains.levels[1].counts) == [2, 2, 2, 3]
+
+
+def test_gaps_of_a_one_node_slot_independent_of_row_blocks():
+    """A slot that reaches one node and gathers 10 columns: the line through
+    five copies each of a, b and a + b is the only node with a third cover.
+    Summed over a block of one row, its gathered columns would form one
+    strided run, which numpy sums pairwise; the kernel's blocks never do."""
+    a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    idx = enumerate_independent_ksets(build_matroid(LinearSpec(2, (a,) * 5 + (b,) * 5
+                                                                + ((1, 1, 0),) * 5 + (c,))), 3)
+    chains = _build_chains(idx)
+    assert [s.gather.shape for s in chains._gap_plan()[1][1]][-1] == (10, 1)
+    w = centered(np.random.default_rng(1).dirichlet(np.full(idx.m, 0.3), size=200))
+    results = []
+    for budget in (1, w.shape[0] * chains._row_bytes()):  # one row, one block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genpoly, "GAP_BLOCK_BYTES", budget)
+            results.append(chains.gaps(w))
+    assert np.array_equal(results[0], results[1])
 
 
 def test_gaps_route_by_support():
@@ -286,5 +335,5 @@ def test_gaps_memory_does_not_grow_with_batch():
 def test_gaps_memory_on_pg_4_2():
     idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4)
     pts = np.random.default_rng(4).dirichlet(np.ones(idx.m), size=1000)
-    # 26,040 sets, so one row per block; a (1000, n_sets) array alone is 208 MB
+    # 26,040 sets in 31/155/155/1 flats; a (1000, n_sets) array alone is 208 MB
     assert traced_peak(idx, pts) < 4 * 2**20
