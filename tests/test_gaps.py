@@ -284,7 +284,7 @@ def test_gaps_of_a_one_node_slot_independent_of_row_blocks():
     idx = enumerate_independent_ksets(build_matroid(LinearSpec(2, (a,) * 5 + (b,) * 5
                                                                 + ((1, 1, 0),) * 5 + (c,))), 3)
     chains = _build_chains(idx)
-    assert [s.gather.shape for s in chains._gap_plan()[1][1]][-1] == (10, 1)
+    assert chains._gap_plan()[1][1][-1].gather.shape == (10, 1)  # level 2, slot 2
     w = centered(np.random.default_rng(1).dirichlet(np.full(idx.m, 0.3), size=200))
     results = []
     for budget in (1, w.shape[0] * chains._row_bytes()):  # one row, one block
