@@ -30,22 +30,22 @@ from matroid_sampling.streams import trial_uniforms
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-@pytest.mark.parametrize("spec,k,mode,min_r,digest", [
-    (ProjectiveSpec(4, 2), 3, "dirichlet", "0x1.84ae0973d9304p+0",
+@pytest.mark.parametrize("spec,mode,min_r,digest", [  # spec: (matroid spec, K)
+    ((ProjectiveSpec(4, 2), 3), "dirichlet", "0x1.84ae0973d9304p+0",
      "cac91d4088c2bb552bae4117a9465856d98503efacb05dc950a7f84bb3fe8278"),
-    (ProjectiveSpec(4, 2), 3, "sparse", "0x1.999999999999ap-1",
+    ((ProjectiveSpec(4, 2), 3), "sparse", "0x1.999999999999ap-1",
      "a18ff79d412c3b64c1ca688ff90e66cdde2613d7a11cbfa9de7cdccb41a5404b"),
-    (UniformSpec(3, 8), 3, "dirichlet", "0x1.39c44e9cdc4fdp+0",
+    ((UniformSpec(3, 8), 3), "dirichlet", "0x1.39c44e9cdc4fdp+0",
      "fb5ffeb6994a5970b101d633a75b647bfa77c02b2825b6e0c4a5346096594011"),
     # PG(4,2) K=4, whose top level gathers the 7 points of each plane instead
     # of the 24 outside it
-    (ProjectiveSpec(5, 2), 4, "dirichlet", "0x1.683d407ec0f72p+1",
+    ((ProjectiveSpec(5, 2), 4), "dirichlet", "0x1.683d407ec0f72p+1",
      "c786edfe8e17753d4386122b7d7f001cf1b04010374667e5cbff1b98c737e507"),
-    (ProjectiveSpec(5, 2), 4, "sparse", "0x1.6606ed161c3cbp-1",
+    ((ProjectiveSpec(5, 2), 4), "sparse", "0x1.6606ed161c3cbp-1",
      "46bf47313eb00c9539d8e5438696cf4693c54d3e01336ca87cc8ba19e3cfb7ab"),
 ])
-def test_scan_golden(spec, k, mode, min_r, digest):
-    idx = enumerate_independent_ksets(build_matroid(spec), k)
+def test_scan_golden(spec, mode, min_r, digest):
+    idx = enumerate_independent_ksets(build_matroid(spec[0]), spec[1])
     report = stability_scan(idx, 2000, 7, mode=mode)
     # the K = 3 values were recorded on the K-set sums; the chains and e_K sum in another order
     assert ulps(report.min_ratio, float.fromhex(min_r)) <= 4
