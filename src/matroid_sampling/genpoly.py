@@ -18,13 +18,13 @@ the stability scan and the identity checks call):
 
 * when the support holds every K-subset of the ground set, f is the
   elementary symmetric polynomial e_K, evaluated in O(mK) with no build;
-* otherwise, the chains of flats of the rank-K truncation, a few hundred
-  flats where the index has tens of thousands of K-sets, whose sum counts
-  every K-set in each of its K! orders.  They are used only after an exact
-  check mod a prime shows that they reproduce the K-set polynomial;
-* a support that fails the check, such as an ``explicit`` layer that is
-  not a matroid, gets one chain per K-set instead, which is f term by
-  term.
+* otherwise, the chains of the support's minimal acceptor, whose nodes
+  group the t-sets with the same completions to a K-set and whose sum
+  counts every K-set in each of its K! orders, exactly, on any support.
+  On a matroid the nodes are the flats of the rank-K truncation, a few
+  hundred where the index has tens of thousands of K-sets.  The build
+  refuses a support whose subsets of the K-sets outnumber
+  DEFAULT_ENUM_CAP.
 
 Gaps stream their batch through cache-sized row blocks, so that working
 memory does not grow with the batch, and no row's arithmetic depends on
@@ -213,17 +213,18 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     and expands F(p) - F(u) in powers of w.  Its linear part is
     K! sum_e degree(e) w_e, whose mean-degree component multiplies
     sum(w) = 0 and is dropped analytically rather than left to cancel in
-    floating point; only the order >= 2 remainder is summed numerically.
-    The computed gap therefore stays accurate relative to ||p - u||^2 even
-    for p extremely close to u, which is what dividing by the squared norm
-    requires.
+    floating point.  The rest of it, zero when every element has the same
+    degree, is summed in doubled precision (see _dot2), and the order >= 2
+    remainder numerically.  The computed gap therefore stays accurate
+    relative to ||p - u||^2 even for p extremely close to u, which is what
+    dividing by the squared norm requires.
 
     The remainder is summed by the index's evaluator (see :func:`_chains`):
     as -K! m^-K sum_{j>=2} C(m-j, K-j) e_j(w), in O(mK) per row, when
     every K-subset of the ground set is independent (a free truncation,
     such as U(r, n) with K <= r or any simple matroid with K <= 2), and
-    otherwise over its chains (of flats on a matroid support, one per
-    K-set on any other), carrying per node the linear part of G in w and
+    otherwise over the chains of the support's minimal acceptor (of flats
+    on a matroid support), carrying per node the linear part of G in w and
     the remainder of degree >= 2.  Either streams the batch through blocks
     of rows sized by GAP_BLOCK_BYTES (but at least one row): m columns per
     row for e_K; for the chains, the widest of one slot's gathered columns
@@ -250,13 +251,12 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     return _chains(idx).hessian(as_point(x, idx.m))
 
 
-_CHECK_PRIME = 2**31 - 1  # modulus of the exact check; products of residues fit in int64
-_BUILD_BLOCK = 16384      # (candidate, element) entries per block of enumeration and chain build
+_BUILD_BLOCK = 16384  # (candidate, element) entries per block of enumeration and chain build
 
 
 class _Level(NamedTuple):
-    """The covers F' ⋖ F from one rank level of flats to the next, sorted
-    by F.  ``diff`` holds their difference sets F \\ F' as padded columns:
+    """The covers F' ⋖ F from one level of nodes to the next, sorted by
+    (F, F').  ``diff`` holds their difference sets F \\ F' as padded columns:
     an integer (max |F \\ F'|, covers) array whose column c lists the set
     of cover c, padded with m, an index that reads an appended zero.  When
     the largest set fills at least about half the ground set, ``dense``
@@ -274,59 +274,49 @@ class _Level(NamedTuple):
 class _Chains:
     """f, its gradient, its Hessian and the gaps F(u) - F(p) summed over
     chains of nodes instead of K-sets: with G(root) = 1 and G(F) = sum over
-    covers F' ⋖ F of G(F') x(F \\ F'), the top value G(E) is ``orderings``
-    f(x).
+    covers F' ⋖ F of G(F') x(F \\ F'), the top value G(E) is K! f(x).
 
-    For the chains of flats, an ordered independent sequence x_1..x_K
-    corresponds to exactly one chain cl(∅) = F_0 ⋖ F_1 ⋖ ... ⋖ F_{K-1} ⋖ E
-    of flats of the rank-K truncation, with x_i in F_i \\ F_{i-1}, so
-    G(E) is K! f(x).  For one chain per K-set (see _set_chains), G(E) is
-    f(x) itself.  Every factor x(F \\ F') is a sum of nonnegative
+    The nodes are the states of the support's minimal acceptor (see
+    _acceptor): an ordered K-sequence x_1..x_K of a K-set corresponds to
+    exactly one chain root = F_0 ⋖ F_1 ⋖ ... ⋖ F_K = E, with x_i in
+    F_i \\ F_{i-1}; on a matroid, the F_i are the flats of the rank-K
+    truncation.  Every factor x(F \\ F') is a sum of nonnegative
     coordinates over the stored difference set, never x(F) - x(F'), so
     zero and tiny coordinates lose no digits.  The gradient is the reverse
     (adjoint) sweep plus one scatter of the cover weights per level; it
     reuses the forward sweep that :meth:`evaluate` returns with f.
     """
 
-    __slots__ = ("m", "k", "orderings", "levels", "slope", "_plan")
+    __slots__ = ("m", "k", "levels", "slope", "_plan")
 
-    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray,
-                 orderings: int):
+    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray):
         self.m = m
         self.k = k
-        self.orderings = float(orderings)
         self.levels = levels
-        # the linear part of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0
-        self.slope = self.orderings * (degrees - degrees.mean())
+        # m times the degrees less their mean, as exact integers: the linear part
+        # of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0, is K!/m w.slope
+        self.slope = m * degrees - degrees.sum()
         self._plan = None  # the tables of gaps, built on first use: see _gap_plan
 
-    def _sweep(self, x: np.ndarray, mod: int | None = None):
+    def _sweep(self, x: np.ndarray):
         """(G(E), per level the cover factors x(F \\ F') and the values
-        G(F') of the level below).  With ``mod``, x is an integer vector of
-        residues and all arithmetic is mod ``mod``."""
+        G(F') of the level below)."""
         xe = np.append(x, 0)
         g = np.ones(1, dtype=xe.dtype)
         sweep = []
         for lv in self.levels:
-            if lv.dense is not None and not mod:
+            if lv.dense is not None:
                 d = lv.dense @ xe
             else:
                 d = xe[lv.diff].sum(axis=0)
-            if mod:
-                d %= mod
-            w = g[lv.src] * d
-            if mod:
-                w %= mod
             sweep.append((d, g))
-            g = np.add.reduceat(w, lv.starts)
-            if mod:
-                g %= mod
+            g = np.add.reduceat(g[lv.src] * d, lv.starts)
         return g[0], sweep
 
     def evaluate(self, x: np.ndarray) -> tuple[float, list]:
         """(f(x), the sweep that :meth:`gradient` differentiates)."""
         top, sweep = self._sweep(x)
-        return float(top / self.orderings), sweep
+        return float(top / factorial(self.k)), sweep
 
     def gradient(self, sweep: list) -> np.ndarray:
         """The gradient of f at the point a sweep was taken at."""
@@ -341,7 +331,7 @@ class _Chains:
                 grad += np.bincount(lv.diff.ravel(), w[None].repeat(lv.diff.shape[0], 0).ravel(),
                                     minlength=self.m + 1)
             adjoint = np.bincount(lv.src, a * d, minlength=g.size)
-        return grad[:-1] / self.orderings
+        return grad[:-1] / factorial(self.k)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """The Hessian of f at x: the reverse sweep of :meth:`gradient`
@@ -377,7 +367,7 @@ class _Chains:
                                    minlength=g.size * m).reshape(g.size, m)
             adjoint = np.bincount(lv.src, a * d, minlength=g.size)
         hess = np.triu(hess, 1)
-        return (hess + hess.T) / self.orderings
+        return (hess + hess.T) / factorial(self.k)
 
     def _gap_plan(self) -> list[tuple[np.ufunc, list[_Slot]]]:
         """The tables of :meth:`gaps`, built on first use and cached: per
@@ -442,7 +432,7 @@ class _Chains:
         c_1(F) = sum over F' ⋖ F of |D| c_1(F') + c_0(F') w(D) and
         R(F) = sum of |D| R(F') + (R(F') + c_1(F')) w(D), where c_0, the
         value at u, has no batch axis and the root has c_1 = R = 0.  The
-        gap is -K! m^-K (R(E) + the analytic linear part) / orderings.
+        gap is -m^-K (R(E) + the analytic linear part).
 
         Below the top, each slot of a level (see :meth:`_gap_plan`) adds
         one cover's terms to every node it reaches, so a node sums its
@@ -476,8 +466,30 @@ class _Chains:
                 parts = level
             rest = _cover_terms(wt, apply, top, parts)[1]
             higher[start:start + r] = np.add.reduceat(rest, [0], axis=0)[0, :r]
-        total = higher + np.einsum("ij,j->i", w, self.slope)
-        return -(factorial(self.k) / self.orderings) * float(m) ** (-self.k) * total
+        total = higher + factorial(self.k) / m * _dot2(w, self.slope)
+        return -(float(m) ** (-self.k)) * total
+
+
+def _dot2(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """w @ c per row, as accurate as if summed in twice the working
+    precision: each w_ij c_j is the exact sum of four products of halves
+    (see _halves), added with Knuth's error-free TwoSum.  Near u the terms
+    of the gap's linear part cancel far below their size."""
+    total, error = np.zeros((2, w.shape[0]))
+    for j in np.flatnonzero(c):
+        (x_hi, x_lo), (c_hi, c_lo) = _halves(w[:, j]), _halves(c[j])
+        for p in (x_hi * c_hi, x_hi * c_lo, x_lo * c_hi, x_lo * c_lo):
+            prev, total = total, total + p
+            z = total - prev
+            error += (prev - (total - z)) + (p - z)
+    return total + error
+
+
+def _halves(a):
+    """a = hi + lo exactly, each with at most 26 significant bits (Dekker)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 class _Slot(NamedTuple):
@@ -584,141 +596,126 @@ def _unique(a: np.ndarray) -> np.ndarray:
 def _subset_keys(keys: np.ndarray, t: int, m: int) -> np.ndarray:
     """Sorted distinct keys of the t-subsets of the (t+1)-sets with the
     given keys; the key of a sorted tuple s is sum_i s_i m^(len(s)-1-i)."""
-    parts = []
-    for c in range(t + 1):
-        low = m ** (t - c)  # weight of digit c in a (t+1)-key
-        parts.append(_unique(keys // (low * m) * low + keys % low))
-    return _unique(np.concatenate(parts))
+    lows = [m**j for j in range(t + 1)]  # the weight of each digit dropped
+    return _unique(np.concatenate([_unique(keys // (low * m) * low + keys % low) for low in lows]))
 
 
-def _covering_flats(masks: np.ndarray, bases: np.ndarray, keys: np.ndarray, m: int):
-    """For each flat cl(B) (membership rows ``masks``, bases ``bases``) and
-    each x outside it: (index of the flat, x, packed membership row of
-    cl(B + x)).  y lies in cl(B + x) iff it lies in cl(B) or the key of
-    sorted(B + x + y) is not among the sorted ``keys``."""
-    parent, x = np.nonzero(~masks)
-    t = bases.shape[1] + 1
-    ys = np.arange(m)
-    weights = m ** np.arange(t, -1, -1, dtype=np.int64)  # digit weights of a (t+1)-key
-    packed = np.empty((parent.size, (m + 7) // 8), dtype=np.uint8)
-    rows = max(1, _BUILD_BLOCK // m)
-    for start in range(0, parent.size, rows):
-        block = slice(start, start + rows)
-        cand = np.sort(np.column_stack([bases[parent[block]], x[block]]), axis=1)
-        key = np.zeros((cand.shape[0], m), dtype=np.int64)
-        pos = np.zeros_like(key)  # where y goes among the digits of B + x
-        for i in range(t):
-            b = cand[:, i, None]
-            less = b < ys
-            key += b * np.where(less, weights[i], weights[i + 1])
-            pos += less
-        key += ys * weights[pos]  # y in B + x repeats a digit: no key matches
-        hit = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        packed[block] = np.packbits((keys[hit] != key) | masks[parent[block]], axis=1)
-    return parent, x, packed
+def _acceptor(idx: IndepSetIndex) -> _Chains:
+    """The minimal automaton of the support's ordered K-sequences, as chains.
 
+    Call two t-sets of the shadow (the t-subsets of the K-sets) equivalent
+    when they have the same link {T : S + T is a K-set}; the classes are
+    the nodes of level t.  Node [S] covers node [S + x] with difference set
+    {x : [S + x] is that node}, which does not depend on the representative
+    S, so the sweep sums every ordered K-sequence once and G(E) is K! f on
+    any support.  On a matroid the nodes are the flats of rank < K, since
+    independent sets have equal links iff they have equal closures.
 
-def _level(src: np.ndarray, dst: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> _Level:
-    """The level of covers src -> dst (sorted by dst) from flats with
-    membership rows ``lower`` to flats with membership rows ``upper``,
-    filling the difference sets in blocks of covers (see _Level)."""
-    n, m = src.size, lower.shape[1]
-    lens = upper.sum(axis=1)[dst] - lower.sum(axis=1)[src]
-    diff = np.full((lens.max(), n), m, dtype=np.int64)
-    step = max(1, _BUILD_BLOCK // m)
-    for start in range(0, n, step):
-        b = slice(start, start + step)
-        cover, elem = np.nonzero(upper[dst[b]] & ~lower[src[b]])
-        diff[np.arange(cover.size) - (np.cumsum(lens[b]) - lens[b])[cover],
-             cover + start] = elem
-    dense = None
-    if m + 1 <= 2 * lens.max():
-        dense = np.zeros((n, m + 1))
-        dense[np.arange(n), diff] = 1.0
-        dense[:, m] = 0.0  # the padding's column
-    counts = np.bincount(dst)
-    return _Level(src, diff, dense, lens.astype(float), np.cumsum(counts) - counts, counts)
-
-
-def _build_chains(idx: IndepSetIndex) -> _Chains | None:
-    """The chains of flats of the support's rank-K truncation, or None when
-    they fail the exact check (the support is not the K-sets of a matroid)
-    or their integer keys or exact check would overflow.
-
-    Level t holds the rank-t flats, each with a basis B.  An element y
-    lies outside cl(B) iff B + y is a subset of some K-set, so the flats
-    covering cl(B) are cl(B + x) for x outside it; they are found for
-    every (flat, x) pair at once by looking the sorted keys of B + x + y up
-    in the (t+1)-subsets of the K-sets, and deduplicated by membership.
+    The levels are built from the top down: the nodes of level t are the
+    distinct signatures of its t-sets (see _signatures), which read the
+    nodes of level t + 1.  The t-sets are integer keys (see _subset_keys),
+    Python integers when m^K would overflow int64.  Raises before any
+    signature is computed when the shadow holds more than DEFAULT_ENUM_CAP
+    t-sets.
     """
     k, m = idx.k, idx.m
-    if m**k >= 2**63 or m >= 2**22:
-        return None
-    keys = {k: np.zeros(idx.n_sets, dtype=np.int64)}
+    keys = [np.zeros(idx.n_sets, dtype=np.int64 if m**k < 2**63 else object)]
     for col in idx.sets.T:  # lexsorted rows give ascending keys
-        keys[k] *= m
-        keys[k] += col
-    for t in range(k - 1, 1, -1):
-        keys[t] = _subset_keys(keys[t + 1], t, m)
-
-    degrees = np.bincount(idx.sets.ravel(), minlength=m)
-    masks = (degrees == 0)[None, :]  # F_0: the loops
-    bases = np.zeros((1, 0), dtype=np.int64)
+        keys[0] = keys[0] * m + col
+    for t in range(k - 1, -1, -1):
+        keys.append(_subset_keys(keys[-1], t, m))
+        shadow, cap = sum(a.size for a in keys[1:]), DEFAULT_ENUM_CAP
+        if shadow > cap:
+            raise ValueError(f"the shadow holds at least {shadow} sets, over the cap of {cap}")
+    node = np.zeros(idx.n_sets, dtype=np.int64)  # the one node of level K
     levels = []
-    for t in range(1, k):
-        parent, x, packed = _covering_flats(masks, bases, keys[t + 1], m)
-        if parent.size == 0:
-            return None
-        _, first, flat = np.unique(packed, axis=0, return_index=True, return_inverse=True)
-        new = np.unpackbits(packed[first], axis=1, count=m).view(bool)
-        n = masks.shape[0]
-        covers = _unique(flat.ravel() * n + parent)
-        levels.append(_level(covers % n, covers // n, new, masks))
-        masks = new
-        bases = np.sort(np.column_stack([bases[parent[first]], x[first]]), axis=1)
-    n = masks.shape[0]
-    levels.append(_level(np.arange(n), np.zeros(n, dtype=np.int64), np.ones((1, m), bool), masks))
-    chains = _Chains(m, k, levels, degrees.astype(float), factorial(k))
-
-    # Schwartz-Zippel: both sides are polynomials of degree K, so at a
-    # random point mod P a wrong chain sum survives with probability <= K/P.
-    r = np.random.Generator(np.random.Philox(key=0)).integers(0, _CHECK_PRIME, m)
-    prod = r[idx.sets[:, 0]]
-    for col in idx.sets.T[1:]:
-        prod *= r[col]
-        prod %= _CHECK_PRIME
-    want = factorial(k) % _CHECK_PRIME * (int(prod.sum()) % _CHECK_PRIME) % _CHECK_PRIME
-    if int(chains._sweep(r, _CHECK_PRIME)[0]) != want:
-        return None
-    return chains
+    for t, (upper, lower) in enumerate(zip(keys, keys[1:])):
+        rows, node = _signatures(lower, upper, node, k - 1 - t, m)
+        levels.append(_level(rows))
+    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
+    return _Chains(m, k, levels[::-1], degrees)
 
 
-def _set_chains(idx: IndepSetIndex) -> _Chains:
-    """One chain per K-set, for any support: level t has one cover per set,
-    from the set's node at level t - 1 (the root at t = 1) with difference
-    set {s_t}, and the top level sums every set into E.  So G(E) is f
-    itself, one ordering per chain, and no check is needed."""
-    n, k = idx.n_sets, idx.k
-    columns = idx.sets.T.copy()  # row t: element t of every set, contiguous for the gathers
-    every, sizes, counts = np.arange(n), np.ones(n), np.ones(n, dtype=np.int64)
-    src = [np.zeros(n, dtype=np.int64)] + [every] * (k - 1)
-    levels = [_Level(src[t], columns[t:t + 1], None, sizes, every, counts) for t in range(k - 1)]
-    top = _Level(src[-1], columns[k - 1:], None, sizes, np.zeros(1, dtype=np.int64), np.array([n]))
-    degrees = np.bincount(idx.sets.ravel(), minlength=idx.m).astype(float)
-    return _Chains(idx.m, k, levels + [top], degrees, 1)
+def _signatures(keys: np.ndarray, upper: np.ndarray, upper_node: np.ndarray, t: int, m: int):
+    """(the signature rows of the nodes of level t, the node of each t-set).
+
+    The signature of a t-set S maps x to the node of S + x, or to -1 when
+    S + x is not in the shadow, as when x lies in S.  It is filled from the
+    (t+1)-sets of the shadow (``upper``, with nodes ``upper_node``) in
+    blocks of _BUILD_BLOCK, each (t+1)-set U setting x = U_c in the row of
+    U - U_c for every position c, and deduplicated in blocks of at most
+    _BUILD_BLOCK entries, then merged.  Nodes are ordered by the packed
+    rows of their -1 entries, ties by first occurrence: on a matroid, by
+    the packed membership rows of the rank-t flats.
+    """
+    sig = np.full((keys.size, m), -1, dtype=np.int32)
+    step = max(1, _BUILD_BLOCK // (t + 1))
+    for start in range(0, upper.size, step):
+        u, node = upper[start:start + step], upper_node[start:start + step]
+        for c in range(t + 1):
+            low = m ** (t - c)  # the weight of digit c in a (t+1)-key
+            x = (u // low % m).astype(np.int64)
+            sig[np.searchsorted(keys, u // (low * m) * low + u % low), x] = node  # U - x
+    found, nodes = [], []
+    step = max(1, _BUILD_BLOCK // m)
+    for start in range(0, keys.size, step):
+        block = sig[start:start + step]
+        first, node = _distinct_rows(block)
+        nodes.append(node + sum(f.shape[0] for f in found))
+        found.append(block[first])
+    rows = np.concatenate(found)  # by first occurrence, since each block's are
+    first, node = _distinct_rows(rows)
+    order = np.lexsort(np.packbits(rows[first] < 0, axis=1).T[::-1])  # stable
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    return rows[first[order]].astype(np.int64), label[node[np.concatenate(nodes)]]
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the first occurrence of each distinct row of a 2-d array, in
+    increasing order; the index into those of every row)."""
+    v = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    order = np.argsort(v, kind="stable")  # by bytes: equal rows are adjacent, earliest first
+    new = np.concatenate(([True], v[order[1:]] != v[order[:-1]]))
+    first = order[new]
+    rank = np.argsort(np.argsort(first))  # of each distinct row, by first occurrence
+    return np.sort(first), rank[np.cumsum(new) - 1][np.argsort(order)]
+
+
+def _level(rows: np.ndarray) -> _Level:
+    """The covers from the nodes of one level to the next, from the nodes'
+    signature rows: node i covers node j when some x has rows[i, x] = j,
+    with every such x as the difference set.  Covers are sorted by j, then
+    by i (see _Level)."""
+    n, m = rows.shape
+    node, elem = np.nonzero(rows >= 0)  # elements increase within each node
+    key = rows[node, elem] * n + node
+    order = np.argsort(key, kind="stable")
+    key, elem = key[order], elem[order]
+    new = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))  # each cover's first
+    lens = np.diff(np.append(new, key.size))
+    diff = np.full((lens.max(), new.size), m, dtype=np.int64)
+    diff[np.arange(key.size) - np.repeat(new, lens), np.repeat(np.arange(new.size), lens)] = elem
+    dense = None
+    if m + 1 <= 2 * lens.max():
+        dense = np.zeros((new.size, m + 1))
+        dense[np.arange(new.size), diff] = 1.0
+        dense[:, m] = 0.0  # the padding's column
+    src, dst = key[new] % n, key[new] // n
+    counts = np.bincount(dst)
+    return _Level(src, diff, dense, lens.astype(float), np.cumsum(counts) - counts, counts)
 
 
 def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
     """The index's evaluator of f, its gradient, its Hessian and the gaps,
     built on first use and cached on the index: the elementary-symmetric
     one when the support holds every K-subset of the ground set, otherwise
-    the chains of flats when they pass their exact check (see
-    _build_chains), otherwise one chain per K-set."""
+    the chains of the support's minimal acceptor (see _acceptor)."""
     if idx._chains is None:
         if idx.n_sets == comb(idx.m, idx.k):
             idx._chains = _Elementary(idx.m, idx.k)
         else:
-            idx._chains = _build_chains(idx) or _set_chains(idx)
+            idx._chains = _acceptor(idx)
     return idx._chains
 
 

@@ -1,10 +1,12 @@
+from itertools import combinations
 from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from matroid_sampling import (FieldMatrix, LinearSpec, ParallelClassesSpec, Permutation,
+from matroid_sampling import (FieldMatrix, IndepSetIndex, LinearSpec, ParallelClassesSpec,
+                              Permutation,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               PrimeField, enumerate_independent_ksets,
                               pgl_point_permutation, rank_over_fp)
@@ -56,6 +58,27 @@ def linear_matroids(draw, fields=(2, 3), max_dim=3, min_size=2, max_size=7):
     column = st.tuples(*[st.integers(0, q - 1)] * dim).filter(any)
     columns = draw(st.lists(column, min_size=min_size, max_size=max_size))
     return build_matroid(LinearSpec(q, tuple(columns)))
+
+
+@st.composite
+def supports(draw):
+    """An index of 1..12 random K-subsets of a ground set of K..8
+    elements, K <= 4, most of them not the K-sets of a matroid."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, 8))
+    sets = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
+                         min_size=1, max_size=12, unique=True))
+    return IndepSetIndex(k, m, sets)
+
+
+def with_loops(data, matroid, k):
+    """(the independent K-sets of a matroid with 0..2 loops placed among its
+    elements, the new ground size, the place of each old element)."""
+    m = matroid.m + data.draw(st.integers(0, 2))
+    place = sorted(data.draw(st.permutations(range(m)))[:matroid.m])
+    sets = [tuple(place[e] for e in s) for s in combinations(range(matroid.m), k)
+            if matroid.is_independent(s)]
+    return sets, m, place
 
 
 def centered(pts):

@@ -1,17 +1,19 @@
-"""The ascent's evaluators: f and its gradient summed over chains of flats,
-as the elementary symmetric polynomial e_K on free truncations, or over
-one chain per K-set on any other support.
+"""The ascent's evaluators: f and its gradient summed over the chains of the
+support's minimal acceptor, or as the elementary symmetric polynomial e_K
+on free truncations.
 
-The chains of flats are checked against exact rational sums over the
-independent K-sets on random small linear matroids (loops and parallel
-elements included), against the closed forms of projective geometries
-(flat counts per rank, flat sizes, the optimum at u), against the float
-K-set sums on the benchmark instances, and for their build memory.  A
-support that is not a matroid must fail their exact check and get one
-chain per K-set, which is checked against exact rational sums on random
-supports.  The e_K evaluator is checked against exact rational sums over
-all K-subsets, and the ascent on a uniform matroid must use it and never
-build chains.
+The acceptor is checked against brute force on random supports, most of
+them not matroids: no two nodes of a level share a link, and f, the
+gradient and the gaps match exact rational sums over the K-sets.  On
+random small linear matroids (loops and parallel elements included) its
+nodes must be the flats in packed-membership order and its sums match
+the exact K-set sums; on projective geometries it must give the closed
+forms (flat counts per rank, flat sizes, the optimum at u), and the float
+K-set sums on the benchmark instances.  Its integer keys must not
+overflow on wide supports, its shadow is capped before anything is
+allocated, and its build memory is bounded.  The e_K evaluator is checked
+against exact rational sums over all K-subsets, and the ascent on a
+uniform matroid must use it and never build chains.
 """
 
 import tracemalloc
@@ -23,13 +25,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import add_at_gradient, centered, kset_f, kset_gradient, linear_matroids
+from conftest import (add_at_gradient, centered, kset_f, kset_gradient, linear_matroids,
+                      supports, with_loops)
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
                               PGParams, ProjectiveSpec, UniformSpec,
-                              build_matroid, enumerate_independent_ksets, eval_f,
-                              gaps_from_uniform, maximize_F, uniform_optimum)
-from matroid_sampling.genpoly import (_build_chains, _chains, _Chains, _Elementary,
-                                      _set_chains)
+                              build_matroid, enumerate_independent_ksets, eval_f, genpoly,
+                              maximize_F, uniform_optimum)
+from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -51,18 +53,30 @@ def assert_matches_kset_sums(evaluator, sets, p):
         assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 
 
+def node_links(chains):
+    """Per level t = 0..K, the link of each node, read off the automaton: the
+    sets T completing it, collected along every path to the top."""
+    links = [[{frozenset()}]]
+    for lv in reversed(chains.levels):  # from the top down
+        above, level = links[0], []
+        for i in range(lv.src.max() + 1):
+            link = set()
+            for c in np.flatnonzero(lv.src == i):
+                dst = np.searchsorted(lv.starts, c, side="right") - 1
+                for x in lv.diff[:int(lv.sizes[c]), c].tolist():
+                    link |= {t | {x} for t in above[dst]}
+            level.append(link)
+        links.insert(0, level)
+    return links
+
+
 @PROPERTY
 @given(st.data())
 def test_chains_match_exact_kset_sums(data):
     matroid = data.draw(linear_matroids(fields=(2, 3, 5), max_dim=4, min_size=1, max_size=8))
     k = data.draw(st.integers(1, matroid.rank))
-    # loops: ground elements in no independent set, placed among the others
-    m = matroid.m + data.draw(st.integers(0, 2))
-    place = sorted(data.draw(st.permutations(range(m)))[:matroid.m])
-    sets = [tuple(place[e] for e in s) for s in combinations(range(matroid.m), k)
-            if matroid.is_independent(s)]
-    chains = _build_chains(IndepSetIndex(k, m, sets))
-    assert chains is not None
+    sets, m, _ = with_loops(data, matroid, k)
+    chains = _acceptor(IndepSetIndex(k, m, sets))
     for _ in range(data.draw(st.integers(1, 3))):
         p = data.draw(weights(m))
         assert_matches_kset_sums(chains, sets, p)
@@ -79,21 +93,96 @@ def test_elementary_matches_exact_subset_sums(data):
 
 @PROPERTY
 @given(st.data())
-def test_set_chains_match_exact_sums_on_any_support(data):
-    """Random K-subsets, most of them not the K-sets of a matroid."""
-    k = data.draw(st.integers(1, 4))
-    m = data.draw(st.integers(k, 8))
-    sets = data.draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
-                              min_size=1, max_size=12, unique=True))
-    idx = IndepSetIndex(k, m, sets)
+def test_acceptor_nodes_are_the_flats(data):
+    """Level t of a matroid's acceptor holds its rank-t flats, each the
+    complement of the union of its covers' difference sets, in the order of
+    their packed membership rows; the flats come from brute-force closure."""
+    matroid = data.draw(linear_matroids(fields=(2, 3, 5), max_dim=4, min_size=1, max_size=8))
+    k = data.draw(st.integers(1, matroid.rank))
+    sets, m, place = with_loops(data, matroid, k)
+    chains = _acceptor(IndepSetIndex(k, m, sets))
+    old = {e: i for i, e in enumerate(place)}
+
+    def independent(s):
+        return all(e in old for e in s) and matroid.is_independent(sorted(old[e] for e in s))
+
+    for t, lv in enumerate(chains.levels):
+        flats = {tuple(y in s or not independent(s + (y,)) for y in range(m))
+                 for s in combinations(range(m), t) if independent(s)}
+        nodes = []
+        for i in range(lv.src.max() + 1):
+            outside = lv.diff[:, lv.src == i].ravel()
+            nodes.append(tuple(y not in outside for y in range(m)))
+        # packed rows compare bit by bit from element 0, a member above a non-member
+        assert nodes == sorted(flats)
+
+
+@PROPERTY
+@given(supports())
+def test_acceptor_is_minimal_on_any_support(idx):
+    """Read off the automaton, the links of each level's nodes are distinct,
+    and they are exactly the links {T : S + T is a K-set} of the level's
+    t-subsets of the K-sets (brute force)."""
+    chains = _acceptor(idx)
+    sets = {frozenset(s) for s in idx.sets.tolist()}
+    for t, level in enumerate(node_links(chains)):
+        assert len(set(map(frozenset, level))) == len(level)
+        shadow = {frozenset(s) for u in sets for s in combinations(sorted(u), t)}
+        want = {frozenset(u - s for u in sets if s <= u) for s in shadow}
+        assert set(map(frozenset, level)) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_acceptor_matches_exact_sums_on_any_support(data):
+    """f, the gradient and the gaps on random supports, most of them not
+    the K-sets of a matroid, against exact rational K-set sums."""
+    idx = data.draw(supports())
+    k, m, sets = idx.k, idx.m, idx.sets.tolist()
     points = data.draw(st.lists(weights(m), min_size=1, max_size=3))
     w = centered(np.array([[float(x) for x in p] for p in points]))
     f_u = kset_f(sets, [Fraction(1, m)] * m)
-    for evaluator in (_set_chains(idx), _chains(idx)):
+    for evaluator in (_acceptor(idx), _chains(idx)):
         for p in points:
             assert_matches_kset_sums(evaluator, sets, p)
         for p, gap in zip(points, evaluator.gaps(w), strict=True):
             assert abs(Fraction(gap) - factorial(k) * (f_u - kset_f(sets, p))) <= 1e-12
+
+
+def wide_index():
+    """30 random 10-subsets of 100 points: m^K >= 2^63."""
+    rng = np.random.default_rng(11)
+    sets = {tuple(sorted(rng.choice(100, 10, replace=False).tolist())) for _ in range(30)}
+    return IndepSetIndex(10, 100, sorted(sets))
+
+
+def test_acceptor_keys_past_int64():
+    """The keys of a wide index are Python integers, and the sums stay exact."""
+    idx = wide_index()
+    chains = _chains(idx)
+    assert isinstance(chains, _Chains)
+    integers = np.random.default_rng(12).integers(1, 100, 100).tolist()
+    p = [Fraction(x, sum(integers)) for x in integers]
+    assert_matches_kset_sums(chains, idx.sets.tolist(), p)
+    w = centered(np.array([[float(x) for x in p]]))
+    f_u = factorial(10) * kset_f(idx.sets.tolist(), [Fraction(1, 100)] * 100)
+    gap = f_u - factorial(10) * kset_f(idx.sets.tolist(), p)
+    assert abs(Fraction(chains.gaps(w)[0]) - gap) <= Fraction(1e-12) * f_u
+
+
+def test_acceptor_refuses_a_shadow_over_the_cap(monkeypatch):
+    """The wide index's 30 sets have 300 subsets of 9: over a cap of 100,
+    before any signature is computed."""
+    idx = wide_index()
+    monkeypatch.setattr(genpoly, "DEFAULT_ENUM_CAP", 100)
+
+    def no_signatures(*args):
+        raise AssertionError("a signature buffer was allocated")
+
+    monkeypatch.setattr(genpoly, "_signatures", no_signatures)
+    with pytest.raises(ValueError, match="shadow holds at least 300 sets, over the cap of 100"):
+        _chains(idx)
+    assert idx._chains is None
 
 
 def test_free_truncations_ascend_on_ek_without_chains():
@@ -103,7 +192,7 @@ def test_free_truncations_ascend_on_ek_without_chains():
     assert isinstance(idx._chains, _Elementary)
     assert result.converged
     assert result.value == 24 * eval_f(idx, result.p)
-    chains = _build_chains(idx)
+    chains = _acceptor(idx)
     x = start.probs
     f, state = idx._chains.evaluate(x)
     f_chains, sweep = chains.evaluate(x)
@@ -123,7 +212,7 @@ def gaussian_binomial(n, j, q):
 def test_projective_flats_and_optimum(n, q, k):
     idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(n, q)), k)
     m = idx.m
-    chains = _build_chains(idx)
+    chains = _acceptor(idx)
     counts = [lv.starts.size for lv in chains.levels]
     assert counts == [gaussian_binomial(n, j, q) for j in range(1, k)] + [1]
     if (n, q, k) == (5, 2, 4):
@@ -146,7 +235,7 @@ def test_projective_flats_and_optimum(n, q, k):
                                     (UniformSpec(3, 12), 3), (UniformSpec(4, 9), 2)])
 def test_chains_match_kset_evaluators(spec, k):
     idx = enumerate_independent_ksets(build_matroid(spec), k)
-    chains = _build_chains(idx)
+    chains = _acceptor(idx)
     rng = np.random.default_rng(3)
     for trial in range(4):
         x = rng.dirichlet(np.ones(idx.m))
@@ -158,14 +247,15 @@ def test_chains_match_kset_evaluators(spec, k):
         assert np.allclose(chains.gradient(sweep), want, rtol=1e-13, atol=0)
 
 
-def test_non_matroid_support_gets_one_chain_per_set():
+def test_non_matroid_support_gets_its_minimal_acceptor():
+    """{01, 23}: the four points have four links, {1}, {0}, {3} and {2}."""
     idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
-    assert _build_chains(idx) is None
     start = Distribution([0.4, 0.3, 0.2, 0.1])
     result = maximize_F(idx, AscentConfig(max_iters=50, start=start))
     chains = _chains(idx)
-    assert isinstance(chains, _Chains) and chains.orderings == 1
-    assert [lv.src.size for lv in chains.levels] == [2, 2]
+    assert isinstance(chains, _Chains)
+    assert [lv.starts.size for lv in chains.levels] == [4, 1]
+    assert [lv.src.size for lv in chains.levels] == [4, 4]
     assert result.value == 2 * eval_f(idx, result.p)
     assert result.value > 2 * eval_f(idx, start)
 
@@ -182,14 +272,14 @@ def test_chains_are_built_by_the_first_ascent_and_kept(fano_idx):
 
 def test_chain_build_memory_is_bounded():
     idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4)
-    _build_chains(enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3))  # warm-up
+    _acceptor(enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3))  # warm-up
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        chains = _build_chains(idx)
+        chains = _acceptor(idx)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chains is not None
+    assert [lv.starts.size for lv in chains.levels] == [31, 155, 155, 1]
     assert peak - before <= 2 * 2**20
     assert kept - before <= 2**19

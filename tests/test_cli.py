@@ -97,7 +97,7 @@ def test_optimize_round_trips_through_eval(capsys):
 @pytest.mark.parametrize("spec,k,dist", [
     (PROJECTIVE_32, 3, "[0.04,0.08,0.12,0.16,0.18,0.2,0.22]"),  # chains of flats
     ('{"type":"uniform","r":3,"n":6}', 3, "[0.3,0.25,0.2,0.1,0.1,0.05]"),  # e_K
-    (LAYER, 2, "[0.4,0.3,0.2,0.1]"),  # one chain per K-set
+    (LAYER, 2, "[0.4,0.3,0.2,0.1]"),  # chains of a non-matroid's acceptor
 ])
 def test_optimize_round_trips_through_eval_on_every_evaluator(capsys, spec, k, dist):
     report = run_json(capsys, "optimize", "--spec", spec, "--k", str(k), "--dist", dist)

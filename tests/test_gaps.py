@@ -2,9 +2,10 @@
 
 Golden values pin the scan's argmin bit for bit and its minimum ratio to
 within 4 ulp, and every golden sample's gap is checked against exact
-rational arithmetic.  Property tests compare each of the evaluator's three
-builds (e_K on free truncations, the chains of flats, one chain per K-set)
-against exact rational arithmetic on random small linear matroids, check
+rational arithmetic.  Property tests compare each of the evaluator's two
+builds (e_K on free truncations, the chains of the minimal acceptor)
+against exact rational arithmetic on random small linear matroids and
+random supports, check
 that neither the row blocking nor the scan's chunk size changes a bit of
 the output, and that memory does not grow with the batch.
 """
@@ -22,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
                               gaps_from_uniform, genpoly, stability_scan)
-from conftest import centered, kset_f, linear_matroids
-from matroid_sampling.genpoly import _build_chains, _chains, _Elementary, _set_chains
+from conftest import centered, kset_f, linear_matroids, supports, with_loops
+from matroid_sampling.genpoly import _acceptor, _chains, _Elementary
 from matroid_sampling.projective import _scan_samples
 from matroid_sampling.streams import trial_uniforms
 
@@ -150,19 +151,10 @@ def test_scan_independent_of_chunk(data):
     assert parts.skipped == whole.skipped
 
 
-def with_loops(data, matroid, k):
-    """The K-set index of a matroid with 0..2 loops placed among its elements."""
-    m = matroid.m + data.draw(st.integers(0, 2))
-    place = sorted(data.draw(st.permutations(range(m)))[:matroid.m])
-    sets = [tuple(place[e] for e in s) for s in combinations(range(matroid.m), k)
-            if matroid.is_independent(s)]
-    return IndepSetIndex(k, m, sets)
-
-
 def evaluators(idx):
-    """The chains of flats, one chain per K-set, and e_K when every K-subset
-    is a set."""
-    found = [_build_chains(idx), _set_chains(idx)]
+    """The chains of the minimal acceptor, and e_K when every K-subset is a
+    set."""
+    found = [_acceptor(idx)]
     if idx.n_sets == comb(idx.m, idx.k):
         found.append(_Elementary(idx.m, idx.k))
     return found
@@ -173,15 +165,14 @@ def evaluators(idx):
 def test_chain_and_ek_gaps_match_exact_rationals(data):
     matroid = data.draw(linear_matroids(fields=(2, 3, 5), max_dim=4, min_size=1))
     k = data.draw(st.integers(1, matroid.rank))
-    idx = with_loops(data, matroid, k)
+    sets, m, _ = with_loops(data, matroid, k)
+    idx = IndepSetIndex(k, m, sets)
     points = data.draw(st.lists(rational_points(idx.m), min_size=1, max_size=4))
     pts = np.array([[float(x) for x in p] for p in points])
     # and a point within about 1e-7 of u, where the gap is O(1e-14)
     nudge = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=idx.m, max_size=idx.m)))
     w = centered(np.vstack([pts, 1.0 / idx.m + 1e-8 * (nudge - nudge.mean())]))
-    found = evaluators(idx)
-    assert found[0] is not None
-    for evaluator in found:
+    for evaluator in evaluators(idx):
         for row, gap in zip(w, evaluator.gaps(w)):
             exact, norm2 = exact_centered_gap(idx, row)
             # near u the gap is O(||p - u||^2): measure the error on that scale
@@ -225,18 +216,17 @@ def test_chain_and_ek_gaps_independent_of_row_blocks(data):
 @PROPERTY
 @given(st.data())
 def test_gaps_independent_of_row_blocks(data):
-    """gaps_from_uniform end to end on one chain per K-set, the route of a
-    non-matroid support: one row, a ragged last block and one block give
-    the same bits, and each agrees with exact rational arithmetic."""
-    matroid = data.draw(linear_matroids())
-    idx = enumerate_independent_ksets(matroid, data.draw(st.integers(1, matroid.rank)))
-    idx._chains = _set_chains(idx)
+    """gaps_from_uniform end to end on random supports, most of them not
+    matroids: one row, a ragged last block and one block give the same
+    bits, and each agrees with exact rational arithmetic."""
+    idx = data.draw(supports())
     batch = data.draw(st.integers(3, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     pts = rng.dirichlet(np.full(idx.m, data.draw(st.sampled_from((0.1, 1.0)))), size=batch)
     pts[0] = 1.0 / idx.m
     ragged = data.draw(st.integers(2, batch - 1).filter(lambda r: batch % r))
-    row = idx._chains._row_bytes()
+    evaluator = _chains(idx)
+    row = 8 * idx.m if isinstance(evaluator, _Elementary) else evaluator._row_bytes()
     results = []
     for budget in (1, ragged * row, batch * row):  # one row, ragged last block, one block
         with pytest.MonkeyPatch.context() as patch:
@@ -262,7 +252,7 @@ def test_gaps_on_irregular_covers():
     w = centered(np.vstack([pts, 1 / 7 + 1e-8 * (nudge - nudge.mean())]))
     for k in (2, 3):
         idx = enumerate_independent_ksets(matroid, k)
-        chains = _build_chains(idx)
+        chains = _acceptor(idx)
         *levels, top = chains._gap_plan()
         for lv, (_, slots) in zip(chains.levels, levels):
             touched = [s.src.size for s in slots]
@@ -283,7 +273,7 @@ def test_gaps_of_a_one_node_slot_independent_of_row_blocks():
     a, b, c = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     idx = enumerate_independent_ksets(build_matroid(LinearSpec(2, (a,) * 5 + (b,) * 5
                                                                 + ((1, 1, 0),) * 5 + (c,))), 3)
-    chains = _build_chains(idx)
+    chains = _acceptor(idx)
     assert chains._gap_plan()[1][1][-1].gather.shape == (10, 1)  # level 2, slot 2
     w = centered(np.random.default_rng(1).dirichlet(np.full(idx.m, 0.3), size=200))
     results = []
@@ -295,9 +285,9 @@ def test_gaps_of_a_one_node_slot_independent_of_row_blocks():
 
 
 def test_gaps_route_by_support():
-    """e_K on a free truncation, the chains of flats on other matroids, and
-    one chain per K-set on a non-matroid, bit for bit as the K-set sums gave
-    before the chains existed."""
+    """e_K on a free truncation, and the minimal acceptor on other matroids
+    and on a non-matroid, there bit for bit as the K-set sums gave before
+    the chains existed."""
     free = enumerate_independent_ksets(build_matroid(UniformSpec(3, 7)), 3)
     assert isinstance(_chains(free), _Elementary)
     fano = enumerate_independent_ksets(build_matroid(ProjectiveSpec(3, 2)), 3)
@@ -305,7 +295,7 @@ def test_gaps_route_by_support():
     idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
     pts = np.array([[0.4, 0.3, 0.2, 0.1], [0.25] * 4, [1.0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]])
     gaps, norm2 = gaps_from_uniform(idx, pts)
-    assert _chains(idx).orderings == 1
+    assert [lv.starts.size for lv in _chains(idx).levels] == [4, 1]
     assert [g.hex() for g in gaps] == ["-0x1.eb851eb851eb6p-6", "-0x0.0p+0", "0x1.0000000000000p-2",
                                        "-0x1.eb851eb851eb6p-6"]
     assert [n.hex() for n in norm2] == ["0x1.999999999999ap-5", "0x0.0p+0", "0x1.8000000000000p-1",

@@ -264,16 +264,13 @@ def test_gradient_and_hessian_match_add_at(spec, k):
         assert np.array_equal(hess == 0, want == 0)
 
 
-LAYER = ExplicitSpec(4, 2, ((0, 1), (2, 3)))  # not a matroid: one chain per K-set
+LAYER = ExplicitSpec(4, 2, ((0, 1), (2, 3)))  # not a matroid
 
 
 def route(idx):
-    """The evaluator an index with K >= 2 reads: e_K, the chains of flats,
-    or one chain per K-set."""
-    evaluator = _chains(idx)
-    if isinstance(evaluator, _Elementary):
-        return "e_K"
-    return "sets" if evaluator.orderings == 1 else "flats"
+    """The evaluator an index reads: e_K or the chains of its minimal
+    acceptor."""
+    return "e_K" if isinstance(_chains(idx), _Elementary) else "chains"
 
 
 def assert_matches_exact_kset_sums(idx, x):
@@ -291,8 +288,8 @@ def assert_matches_exact_kset_sums(idx, x):
 
 
 @pytest.mark.parametrize("spec,k,kind", [(UniformSpec(3, 6), 3, "e_K"),
-                                         (ProjectiveSpec(3, 2), 3, "flats"),
-                                         (LAYER, 2, "sets")])
+                                         (ProjectiveSpec(3, 2), 3, "chains"),
+                                         (LAYER, 2, "chains")])
 def test_eval_f_and_hessian_match_exact_sums_on_every_evaluator(spec, k, kind):
     idx = enumerate_independent_ksets(build_matroid(spec), k)
     assert route(idx) == kind

@@ -222,7 +222,7 @@ def test_curvature_fallback_on_a_non_matroid_layer():
 @pytest.mark.parametrize("spec,k", [(ProjectiveSpec(3, 2), 3), (UniformSpec(3, 6), 3),
                                     (ExplicitSpec(4, 2, ((0, 1), (2, 3))), 2)])
 def test_value_is_eval_F_at_the_returned_point(spec, k):
-    # the chains of flats, e_K and one chain per K-set: eval_F reads the
+    # the chains of flats, e_K and a non-matroid's acceptor: eval_F reads the
     # ascent's evaluator, so the reported F is its value to the last bit
     idx = enumerate_independent_ksets(build_matroid(spec), k)
     weights = np.arange(1.0, idx.m + 1)
