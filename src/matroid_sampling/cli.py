@@ -353,7 +353,8 @@ def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=No
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if enum_cap:
         sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                         help="abort if the independent-set enumeration exceeds this count")
+                         help="abort if the independent-set enumeration, or the subsets of "
+                              "its sets that the evaluator's build holds, exceed this count")
     if tol is not None:
         sub.add_argument("--tol", type=float, default=tol,
                          help="tolerance (default: %(default)s)")

@@ -23,8 +23,8 @@ the stability scan and the identity checks call):
   counts every K-set in each of its K! orders, exactly, on any support.
   On a matroid the nodes are the flats of the rank-K truncation, a few
   hundred where the index has tens of thousands of K-sets.  The build
-  refuses a support whose subsets of the K-sets outnumber
-  DEFAULT_ENUM_CAP.
+  refuses a support whose subsets of the K-sets outnumber the index's
+  cap, the one its enumeration ran under.
 
 Gaps stream their batch through cache-sized row blocks, so that working
 memory does not grow with the batch, and no row's arithmetic depends on
@@ -95,12 +95,13 @@ class IndepSetIndex:
     with count >= 1.
 
     Rows are sorted increasingly within each set and lexicographically
-    across sets; the array is immutable.
+    across sets; the array is immutable.  ``cap`` bounds the sets that
+    building the evaluator may hold (see _acceptor).
     """
 
-    __slots__ = ("k", "m", "sets", "_chains")
+    __slots__ = ("k", "m", "sets", "cap", "_chains")
 
-    def __init__(self, k: int, m: int, sets):
+    def __init__(self, k: int, m: int, sets, cap: int = DEFAULT_ENUM_CAP):
         arr = np.array(sets, dtype=np.int64, copy=True).reshape(-1, k)
         if not arr.size:
             raise ValueError("an index needs at least one set")
@@ -116,6 +117,7 @@ class IndepSetIndex:
         self.k = int(k)
         self.m = int(m)
         self.sets = arr
+        self.cap = int(cap)
         self._chains = None  # the evaluator, built on first use: see _chains
 
     @property
@@ -141,7 +143,8 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
     size.  Raises when k is outside [1, rank] or when the count exceeds
     ``cap``; a count known in closed form
     (:func:`~matroid_sampling.matroids.independent_count`) is checked
-    before the search starts.
+    before the search starts.  The index keeps ``cap`` for its evaluator's
+    build.
     """
     if k < 1 or k > matroid.rank:
         raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
@@ -171,7 +174,7 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
             kept.append(block)
         level = np.concatenate(kept)
         del kept  # no second copy of the K-sets while the index sorts them
-    return IndepSetIndex(k, m, level)
+    return IndepSetIndex(k, m, level, cap)
 
 
 def as_point(x, m: int) -> np.ndarray:
@@ -615,8 +618,8 @@ def _acceptor(idx: IndepSetIndex) -> _Chains:
     distinct signatures of its t-sets (see _signatures), which read the
     nodes of level t + 1.  The t-sets are integer keys (see _subset_keys),
     Python integers when m^K would overflow int64.  Raises before any
-    signature is computed when the shadow holds more than DEFAULT_ENUM_CAP
-    t-sets.
+    signature is computed when the shadow holds more than the index's cap
+    of t-sets.
     """
     k, m = idx.k, idx.m
     keys = [np.zeros(idx.n_sets, dtype=np.int64 if m**k < 2**63 else object)]
@@ -624,9 +627,9 @@ def _acceptor(idx: IndepSetIndex) -> _Chains:
         keys[0] = keys[0] * m + col
     for t in range(k - 1, -1, -1):
         keys.append(_subset_keys(keys[-1], t, m))
-        shadow, cap = sum(a.size for a in keys[1:]), DEFAULT_ENUM_CAP
-        if shadow > cap:
-            raise ValueError(f"the shadow holds at least {shadow} sets, over the cap of {cap}")
+        shadow = sum(a.size for a in keys[1:])
+        if shadow > idx.cap:
+            raise ValueError(f"the shadow holds at least {shadow} sets, over the cap of {idx.cap}")
     node = np.zeros(idx.n_sets, dtype=np.int64)  # the one node of level K
     levels = []
     for t, (upper, lower) in enumerate(zip(keys, keys[1:])):

@@ -1,26 +1,35 @@
 """Direct simulation of the sampling model: K i.i.d. draws, test whether
 they are distinct and form an independent set.
 
-Draws use inverse-CDF sampling on the cumulative probability vector with
-binary search, ties broken toward the lower index, and never land on an
-element of probability 0.  Randomness follows the counter-based contract
-in :mod:`matroid_sampling.streams`: trial t consumes a fixed block range
-of a Philox stream keyed by the seed, so estimates are bit-identical under
-any chunking or thread partition of the trials.
+A draw is the inverse-CDF index of its uniform u: the first element whose
+cumulative probability reaches u, ties going to the lower index, and never
+an element of probability 0.  It is found through a guide table (Chen and
+Asau, 1974): [0, 1) is cut into B equal buckets, B the smallest power of
+two >= 8m so that floor(u B) is exact, and bucket b keeps the first index
+whose cumulative sum reaches b/B.  A draw starts at its bucket's entry and
+steps forward while its cumulative sum stays below u.  Only the draws still
+behind are stepped again, and they average at most m/B <= 1/8 steps; the
+result is the binary search's, bit for bit.  Randomness follows the
+counter-based contract in :mod:`matroid_sampling.streams`: trial t
+consumes a fixed block range of a Philox stream keyed by the seed, so
+estimates are bit-identical under any chunking or thread partition of the
+trials.
 
 Independence of a sampled set is decided by the matroid oracle, which for
 linear and projective matroids performs Gaussian elimination on the
-canonical representatives.  Equal sampled sets are deduplicated per chunk
-before the oracle is consulted.  Each sorted set of k distinct draws is
-packed into one int64 key, its elements the big-endian base-m digits, so
+canonical representatives.  A trial's sorted draws are distinct when each
+column exceeds the one before it.  Equal sampled sets are deduplicated per
+chunk before the oracle is consulted.  Each sorted set of k distinct draws
+is packed into one int64 key, its elements the big-endian base-m digits, so
 that sorting the keys sorts the sets lexicographically; each run of equal
 keys is one distinct set, asked once, its answer counting for the whole
-run.  The representatives are decoded and asked in blocks of at most
-``_BUILD_BLOCK`` (set, element) entries.  Where m^k would overflow the
-keys (m^k >= 2^63) the rows themselves are ordered by ``np.lexsort``,
-which gives the same order.  The oracle's own memo (see
-:mod:`matroid_sampling.matroids`) then answers sets already seen in
-earlier chunks or calls.  Both change nothing but the running time.
+run.  The representatives are decoded from the keys, one digit column at a
+time, and asked in blocks of at most ``_BUILD_BLOCK`` (set, element)
+entries.  Where m^k would overflow the keys (m^k >= 2^63) the rows
+themselves are ordered by ``np.lexsort``, which gives the same order.  The
+oracle's own memo (see :mod:`matroid_sampling.matroids`) then answers sets
+already seen in earlier chunks or calls.  Both change nothing but the
+running time.
 """
 
 from __future__ import annotations
@@ -51,13 +60,30 @@ class McEstimate:
 
 
 def _draw_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from ``probs``, one per uniform in [0, 1)."""
-    idx = np.searchsorted(np.cumsum(probs), uniforms, side="left")
+    """Inverse-CDF draws from ``probs``, one per uniform in [0, 1), in the
+    shape of ``uniforms``: ``np.searchsorted(np.cumsum(probs), u, "left")``
+    clipped to the elements of positive probability, through a guide table
+    (see the module docstring)."""
+    cum = np.cumsum(probs)
     # Rounding can put a uniform outside the elements of positive
     # probability: 0.0 before a first element of probability 0, or past a
-    # cumulative sum that ends slightly below 1.
+    # cumulative sum that ends slightly below 1.  Sums of -inf before the
+    # first such element and +inf from the last one on stop every draw
+    # between the two, where clipping would put it.
     support = np.flatnonzero(probs)
-    return np.clip(idx, support[0], support[-1])
+    cum[:support[0]] = -np.inf
+    cum[support[-1]:] = np.inf
+    buckets = 1 << (8 * cum.size - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(buckets) / buckets, side="left")
+    draws = np.ascontiguousarray(guide[(uniforms * buckets).astype(np.intp)])
+    behind = cum[draws] < uniforms
+    lag, u = np.flatnonzero(behind), uniforms[behind]
+    flat = draws.reshape(-1)  # a view, in the C order of lag and u
+    while lag.size:
+        flat[lag] += 1
+        ahead = cum[flat[lag]] < u
+        lag, u = lag[ahead], u[ahead]
+    return draws
 
 
 def _check_draws(matroid: Matroid, p: Distribution, k: int):
@@ -74,10 +100,9 @@ def sample_kset(matroid: Matroid, p: Distribution, k: int, rng: np.random.Genera
     ``independent`` is False whenever the draws collide.
     """
     _check_draws(matroid, p, k)
-    draws = _draw_indices(p.probs, rng.random(k))
-    distinct = np.unique(draws).size == k
-    independent = bool(distinct and matroid.is_independent(draws.tolist()))
-    return bool(distinct), independent
+    draws = np.sort(_draw_indices(p.probs, rng.random(k)))
+    distinct = bool(np.all(draws[1:] > draws[:-1]))
+    return distinct, bool(distinct and matroid.is_independent(draws.tolist()))
 
 
 def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
@@ -105,30 +130,40 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
 
 def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, start: int,
                      count: int) -> int:
-    """Successes among trials start .. start + count - 1.  A chunk's arrays
-    are freed on return, before the next chunk allocates its own."""
-    uniforms = trial_uniforms(seed, start, count, k)
-    draws = _draw_indices(probs, uniforms.ravel()).reshape(count, k)
+    """Successes among trials start .. start + count - 1.  Each array is
+    dropped once no later step reads it, and the rest on return, before
+    the next chunk allocates its own."""
+    draws = _draw_indices(probs, trial_uniforms(seed, start, count, k))
     draws.sort(axis=1)
-    rows = draws[np.all(np.diff(draws, axis=1) > 0, axis=1)]
-    if not rows.size:
-        return 0
+    distinct = np.ones(count, dtype=bool)
+    for c in range(1, k):
+        distinct &= draws[:, c] > draws[:, c - 1]
     m = matroid.m
     packed = m**k < 2**63
     if packed:
-        weights = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        keys = np.sort(rows @ weights)
-        first = keys[1:] != keys[:-1]
+        weights = [m ** (k - 1 - c) for c in range(k)]
+        keys = (draws @ np.array(weights))[distinct]
+        del draws, distinct
+        keys.sort()
+        n_rows, first = keys.size, keys[1:] != keys[:-1]
     else:
+        rows = draws[distinct]
+        del draws, distinct
         rows = rows[np.lexsort(rows.T[::-1])]
-        first = np.any(rows[1:] != rows[:-1], axis=1)
+        n_rows, first = rows.shape[0], np.any(rows[1:] != rows[:-1], axis=1)
+    if not n_rows:
+        return 0
     starts = np.flatnonzero(np.concatenate(([True], first)))
-    group_sizes = np.diff(starts, append=rows.shape[0])
+    group_sizes = np.diff(starts, append=n_rows)
     successes = 0
     step = max(1, _BUILD_BLOCK // k)
     for b in range(0, starts.size, step):
         block = starts[b:b + step]
-        reps = keys[block, None] // weights % m if packed else rows[block]
-        flags = np.fromiter(map(matroid.is_independent, reps.tolist()), bool, block.size)
+        if packed:  # each representative as the tuple of its key's digits
+            firsts = keys[block]
+            reps = zip(*[(firsts // w % m).tolist() for w in weights])
+        else:
+            reps = rows[block].tolist()
+        flags = np.fromiter(map(matroid.is_independent, reps), bool, block.size)
         successes += int(group_sizes[b:b + step][flags].sum())
     return successes

@@ -29,7 +29,7 @@ from conftest import (add_at_gradient, centered, kset_f, kset_gradient, linear_m
                       supports, with_loops)
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
                               PGParams, ProjectiveSpec, UniformSpec,
-                              build_matroid, enumerate_independent_ksets, eval_f, genpoly,
+                              build_matroid, enumerate_independent_ksets, eval_F, eval_f, genpoly,
                               maximize_F, uniform_optimum)
 from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary
 
@@ -173,8 +173,8 @@ def test_acceptor_keys_past_int64():
 def test_acceptor_refuses_a_shadow_over_the_cap(monkeypatch):
     """The wide index's 30 sets have 300 subsets of 9: over a cap of 100,
     before any signature is computed."""
-    idx = wide_index()
-    monkeypatch.setattr(genpoly, "DEFAULT_ENUM_CAP", 100)
+    wide = wide_index()
+    idx = IndepSetIndex(wide.k, wide.m, wide.sets, cap=100)
 
     def no_signatures(*args):
         raise AssertionError("a signature buffer was allocated")
@@ -183,6 +183,22 @@ def test_acceptor_refuses_a_shadow_over_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="shadow holds at least 300 sets, over the cap of 100"):
         _chains(idx)
     assert idx._chains is None
+
+
+def test_enumeration_cap_governs_the_acceptor_build(monkeypatch):
+    """PG(4,2) K=4: 26,040 sets whose shadow holds 4,340 + 465 + 31 + 1 =
+    4,837 sets.  The cap an index was enumerated under bounds its build,
+    whatever DEFAULT_ENUM_CAP reads."""
+    monkeypatch.setattr(genpoly, "DEFAULT_ENUM_CAP", 4_836)
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4, cap=26_040)
+    assert idx.cap == 26_040
+    assert isinstance(_chains(idx), _Chains)
+    assert eval_F(idx, Distribution.uniform(31)) == pytest.approx(
+        float(Fraction(31 * 30 * 28 * 24, 31**4)), rel=1e-14)
+    low = IndepSetIndex(idx.k, idx.m, idx.sets, cap=4_836)
+    with pytest.raises(ValueError, match="shadow holds at least 4837 sets, over the cap of 4836"):
+        _chains(low)
+    assert isinstance(_chains(IndepSetIndex(idx.k, idx.m, idx.sets, cap=4_837)), _Chains)
 
 
 def test_free_truncations_ascend_on_ek_without_chains():

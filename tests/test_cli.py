@@ -295,6 +295,16 @@ def test_mc_over_cap_fails_before_simulating(capsys):
     assert "exceeds cap" in json.loads(err)["error"]["message"]
 
 
+def test_enum_cap_bounds_the_evaluator_build(capsys):
+    """Three disjoint 4-sets pass a cap of 10, their 43-set shadow does not."""
+    spec = '{"type":"explicit","ground_size":12,"k":4,"sets":[[0,1,2,3],[4,5,6,7],[8,9,10,11]]}'
+    code, out, err = run_cli(capsys, "eval", "--spec", spec, "--k", "4", "--enum-cap", "10")
+    assert code == 2
+    assert "over the cap of 10" in json.loads(err)["error"]["message"]
+    report = run_json(capsys, "eval", "--spec", spec, "--k", "4", "--enum-cap", "43")
+    assert report["F"] == pytest.approx(3 * 24 / 12**4, rel=1e-14)
+
+
 def test_validation_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "eval", "--spec", '{"type":"nope"}', "--k", "2")
     assert code == 2

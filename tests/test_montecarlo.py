@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
@@ -21,9 +25,17 @@ def pg33():
 
 
 def _pg33_point(kind):
-    """"u": the uniform point; "p": a fixed seeded Dirichlet point."""
+    """"u": the uniform point; "p": a fixed seeded Dirichlet point; "skew":
+    geometric masses 0.8^i with zero ends and two runs of three masses of
+    2e-14, each run inside one bucket of the draws' guide table; its
+    cumulative sum ends at 1 - 4.4e-16 (the CI ``mc --dist`` gate's point)."""
     if kind == "u":
         return Distribution.uniform(40)
+    if kind == "skew":
+        geo = [0.8**i for i in range(32)]
+        w = [0.0] + [1e-13] * 3 + geo[:16] + [1e-13] * 3 + geo[16:] + [0.0]
+        total = sum(w)
+        return Distribution([x / total for x in w])
     return Distribution(np.random.default_rng(2024).dirichlet(np.ones(40)))
 
 
@@ -158,6 +170,11 @@ def test_input_validation(fano):
     ("p", 2, 0, 70_000, (997, 65_536, 70_000), 65589),
     ("p", 2, 901, 2_000, (1, 997, 2_000), 1891),
     ("p", 2, 901, 70_000, (997, 65_536, 70_000), 65499),
+    # recorded with binary-search draws, before the guide table
+    ("skew", 3, 0, 70_000, (997, 65_536, 70_000), 44570),
+    ("skew", 3, 901, 70_000, (997, 65_536, 70_000), 44621),
+    ("skew", 4, 0, 70_000, (997, 65_536, 70_000), 16069),
+    ("skew", 4, 901, 70_000, (997, 65_536, 70_000), 16007),
 ])
 def test_golden_successes_pg33(pg33, kind, k, seed, n_trials, chunks, successes):
     p = _pg33_point(kind)
@@ -245,3 +262,65 @@ def test_sample_kset_never_draws_a_zero_probability_end():
     p = Distribution(_ZERO_ENDS)
     assert sample_kset(counting, p, 2, _FixedUniforms(_EDGE_UNIFORMS)) == (True, True)
     assert counting.queries == [(1, 10)]
+
+
+def _binary_search_draws(probs, uniforms):
+    support = np.flatnonzero(probs)
+    return np.clip(np.searchsorted(np.cumsum(probs), uniforms, side="left"),
+                   support[0], support[-1])
+
+
+@st.composite
+def draw_cases(draw):
+    """(probs, uniforms): masses of zero, tiny and ordinary size, with zero
+    ends and a run of tiny masses at one place, scaled so that the
+    cumulative sum may end below 1; uniforms at 0, just below 1, at every
+    multiple of 2^-10 and just below it (each bucket edge of a guide table
+    of up to 1024 buckets), at and around each cumulative sum, and random."""
+    mass = st.one_of(st.just(0.0), st.floats(5e-324, 1e-12), st.floats(1e-3, 1.0))
+    body = draw(st.lists(mass, min_size=1, max_size=40).filter(any))
+    crowd = [draw(st.floats(5e-324, 1e-12))] * draw(st.integers(0, 30))
+    at = draw(st.integers(0, len(body)))
+    w = [0.0] * draw(st.integers(0, 3)) + body[:at] + crowd + body[at:] \
+        + [0.0] * draw(st.integers(0, 3))
+    total = sum(w)
+    scale = draw(st.sampled_from([1.0, 1.0 - 2.0**-50, 1.0 - 1e-9]))
+    probs = np.array([x / total * scale for x in w])
+    edges = np.arange(1024) / 1024
+    cum = np.cumsum(probs)
+    cum = cum[cum < 1.0]
+    uniforms = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges[1:], 0.0),
+        cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0),
+        draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))])
+    return probs, np.clip(uniforms, 0.0, np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(draw_cases())
+def test_guide_table_draws_equal_binary_search(case):
+    probs, uniforms = case
+    want = _binary_search_draws(probs, uniforms)
+    assert np.array_equal(_draw_indices(probs, uniforms), want)
+    # a column of a wider array, as the uniforms of k < 4 draws per trial arrive
+    wide = np.zeros((uniforms.size, 3))
+    wide[:, 1] = uniforms
+    assert np.array_equal(_draw_indices(probs, wide[:, 1:2]), want[:, None])
+    # and a Fortran-ordered array
+    pairs = np.asfortranarray(np.stack([uniforms, uniforms[::-1]], axis=1))
+    assert np.array_equal(_draw_indices(probs, pairs), np.stack([want, want[::-1]], axis=1))
+
+
+def test_sample_kset_does_not_import_numpy_ma():
+    """``np.unique`` would import numpy.ma, about 1 MB, on its first call."""
+    code = ("import sys\n"
+            "from matroid_sampling import Distribution, ProjectiveSpec, build_matroid, sample_kset\n"
+            "from matroid_sampling.streams import trial_substream\n"
+            "sample_kset(build_matroid(ProjectiveSpec(3, 2)), Distribution.uniform(7), 3,\n"
+            "            trial_substream(0, 0, 3))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=os.path.dirname(os.path.dirname(__file__)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
