@@ -46,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matroids import Matroid, independent_count
+from .streams import trial_uniforms
 
 SUM_TOL = 1e-12
 REPAIR_TOL = 1e-6
@@ -746,7 +747,8 @@ class ConcavityReport:
 
 def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> ConcavityReport:
     """Check midpoint concavity of the K-th root and midpoint superlevel
-    convexity on random pairs of points in [0, 1)^m.
+    convexity on random pairs of points in [0, 1)^m.  Trial t's pair (x, y)
+    is the 2m uniforms of trial t of the ``streams`` contract under ``seed``.
 
     What is guaranteed: when the index holds the independent K-sets of a
     matroid, f is the basis generating polynomial of its rank-K
@@ -758,13 +760,11 @@ def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> Co
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    m = idx.m
     worst_h = -np.inf
     worst_s = -np.inf
-    for _ in range(trials):
-        x = rng.random(idx.m)
-        y = rng.random(idx.m)
-        hv, sv = _midpoint_check(idx, x, y)
+    for row in trial_uniforms(seed, 0, trials, 2 * m):
+        hv, sv = _midpoint_check(idx, row[:m], row[m:])
         worst_h = max(worst_h, hv)
         worst_s = max(worst_s, sv)
     return ConcavityReport(trials, seed, worst_h, worst_s)

@@ -18,18 +18,24 @@ trials.
 Independence of a sampled set is decided by the matroid oracle, which for
 linear and projective matroids performs Gaussian elimination on the
 canonical representatives.  A trial's sorted draws are distinct when each
-column exceeds the one before it.  Equal sampled sets are deduplicated per
-chunk before the oracle is consulted.  Each sorted set of k distinct draws
-is packed into one int64 key, its elements the big-endian base-m digits, so
-that sorting the keys sorts the sets lexicographically; each run of equal
-keys is one distinct set, asked once, its answer counting for the whole
-run.  The representatives are decoded from the keys, one digit column at a
-time, and asked in blocks of at most ``_BUILD_BLOCK`` (set, element)
-entries.  Where m^k would overflow the keys (m^k >= 2^63) the rows
-themselves are ordered by ``np.lexsort``, which gives the same order.  The
+column exceeds the one before it.  The trials of a request are split into
+windows of ``chunk`` trials, and equal sampled sets are deduplicated per
+window before the oracle is consulted.  A window is drawn in blocks whose
+uniforms fill ``_DRAW_BLOCK_BYTES``, and each block keeps only the sets of
+its trials whose draws are distinct: each such sorted set is packed into
+one int64 key, its elements the big-endian base-m digits, so that sorting
+the keys sorts the sets lexicographically.  Memory is thus one draw block
+plus 8 bytes per trial of the window, and after the sort 8 more per
+distinct set for the bounds of the runs of equal keys.  Where m^k would
+overflow the keys (m^k >= 2^63) a block keeps the rows themselves, k
+entries of the smallest unsigned type that holds m - 1, and ``np.lexsort``
+gives the same order.  After the last block each run of equal sets is one
+distinct set, asked once, its answer counting for the whole run.  The
+representatives are decoded from the keys, one digit column at a time, and
+asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries.  The
 oracle's own memo (see :mod:`matroid_sampling.matroids`) then answers sets
-already seen in earlier chunks or calls.  Both change nothing but the
-running time.
+already seen in earlier windows or calls.  Neither the windows nor the memo
+change the successes, only the number of oracle calls and the running time.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ import numpy as np
 
 from .genpoly import _BUILD_BLOCK, Distribution
 from .matroids import Matroid
-from .streams import trial_uniforms
+from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_uniforms
 
-DEFAULT_CHUNK = 65_536
+DEFAULT_CHUNK = 131_072
+_DRAW_BLOCK_BYTES = 256 << 10  # the uniforms of one draw block
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,12 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     """Monte Carlo estimate of the probability that k i.i.d. draws from p
     are distinct and independent.
 
-    Reproducible: depends only on (seed, n_trials, instance); the chunk
-    size affects memory use only.  Trial t draws the same k uniforms as
-    ``sample_kset`` would with ``trial_substream(seed, t, k)``.
+    Reproducible: ``successes`` depends only on (seed, n_trials,
+    instance).  Trial t draws the same k uniforms as ``sample_kset`` would
+    with ``trial_substream(seed, t, k)``.  ``chunk`` is the dedupe window:
+    each distinct set among a window's trials costs one oracle call (fewer
+    when the oracle's memo knows it), so larger windows ask the oracle
+    less often, and the window's keys take 8 bytes per trial.
     """
     _check_draws(matroid, p, k)
     if n_trials < 1:
@@ -130,40 +140,55 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
 
 def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, start: int,
                      count: int) -> int:
-    """Successes among trials start .. start + count - 1.  Each array is
-    dropped once no later step reads it, and the rest on return, before
-    the next chunk allocates its own."""
-    draws = _draw_indices(probs, trial_uniforms(seed, start, count, k))
-    draws.sort(axis=1)
-    distinct = np.ones(count, dtype=bool)
-    for c in range(1, k):
-        distinct &= draws[:, c] > draws[:, c - 1]
+    """Successes among trials start .. start + count - 1, one dedupe window.
+
+    The trials are drawn in blocks whose uniforms fill
+    ``_DRAW_BLOCK_BYTES``.  A block keeps only the packed keys of the
+    trials whose draws are distinct, in a buffer of 8 bytes per trial of
+    the window (k entries of the smallest unsigned type that holds m - 1
+    where m^k >= 2^63).  After the last block the window is sorted once
+    and each distinct set asked once, in lexicographic order."""
     m = matroid.m
     packed = m**k < 2**63
-    if packed:
-        weights = [m ** (k - 1 - c) for c in range(k)]
-        keys = (draws @ np.array(weights))[distinct]
-        del draws, distinct
-        keys.sort()
-        n_rows, first = keys.size, keys[1:] != keys[:-1]
-    else:
-        rows = draws[distinct]
-        del draws, distinct
-        rows = rows[np.lexsort(rows.T[::-1])]
-        n_rows, first = rows.shape[0], np.any(rows[1:] != rows[:-1], axis=1)
+    weights = [m ** (k - 1 - c) for c in range(k)]
+    kept = (np.empty(count, np.int64) if packed
+            else np.empty((count, k), np.min_scalar_type(m - 1)))
+    n_rows = 0
+    per_block = max(1, _DRAW_BLOCK_BYTES // (8 * DOUBLES_PER_BLOCK * blocks_per_trial(k)))
+    for lo in range(start, start + count, per_block):
+        n = min(per_block, start + count - lo)
+        draws = _draw_indices(probs, trial_uniforms(seed, lo, n, k))
+        draws.sort(axis=1)
+        distinct = np.ones(n, dtype=bool)
+        for c in range(1, k):
+            distinct &= draws[:, c] > draws[:, c - 1]
+        rows = (draws @ np.array(weights))[distinct] if packed else draws[distinct]
+        kept[n_rows:n_rows + rows.shape[0]] = rows
+        n_rows += rows.shape[0]
+    del draws, distinct, rows
     if not n_rows:
         return 0
-    starts = np.flatnonzero(np.concatenate(([True], first)))
-    group_sizes = np.diff(starts, append=n_rows)
+    # the first row of each run of equal sets, then n_rows
+    bounds = np.ones(n_rows + 1, dtype=bool)
+    if packed:
+        keys = kept[:n_rows]
+        keys.sort()
+        np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    else:
+        rows = kept[:n_rows]
+        rows = rows[np.lexsort(rows.T[::-1])]
+        del kept
+        np.any(rows[1:] != rows[:-1], axis=1, out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
     successes = 0
     step = max(1, _BUILD_BLOCK // k)
-    for b in range(0, starts.size, step):
-        block = starts[b:b + step]
+    for b in range(0, bounds.size - 1, step):
+        edges = bounds[b:b + step + 1]
         if packed:  # each representative as the tuple of its key's digits
-            firsts = keys[block]
+            firsts = keys[edges[:-1]]
             reps = zip(*[(firsts // w % m).tolist() for w in weights])
         else:
-            reps = rows[block].tolist()
-        flags = np.fromiter(map(matroid.is_independent, reps), bool, block.size)
-        successes += int(group_sizes[b:b + step][flags].sum())
+            reps = rows[edges[:-1]].tolist()
+        flags = np.fromiter(map(matroid.is_independent, reps), bool, edges.size - 1)
+        successes += int(np.diff(edges)[flags].sum())
     return successes

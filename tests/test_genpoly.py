@@ -15,6 +15,7 @@ from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearS
 from conftest import (CountingMatroid, add_at_gradient, kset_f, kset_hessian, linear_matroids,
                       singer_cycle)
 from matroid_sampling.genpoly import _chains, _Elementary, _midpoint_check
+from matroid_sampling.streams import trial_substream
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -349,6 +350,17 @@ def test_concavity_probe_fano(fano_idx):
     report = concavity_probe(fano_idx, trials=1000, seed=42)
     assert report.max_concavity_violation <= 1e-9
     assert report.max_superlevel_violation <= 1e-9
+
+
+def test_concavity_probe_follows_the_stream_contract(fano_idx):
+    # trial t's pair is the 2m uniforms of trial t's Philox substream
+    report = concavity_probe(fano_idx, trials=20, seed=7)
+    checks = []
+    for t in range(20):
+        u = trial_substream(7, t, 14).random(14)
+        checks.append(_midpoint_check(fano_idx, u[:7], u[7:]))
+    assert report.max_concavity_violation == max(h for h, _ in checks)
+    assert report.max_superlevel_violation == max(s for _, s in checks)
 
 
 def test_concavity_probe_linear_case():

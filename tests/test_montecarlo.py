@@ -201,6 +201,10 @@ def _candidate_rows(p, k, n_trials, seed, chunk):
     # U(11, 64) at its uniform point: 64^11 >= 2^63, so the rows are too
     # wide for packed keys and are lexsorted
     ("wide", 11, 3_000, 997),
+    # windows of several draw blocks (8,192 trials at k = 4, 2,730 at
+    # k = 11), each ending in a ragged block
+    ("u", 4, 20_000, 20_000),
+    ("wide", 11, 6_000, 6_000),
 ])
 def test_one_oracle_call_per_distinct_set_per_chunk(pg33, kind, k, n_trials, chunk):
     if kind == "wide":
@@ -230,6 +234,23 @@ def test_chunks_do_not_hold_memory_across_chunks(pg33):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_window_memory_is_one_block_plus_its_keys(pg33):
+    """A window holds one draw block and its kept keys or rows, not the
+    uniforms and draws of all its trials."""
+    cases = [(pg33, _pg33_point("u"), 4),
+             (build_matroid(UniformSpec(11, 64)), Distribution.uniform(64), 11)]
+    for matroid, p, k in cases:
+        # fills the oracle memo, so that only the window's arrays are traced
+        estimate_F(matroid, p, k, DEFAULT_CHUNK, seed=5)
+        tracemalloc.start()
+        try:
+            estimate_F(matroid, p, k, DEFAULT_CHUNK, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20, (k, peak)
 
 
 # element 0 and the last element have probability 0, and the cumulative
