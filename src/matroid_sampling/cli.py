@@ -126,8 +126,8 @@ def _write_report(report: dict, args):
         sys.stdout.write(text)
 
 
-def _build(args):
-    spec = _load_spec(args.spec)
+def _build(args, spec=None):
+    spec = _load_spec(args.spec) if spec is None else spec
     matroid = build_matroid(spec)
     if args.k is None:
         return spec, matroid, None
@@ -231,10 +231,10 @@ def cmd_scan(args) -> dict:
 def cmd_k2check(args) -> dict:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    spec, matroid, idx = _build(args)
     if args.k != 2:
         raise ValueError("the K=2 identity check needs --k 2")
-    _projective(spec)  # the identity is exact only on projective geometries
+    # the identity is exact only on projective geometries
+    spec, matroid, idx = _build(args, _projective(_load_spec(args.spec)))
     pts = _scan_samples(args.seed, 0, args.samples, matroid.m, "dirichlet")
     gaps, norm2 = gaps_from_uniform(idx, pts)
     worst = float(np.max(np.abs(gaps - norm2), initial=0.0))
@@ -256,12 +256,12 @@ def cmd_hesscheck(args) -> dict:
     # difference (F(u + tv) - 2F(u) + F(u - tv)) / t^2 = -(gap(u + tv) + gap(u - tv)) / t^2
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    spec, matroid, idx = _build(args)
-    pg = _projective(spec)
+    pg = _projective(_load_spec(args.spec))
     params = PGParams(pg.n, pg.q, args.k)
     coefficient = hessian_coefficient(params)
     coef = float(coefficient)
     b2 = b2_explicit(params)
+    spec, matroid, idx = _build(args, pg)
     m, t = matroid.m, 1e-3
     dirs = trial_uniforms(args.seed, 0, args.samples, m)
     dirs -= dirs.mean(axis=1, keepdims=True)

@@ -1,10 +1,10 @@
 """Exact arithmetic in prime fields F_p.
 
-Matrices here are small and dense and all arithmetic is exact, so Gaussian
-elimination runs on plain Python row lists with "first nonzero" pivoting
-(an exact field needs no numerical pivoting).  The module also provides the
-F_p^n vector utilities that the projective-geometry matroids are built on:
-nonzero-vector enumeration and canonical projective representatives.
+Arithmetic is exact, so Gaussian elimination pivots on the first nonzero
+entry: on Python row lists for one matrix, batched in numpy for a stack of
+them.  The module also provides the F_p^n vector utilities that the
+projective-geometry matroids are built on: nonzero-vector enumeration,
+canonical projective representatives and projective point indices.
 """
 
 from __future__ import annotations
@@ -152,12 +152,23 @@ def canonical_point(v, q: int) -> tuple[int, ...]:
 
 
 def projective_points(n: int, q: int) -> list[tuple[int, ...]]:
-    """Canonical representatives of PG(n-1, q), sorted lexicographically.
+    """Canonical representatives of PG(n-1, q), sorted lexicographically:
+    the (q**n - 1) / (q - 1) nonzero vectors whose first nonzero coordinate
+    is 1."""
+    return [v for v in nonzero_vectors(n, q) if next(filter(None, v)) == 1]
 
-    There are exactly (q**n - 1) / (q - 1) of them.
-    """
-    pts = sorted({canonical_point(v, q) for v in nonzero_vectors(n, q)})
-    expected = (q**n - 1) // (q - 1)
-    if len(pts) != expected:
-        raise AssertionError(f"point count {len(pts)} != {expected}")
-    return pts
+
+def _point_indices(vectors, q: int) -> np.ndarray:
+    """Index in :func:`projective_points` of the class of each row of a (B, n)
+    array of nonzero vectors over F_q: scaled to have its leading 1 at
+    position j, a row follows the [n-1-j]_q points whose 1 lies further
+    right, and the base-q value of its later coordinates orders it among
+    the points that share j."""
+    v = np.asarray(vectors, dtype=np.int64)
+    if not v.any(axis=1).all():
+        raise ValueError("the zero vector has no projective class")
+    lead_at = (v != 0).argmax(axis=1)
+    leads, which = np.unique(v[np.arange(len(v)), lead_at], return_inverse=True)
+    v = v * np.array([pow(int(x), q - 2, q) for x in leads], dtype=np.int64)[which, None] % q
+    place = q ** np.arange(v.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (place[lead_at] - 1) // (q - 1) + v @ place - place[lead_at]

@@ -731,10 +731,10 @@ def _midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:
     """
     vx = as_point(x, idx.m)
     vy = as_point(y, idx.m)
-    mid = (vx + vy) / 2.0
-    h_violation = 0.5 * (eval_h(idx, vx) + eval_h(idx, vy)) - eval_h(idx, mid)
-    s_violation = min(eval_f(idx, vx), eval_f(idx, vy)) - eval_f(idx, mid)
-    return float(h_violation), float(s_violation)
+    fx, fy, fmid = (eval_f(idx, v) for v in (vx, vy, (vx + vy) / 2.0))
+    # h from those values, as eval_h takes it
+    hx, hy, hmid = (0.0 if f == 0.0 else float(f ** (1.0 / idx.k)) for f in (fx, fy, fmid))
+    return float(0.5 * (hx + hy) - hmid), float(min(fx, fy) - fmid)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,19 @@ Concrete families:
 * explicit size-k layers, where the user supplies the independent k-sets
   directly and the oracle answers only for subsets of size <= k.
 
+The linear, projective and parallel-class families are all column
+matroids over a prime field, built by one function: the parallel classes
+are m_per_class copies of the binary column (1, 0), then as many of (0, 1).
+
 Besides the scalar oracle, every matroid answers a batch of same-size sets
 at once with :meth:`Matroid.independent_rows`: one vectorized elimination
-over F_q for the linear and projective families, a closed form for the
-uniform and parallel-class ones, and the scalar oracle in a loop for
-explicit layers.
+over F_q for the column matroids, a closed form for the uniform ones, and
+the scalar oracle in a loop for explicit layers.
 
 Matroids are immutable after construction and oracle calls are pure, so
 instances can be shared freely across threads.  The scalar F_q-rank oracle
-of the linear and projective families remembers its answers in a memo of
-at most ``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
+of every column matroid remembers its answers in a memo of at most
+``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Union
 import numpy as np
 
 from .fields import PrimeField, _independent_stacks, _rank_rows, projective_points
+from .streams import trial_substream
 
 ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
 _COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
@@ -91,7 +95,8 @@ class Matroid:
     non-exhaustive check of the axioms.
 
     A matroid is immutable and its oracle is pure, so one instance may be
-    shared across threads.  The memo behind the F_q-rank oracle does not
+    shared across threads.  The memo behind the F_q-rank oracle of the
+    column matroids (linear, projective and parallel-class) does not
     change that: each write stores the same single byte whichever thread
     makes it, and a lost write only costs a recomputation.
     """
@@ -207,19 +212,19 @@ def _memoized(oracle, m: int, max_size: int):
     return memoized
 
 
-def _vector_oracle(vectors, q: int, dim: int):
+def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> Matroid:
+    """The matroid of ``columns`` (nonzero vectors of F_q^dim): a set is
+    independent when its columns are linearly independent.  The scalar
+    oracle runs one elimination per set behind the memo; the batch oracle
+    runs all rows of a call as one stacked elimination."""
+    table = np.array(columns, dtype=np.int64)
+
     def oracle(s: tuple) -> bool:
         if len(s) > dim:
             return False
         if len(s) <= 1:
             return True
-        return _rank_rows([vectors[e] for e in s], q) == len(s)
-
-    return _memoized(oracle, len(vectors), dim)
-
-
-def _vector_rows(vectors, q: int, dim: int):
-    table = np.array(vectors, dtype=np.int64)
+        return _rank_rows([columns[e] for e in s], q) == len(s)
 
     def rows_oracle(rows: np.ndarray) -> np.ndarray:
         t = rows.shape[1]
@@ -227,7 +232,7 @@ def _vector_rows(vectors, q: int, dim: int):
             return np.full(rows.shape[0], t <= 1)
         return _independent_stacks(table[rows], q)
 
-    return rows_oracle
+    return Matroid(len(columns), spec, _memoized(oracle, len(columns), dim), name, rows_oracle)
 
 
 def build_matroid(spec: MatroidSpec) -> Matroid:
@@ -248,37 +253,23 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
     if isinstance(spec, LinearSpec):
         field = PrimeField(spec.q)
         cols, dim = _validate_columns(spec.columns, field.p)
-        spec = LinearSpec(field.p, cols)
-        return Matroid(len(cols), spec, _vector_oracle(cols, field.p, dim),
-                       f"linear(q={field.p},m={len(cols)})", _vector_rows(cols, field.p, dim))
+        return _column_matroid(LinearSpec(field.p, cols), cols, field.p, dim,
+                               f"linear(q={field.p},m={len(cols)})")
 
     if isinstance(spec, ProjectiveSpec):
         if spec.n < 1:
             raise ValueError(f"projective matroid needs n >= 1, got {spec.n}")
         field = PrimeField(spec.q)
-        pts = projective_points(spec.n, field.p)
-        return Matroid(len(pts), spec, _vector_oracle(pts, field.p, spec.n),
-                       f"projective(n={spec.n},q={field.p})", _vector_rows(pts, field.p, spec.n))
+        return _column_matroid(spec, projective_points(spec.n, field.p), field.p, spec.n,
+                               f"projective(n={spec.n},q={field.p})")
 
     if isinstance(spec, ParallelClassesSpec):
         mpc = spec.m_per_class
         if mpc < 1:
             raise ValueError(f"parallel-class matroid needs m_per_class >= 1, got {mpc}")
-
-        def oracle(s: tuple) -> bool:
-            if len(s) <= 1:
-                return True
-            if len(s) == 2:
-                return (s[0] < mpc) != (s[1] < mpc)
-            return False
-
-        def rows_oracle(rows: np.ndarray) -> np.ndarray:
-            t = rows.shape[1]
-            if t == 2:  # sorted rows: a cross pair has its first element in class 0
-                return (rows[:, 0] < mpc) & (rows[:, 1] >= mpc)
-            return np.full(rows.shape[0], t <= 1)
-
-        return Matroid(2 * mpc, spec, oracle, f"parallel_classes(m={mpc})", rows_oracle)
+        # rank 2: a pair is independent exactly when it crosses the classes
+        return _column_matroid(spec, ((1, 0),) * mpc + ((0, 1),) * mpc, 2, 2,
+                               f"parallel_classes(m={mpc})")
 
     if isinstance(spec, ExplicitSpec):
         if spec.ground_size < 1:
@@ -371,8 +362,9 @@ def axiom_spot_check(matroid: Matroid, trials: int = 300, seed: int = 0) -> list
     Samples random independent sets and checks downward closure and the
     exchange property.  Returns a list of human-readable violations (empty
     when none were found).  Absence of violations is evidence, not proof.
+    The draws come from the Philox stream of trial 0 under ``seed``.
     """
-    rng = np.random.default_rng(seed)
+    rng = trial_substream(seed, 0, 1)
     m = matroid.m
     violations: list[str] = []
     if not matroid.is_independent(()):

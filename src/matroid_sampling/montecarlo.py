@@ -16,8 +16,8 @@ estimates are bit-identical under any chunking or thread partition of the
 trials.
 
 Independence of a sampled set is decided by the matroid oracle, which for
-linear and projective matroids performs Gaussian elimination on the
-canonical representatives.  A trial's sorted draws are distinct when each
+the column matroids (linear, projective, parallel classes) performs
+Gaussian elimination on their columns.  A trial's sorted draws are distinct when each
 column exceeds the one before it.  The trials of a request are split into
 windows of ``chunk`` trials, and equal sampled sets are deduplicated per
 window before the oracle is consulted.  A window is drawn in blocks whose

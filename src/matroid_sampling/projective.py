@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .fields import PrimeField, canonical_point, nonzero_vectors, projective_points
+from .fields import PrimeField, _point_indices, nonzero_vectors
 from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex,
                       enumerate_independent_ksets, gaps_from_uniform)
 from .matroids import ProjectiveSpec, build_matroid, independent_count
@@ -152,12 +152,9 @@ def pushforward(vector_dist: VectorDistribution) -> Distribution:
     """Project a vector distribution on F_q^n to PG(n-1, q): each point
     receives the total mass of its q-1 nonzero scalar multiples."""
     n, q = vector_dist.n, vector_dist.q
-    points = projective_points(n, q)
-    index = {pt: i for i, pt in enumerate(points)}
-    out = np.zeros(len(points))
-    for vec, mass in zip(nonzero_vectors(n, q), vector_dist.probs):
-        out[index[canonical_point(vec, q)]] += mass
-    return Distribution(out)
+    # bincount adds the masses in vector order, as a loop over the vectors would
+    return Distribution(np.bincount(_point_indices(nonzero_vectors(n, q), q),
+                                    weights=vector_dist.probs))
 
 
 def stability_ratio(idx: IndepSetIndex, p) -> float:

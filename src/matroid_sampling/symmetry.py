@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldMatrix, canonical_point, projective_points, rank_over_fp
+from .fields import FieldMatrix, _point_indices, projective_points, rank_over_fp
 from .genpoly import Distribution, IndepSetIndex, eval_f
 from .matroids import Matroid, ProjectiveSpec
 
@@ -174,8 +174,6 @@ def pgl_point_permutation(matrix: FieldMatrix, matroid: Matroid) -> Permutation:
         raise ValueError(f"matrix must be {n}x{n}, got {rows}x{cols}")
     if rank_over_fp(matrix) != n:
         raise ValueError("matrix is singular over F_q")
-    points = projective_points(n, q)
-    index = {point: i for i, point in enumerate(points)}
     # entries < 2**16 and n < 2**31, so the int64 product cannot overflow
-    images = (np.array(points, dtype=np.int64) @ matrix.entries.T) % q
-    return Permutation([index[canonical_point(v, q)] for v in images.tolist()])
+    images = (np.array(projective_points(n, q), dtype=np.int64) @ matrix.entries.T) % q
+    return Permutation(_point_indices(images, q))

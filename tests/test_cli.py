@@ -305,6 +305,20 @@ def test_enum_cap_bounds_the_evaluator_build(capsys):
     assert report["F"] == pytest.approx(3 * 24 / 12**4, rel=1e-14)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["k2check", "--spec", '{"type":"uniform","r":2,"n":30}', "--k", "2"],
+     "needs a projective matroid spec"),
+    (["k2check", "--spec", '{"type":"projective","n":4,"q":2}', "--k", "4"], "needs --k 2"),
+    (["hesscheck", "--spec", '{"type":"uniform","r":2,"n":30}', "--k", "2"],
+     "needs a projective matroid spec"),
+])
+def test_identity_gates_run_before_the_enumeration(capsys, argv, message):
+    # each request enumerates more sets than the cap: the gate must answer first
+    code, out, err = run_cli(capsys, *argv, "--enum-cap", "10")
+    assert code == 2
+    assert message in json.loads(err)["error"]["message"]
+
+
 def test_validation_errors_exit_2(capsys):
     code, out, err = run_cli(capsys, "eval", "--spec", '{"type":"nope"}', "--k", "2")
     assert code == 2

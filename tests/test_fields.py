@@ -8,7 +8,9 @@ from matroid_sampling import (FieldMatrix, PrimeField, ProjectiveSpec, build_mat
                               canonical_point, nonzero_vectors, projective_points,
                               rank_over_fp)
 from conftest import random_invertible
-from matroid_sampling.fields import _rank_rows
+from matroid_sampling.fields import _point_indices, _rank_rows
+
+POINT_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)]
 
 
 def test_field_new_accepts_small_primes():
@@ -120,8 +122,23 @@ def test_canonical_point():
         canonical_point((0, 0), 3)
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)])
+@pytest.mark.parametrize("n,q", POINT_CASES)
 def test_projective_point_count(n, q):
     pts = projective_points(n, q)
     assert len(pts) == (q**n - 1) // (q - 1)
     assert all(p[[x != 0 for x in p].index(True)] == 1 for p in pts)
+
+
+@pytest.mark.parametrize("n,q", POINT_CASES)
+def test_point_indices_match_canonical_points(n, q):
+    points = projective_points(n, q)
+    index = {point: i for i, point in enumerate(points)}
+    vectors = nonzero_vectors(n, q)
+    assert _point_indices(points, q).tolist() == list(range(len(points)))
+    assert _point_indices(vectors, q).tolist() == [index[canonical_point(v, q)]
+                                                    for v in vectors]
+
+
+def test_point_indices_reject_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        _point_indices([(1, 2), (0, 0)], 3)

@@ -350,6 +350,9 @@ def test_concavity_probe_fano(fano_idx):
     report = concavity_probe(fano_idx, trials=1000, seed=42)
     assert report.max_concavity_violation <= 1e-9
     assert report.max_superlevel_violation <= 1e-9
+    # the report recorded when each trial evaluated f twice per point, to the bit
+    assert report.max_concavity_violation == float.fromhex("-0x1.890e9b3432000p-10")
+    assert report.max_superlevel_violation == float.fromhex("-0x1.535c2542579d0p-4")
 
 
 def test_concavity_probe_follows_the_stream_contract(fano_idx):
@@ -361,6 +364,8 @@ def test_concavity_probe_follows_the_stream_contract(fano_idx):
         checks.append(_midpoint_check(fano_idx, u[:7], u[7:]))
     assert report.max_concavity_violation == max(h for h, _ in checks)
     assert report.max_superlevel_violation == max(s for _, s in checks)
+    assert report.max_concavity_violation == float.fromhex("-0x1.df4caffce0600p-8")
+    assert report.max_superlevel_violation == float.fromhex("-0x1.4646b8d324ba8p-2")
 
 
 def test_concavity_probe_linear_case():
@@ -370,6 +375,8 @@ def test_concavity_probe_linear_case():
     report = concavity_probe(idx, trials=500, seed=1)
     assert report.max_concavity_violation <= 1e-13
     assert report.max_superlevel_violation <= 1e-13
+    assert report.max_concavity_violation == float.fromhex("0x1.0000000000000p-50")
+    assert report.max_superlevel_violation == float.fromhex("-0x1.bb26588864800p-9")
 
 
 def test_midpoint_check_equal_points_exact(fano_idx):

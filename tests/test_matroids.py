@@ -48,6 +48,23 @@ def test_parallel_classes_structure(parallel2):
     assert not parallel2.is_independent((0, 1, 2))
 
 
+@pytest.mark.parametrize("mpc", [1, 2, 3, 4])
+def test_parallel_classes_are_binary_columns(mpc):
+    parallel = build_matroid(ParallelClassesSpec(mpc))
+    columns = build_matroid(LinearSpec(2, ((1, 0),) * mpc + ((0, 1),) * mpc))
+    assert parallel.m == columns.m == 2 * mpc
+    for size in range(4):
+        rows = list(combinations(range(2 * mpc), size))
+        # rank 2: independent exactly when at most one element, or a pair across the classes
+        want = [size <= 1 or (size == 2 and s[0] < mpc <= s[1]) for s in rows]
+        assert [parallel.is_independent(s) for s in rows] == want
+        assert [columns.is_independent(s) for s in rows] == want
+        if rows:
+            batch = np.array(rows, dtype=np.int64).reshape(len(rows), size)
+            assert parallel.independent_rows(batch).tolist() == want
+            assert columns.independent_rows(batch).tolist() == want
+
+
 def test_ranks():
     assert build_matroid(ProjectiveSpec(3, 2)).rank == 3
     assert build_matroid(UniformSpec(2, 5)).rank == 2
