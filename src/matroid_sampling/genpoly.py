@@ -305,14 +305,14 @@ class _Chains:
     def _sweep(self, x: np.ndarray):
         """(G(E), per level the cover factors x(F \\ F') and the values
         G(F') of the level below)."""
-        xe = np.append(x, 0)
+        xe = np.concatenate((x, (0.0,)))
         g = np.ones(1, dtype=xe.dtype)
         sweep = []
         for lv in self.levels:
             if lv.dense is not None:
                 d = lv.dense @ xe
             else:
-                d = xe[lv.diff].sum(axis=0)
+                d = np.add.reduce(xe[lv.diff], axis=0)
             sweep.append((d, g))
             g = np.add.reduceat(g[lv.src] * d, lv.starts)
         return g[0], sweep
@@ -510,8 +510,8 @@ def _cover_terms(wt: np.ndarray, apply: np.ufunc, s: _Slot, parts: np.ndarray) -
     of a slot's covers, as a (2, n, columns) array, from the (2, nodes,
     columns) parts of the level below; ``apply`` adds w(D) or subtracts
     the complement's sum."""
-    wd = np.take(wt, s.gather, axis=0).sum(axis=0)
-    below = np.take(parts, s.src, axis=1)
+    wd = np.add.reduce(wt.take(s.gather, axis=0), axis=0)
+    below = parts.take(s.src, axis=1)
     terms = below * s.sizes
     below[1] += below[0]
     below[0] = s.c0
@@ -519,6 +519,7 @@ def _cover_terms(wt: np.ndarray, apply: np.ufunc, s: _Slot, parts: np.ndarray) -
     return apply(terms, below, out=terms)
 
 
+@dataclass(frozen=True)
 class _Elementary:
     """f = e_K(x), its gradient, its Hessian and the gaps F(u) - F(p) when
     the support holds every K-subset of the ground set (a free truncation).
@@ -527,37 +528,38 @@ class _Elementary:
     sums of x times the table below, so every entry is a sum of
     nonnegative terms at nonnegative x; the partial derivative
     e_{K-1}(x without x_i) combines them with the same suffix tables, with
-    no subtraction.
+    no subtraction.  A point's state is both, from one prefix pass over x
+    stacked on x reversed.  At m near 30 numpy's Python-level wrappers cost
+    more than the arithmetic, so the passes call ufuncs' methods directly.
     """
 
-    __slots__ = ("m", "k")
-
-    def __init__(self, m: int, k: int):
-        self.m = m
-        self.k = k
+    m: int
+    k: int
 
     def _prefix(self, x: np.ndarray) -> Iterator[np.ndarray]:
         """e_j of the coordinates before each position along the last axis
         of x, for j = 0..K-1, one table at a time, so that a caller that
         reads each table once holds no more than two of them."""
-        q = np.ones_like(x)
+        q = np.ones(x.shape)
         yield q
         for _ in range(self.k - 1):
             t = x * q
-            q = np.zeros_like(x)
-            np.cumsum(t[..., :-1], axis=-1, out=q[..., 1:])
+            q = np.zeros(x.shape)
+            np.add.accumulate(t[..., :-1], axis=-1, out=q[..., 1:])
             yield q
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, tuple]:
-        """(f(x), the state that :meth:`gradient` differentiates)."""
-        prefix = list(self._prefix(x))
-        return float(x @ prefix[-1]), (x, prefix)
+    def _state(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per j < K, the prefix tables of x (row 0) and of x reversed (row 1)."""
+        return list(self._prefix(np.array((x, x[..., ::-1]))))
 
-    def gradient(self, state: tuple) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> tuple[float, list]:
+        """(f(x), the state that :meth:`gradient` differentiates)."""
+        state = self._state(x)
+        return float(x @ state[-1][0]), state
+
+    def gradient(self, state: list) -> np.ndarray:
         """The gradient of f at the point a state was taken at."""
-        x, prefix = state
-        suffix = [t[..., ::-1] for t in self._prefix(x[..., ::-1])]
-        return sum(p * s for p, s in zip(prefix, reversed(suffix)))
+        return sum(p[0] * s[1, ..., ::-1] for p, s in zip(state, reversed(state)))
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """The Hessian of f at x: entry (a, b) is e_{K-2}(x without x_a, x_b),
@@ -570,7 +572,7 @@ class _Elementary:
         rows = np.tile(x, (m, 1))
         np.fill_diagonal(rows, 0.0)
         lower = _Elementary(m, self.k - 1)
-        hess = np.triu(lower.gradient((rows, lower._prefix(rows))), 1)
+        hess = np.triu(lower.gradient(lower._state(rows)), 1)
         return hess + hess.T
 
     def gaps(self, w: np.ndarray) -> np.ndarray:

@@ -86,7 +86,8 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     passes ("plateau"), or at max_iters ("max_iters").
 
     f and its gradient come from the index's cached evaluator (see
-    :mod:`~matroid_sampling.genpoly`).
+    :mod:`~matroid_sampling.genpoly`).  Each iteration reduces with ufunc
+    methods: at m near 30 numpy's wrappers cost more than the arithmetic.
     """
     cfg = config or AscentConfig()
     m = idx.m
@@ -102,22 +103,21 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     trajectory = [kfact * f]
     stop_reason = "max_iters"
     halvings = 0
-    iterations = 0
     evaluations = 1
     grad_log = evaluator.gradient(state) / f
     step = cfg.step_size
-    while iterations < cfg.max_iters:
-        projected = grad_log - grad_log.mean()
-        if np.max(np.abs(projected)) <= cfg.tol_grad:
+    while len(trajectory) <= cfg.max_iters:
+        projected = grad_log - np.add.reduce(grad_log) / m
+        if np.maximum.reduce(np.absolute(projected)) <= cfg.tol_grad:
             stop_reason = "gradient"
             break
         while step >= MIN_STEP:
-            y = x * np.exp(step * (grad_log - grad_log.max()))
+            y = x * np.exp(step * (grad_log - np.maximum.reduce(grad_log)))
             # a long step can underflow a coordinate, after which no
             # multiplicative step brings it back, and a non-finite gradient
             # gives NaNs: reject such a trial point like a decrease
-            if np.all(y > 0):
-                y /= y.sum()
+            if np.minimum.reduce(y) > 0:
+                y /= np.add.reduce(y)
                 fy, state_y = evaluator.evaluate(y)
                 evaluations += 1
                 if fy >= f * (1.0 - DECREASE_TOL):
@@ -130,7 +130,6 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
             break
         x, f, state = y, fy, state_y
         trajectory.append(kfact * f)
-        iterations += 1
         grad_next = evaluator.gradient(state) / f
         # <projected, d grad_log> equals <projected, d projected>: projected sums to 0
         curvature = -float(projected @ (grad_next - grad_log))
@@ -145,7 +144,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     return AscentResult(
         p=Distribution(x),
         value=trajectory[-1],
-        iterations=iterations,
+        iterations=len(trajectory) - 1,
         stop_reason=stop_reason,
         halvings=halvings,
         evaluations=evaluations,

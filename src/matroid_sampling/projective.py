@@ -239,7 +239,8 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     zero flags a (numerically) non-unique maximizer, as happens for the
     parallel-class matroid where the maximizer set is a whole manifold; one
     below -1e-6 means uniform is not a maximizer at all.  Results depend
-    only on (seed, n_samples, mode), not on the chunking.
+    only on (seed, n_samples, mode), not on the chunking.  Samples within
+    1e-12 of u are skipped; ValueError if every sample is (R is undefined).
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
     vectors.  The gaps come from :func:`gaps_from_uniform`, through the
@@ -251,14 +252,12 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
         raise ValueError("n_samples must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    m = idx.m
-    best_ratio = np.inf
-    best_p = np.full(m, 1.0 / m)
+    best_ratio, best_p = np.inf, None
     ratios = []
     skipped = 0
     for start in range(0, n_samples, chunk):
         count = min(chunk, n_samples - start)
-        pts = _scan_samples(seed, start, count, m, mode)
+        pts = _scan_samples(seed, start, count, idx.m, mode)
         gaps, norm2 = gaps_from_uniform(idx, pts)
         keep = norm2 > 1e-24
         skipped += int(count - keep.sum())
@@ -270,12 +269,12 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
         if chunk_ratios[i] < best_ratio:
             best_ratio = float(chunk_ratios[i])
             best_p = pts[keep][i].copy()
-    all_ratios = np.concatenate(ratios) if ratios else np.empty(0)
-    lo, hi = 0.0, 1.0  # numpy's own range for no data
-    if all_ratios.size:
-        lo, hi = float(all_ratios.min()), float(all_ratios.max())
-        if hi - lo < 1e-9 * max(abs(lo), abs(hi), 1.0):
-            lo, hi = lo - 0.5, hi + 0.5  # essentially constant data: pad the range
+    if not ratios:
+        raise ValueError("every sample coincides with the uniform distribution; ratio undefined")
+    all_ratios = np.concatenate(ratios)
+    lo, hi = float(all_ratios.min()), float(all_ratios.max())
+    if hi - lo < 1e-9 * max(abs(lo), abs(hi), 1.0):
+        lo, hi = lo - 0.5, hi + 0.5  # essentially constant data: pad the range
     counts, edges = np.histogram(all_ratios, bins=HISTOGRAM_BINS, range=(lo, hi))
     return StabilityScanReport(
         min_ratio=best_ratio,

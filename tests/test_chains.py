@@ -16,6 +16,7 @@ against exact rational sums over all K-subsets, and the ascent on a
 uniform matroid must use it and never build chains.
 """
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -214,6 +215,18 @@ def test_free_truncations_ascend_on_ek_without_chains():
     f_chains, sweep = chains.evaluate(x)
     assert f == pytest.approx(f_chains, rel=1e-14)
     assert np.allclose(idx._chains.gradient(state), chains.gradient(sweep), rtol=1e-14, atol=0)
+
+
+def test_elementary_is_pinned_to_the_bit():
+    # f, the gradient and the Hessian to the bit: a faster pass must give these
+    evaluator = _Elementary(30, 4)
+    x = np.random.default_rng(4).dirichlet(np.ones(30))
+    f, state = evaluator.evaluate(x)
+    assert f.hex() == "0x1.c55ea0ab8758bp-6"
+    assert hashlib.sha256(evaluator.gradient(state).tobytes()).hexdigest() == (
+        "31b7d4ef0e51beddb124e7fe6f8851f4d9e52ebebc1dc438bcbb66574d44bc46")
+    assert hashlib.sha256(evaluator.hessian(x).tobytes()).hexdigest() == (
+        "ba28528f45c39bebc523857384fce643e7b6e6833d6efa588cea3dd177ee4489")
 
 
 def gaussian_binomial(n, j, q):

@@ -151,6 +151,16 @@ def test_scan_notes_uniform_not_a_maximizer(capsys):
     assert report["note"] == "uniform is not a maximizer (stability ratio negative)"
 
 
+def test_scan_with_every_sample_at_u_exits_2(capsys):
+    # on one element every sample is u: R is undefined, and a report of
+    # min_R = Infinity would not be valid JSON
+    code, out, err = run_cli(capsys, "scan", "--spec", '{"type":"uniform","r":1,"n":1}',
+                             "--k", "1", "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert "coincides with the uniform distribution" in json.loads(err)["error"]["message"]
+
+
 def test_scan_projective_positive(capsys):
     report = run_json(capsys, "scan", "--spec", PROJECTIVE_32, "--k", "3",
                       "--samples", "2000", "--seed", "7")

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -165,6 +166,39 @@ def test_spectral_step_converges_in_few_iterations(spec, k, optimum):
         assert result.converged
         assert result.iterations <= 25
         assert abs(result.value - float(optimum)) <= 1e-12
+
+
+# (instance, seed of the Dirichlet start): F as float.hex, sha256 of p's bytes,
+# iterations, evaluations and halvings.  A faster ascent or evaluator must give
+# these bits; seed 3 halves one trial step on each instance
+PINNED_ASCENTS = {
+    ("U(4,30)", 1): ("0x1.9fbe76c8b4397p-1",
+                     "2501a9f901195c4384539239c7db141e0b9469f7c785164bbfd42a49917b16bf", 9, 10, 0),
+    ("U(4,30)", 2): ("0x1.9fbe76c8b439ap-1",
+                     "1c8e9a7dec8b5f9e679f5de19229646fd313f8f5f4f2bdd183ac39d9b8291798", 8, 9, 0),
+    ("U(4,30)", 3): ("0x1.9fbe76c8b4397p-1",
+                     "6ebbe8312b66840b744441702e627c90e2cbe34eca1522a60b3fffdbbf73485a", 10, 12, 1),
+    ("PG(4,2)", 1): ("0x1.5a7a50cb13117p-1",
+                     "396c6b436ba8470fb47eff65e177902f64fe3e5a45b8fd326030bc55ce7769bd", 9, 10, 0),
+    ("PG(4,2)", 2): ("0x1.5a7a50cb13117p-1",
+                     "ebcba26044ad628205cbe8f53667f7ad42dcfa560eab8c1eefe828c0846ec0c2", 8, 9, 0),
+    ("PG(4,2)", 3): ("0x1.5a7a50cb13119p-1",
+                     "97dcaa1705af96bea89bc29a7d78b0611233c7af997bd94b473834c09d3a57ed", 11, 13, 1),
+}
+
+
+@pytest.mark.parametrize("name,spec", [("U(4,30)", UniformSpec(4, 30)),
+                                       ("PG(4,2)", ProjectiveSpec(5, 2))])
+def test_ascent_is_pinned_to_the_bit(name, spec):
+    # e_K on U(4,30) and the chains of flats on PG(4,2), both at K=4
+    idx = enumerate_independent_ksets(build_matroid(spec), 4)
+    for seed in (1, 2, 3):
+        start = Distribution(np.random.default_rng(seed).dirichlet(np.ones(idx.m)),
+                             renormalize=True)
+        result = maximize_F(idx, AscentConfig(start=start))
+        got = (result.value.hex(), hashlib.sha256(result.p.probs.tobytes()).hexdigest(),
+               result.iterations, result.evaluations, result.halvings)
+        assert got == PINNED_ASCENTS[name, seed]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
