@@ -28,15 +28,16 @@ from .genpoly import (Distribution, enumerate_independent_ksets, eval_F, eval_h,
 from .matroids import ProjectiveSpec, _ints, build_matroid, spec_from_json, spec_to_json
 from .optimize import AscentConfig, maximize_F
 from .montecarlo import estimate_F
-from .projective import (PGParams, VectorDistribution, _scan_samples, b2_count,
+from .projective import (SCAN_CHUNK, PGParams, VectorDistribution, _scan_samples, b2_count,
                          b2_explicit, hessian_coefficient, pushforward, stability_scan,
                          uniform_optimum)
-from .streams import trial_uniforms
+from .streams import trial_blocks, trial_uniforms
 from .symmetry import Permutation, is_transitive, orbit_average, orbits
 
 
 class ToleranceFailure(Exception):
-    """An identity or bound check exceeded its tolerance (exit code 3)."""
+    """An identity or bound check exceeded its tolerance (exit code 3); the
+    one argument is the report, written like a passing one."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,16 +101,20 @@ def _load_gens(source: str, m: int) -> list[Permutation]:
     return gens
 
 
-def _flatten(report: dict, prefix: str = ""):
-    for key, value in report.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            yield from _flatten(value, prefix=f"{name}.")
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
+def _flatten(value, name: str = ""):
+    """(key, index, value) rows: dict keys, and positions in lists of lists,
+    join the key with dots; the index is a position in the innermost list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _flatten(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            if isinstance(item, (dict, list, tuple)):
+                yield from _flatten(item, f"{name}.{i}")
+            else:
                 yield name, str(i), _fmt(item)
-        else:
-            yield name, "", _fmt(value)
+    else:
+        yield name, "", _fmt(value)
 
 
 def _write_report(report: dict, args):
@@ -235,9 +240,11 @@ def cmd_k2check(args) -> dict:
         raise ValueError("the K=2 identity check needs --k 2")
     # the identity is exact only on projective geometries
     spec, matroid, idx = _build(args, _projective(_load_spec(args.spec)))
-    pts = _scan_samples(args.seed, 0, args.samples, matroid.m, "dirichlet")
-    gaps, norm2 = gaps_from_uniform(idx, pts)
-    worst = float(np.max(np.abs(gaps - norm2), initial=0.0))
+    worst = 0.0
+    draw = functools.partial(_scan_samples, args.seed, m=matroid.m, mode="dirichlet")
+    for pts in trial_blocks(draw, args.samples, SCAN_CHUNK):
+        gaps, norm2 = gaps_from_uniform(idx, pts)
+        worst = float(np.max(np.abs(gaps - norm2), initial=worst))
     report = {
         "spec": spec_to_json(spec),
         "n_samples": args.samples,
@@ -247,7 +254,7 @@ def cmd_k2check(args) -> dict:
         "pass": worst <= args.tol,
     }
     if worst > args.tol:
-        raise ToleranceFailure(json.dumps(report))
+        raise ToleranceFailure(report)
     return report
 
 
@@ -263,15 +270,18 @@ def cmd_hesscheck(args) -> dict:
     b2 = b2_explicit(params)
     spec, matroid, idx = _build(args, pg)
     m, t = matroid.m, 1e-3
-    dirs = trial_uniforms(args.seed, 0, args.samples, m)
-    dirs -= dirs.mean(axis=1, keepdims=True)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     hess = factorial(args.k) * hessian_f(idx, np.full(m, 1.0 / m))
-    quad = np.einsum("ij,jk,ik->i", dirs, hess, dirs)
-    gaps, _ = gaps_from_uniform(idx, np.concatenate([1.0 / m + t * dirs, 1.0 / m - t * dirs]))
-    fd = -(gaps[:args.samples] + gaps[args.samples:]) / t**2
-    worst_exact = float(np.max(np.abs(quad + coef), initial=0.0)) / coef
-    worst_fd = float(np.max(np.abs(fd + coef), initial=0.0)) / coef
+    worst_exact = worst_fd = 0.0  # of |v^T H v + c| and its difference quotient
+    draw = functools.partial(trial_uniforms, args.seed, doubles_per_trial=m)
+    for dirs in trial_blocks(draw, args.samples, SCAN_CHUNK):
+        dirs -= dirs.mean(axis=1, keepdims=True)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quad = np.einsum("ij,jk,ik->i", dirs, hess, dirs)
+        gaps, _ = gaps_from_uniform(idx, np.concatenate([1.0 / m + t * dirs, 1.0 / m - t * dirs]))
+        fd = -(gaps[:len(dirs)] + gaps[len(dirs):]) / t**2
+        worst_exact = np.max(np.abs(quad + coef), initial=worst_exact)
+        worst_fd = np.max(np.abs(fd + coef), initial=worst_fd)
+    worst_exact, worst_fd = float(worst_exact) / coef, float(worst_fd) / coef
     b2_enum = b2_count(idx, 0, 1)
     report = {
         "spec": spec_to_json(spec),
@@ -287,7 +297,7 @@ def cmd_hesscheck(args) -> dict:
         "pass": worst_exact <= args.tol and b2_enum == b2,
     }
     if not report["pass"]:
-        raise ToleranceFailure(json.dumps(report))
+        raise ToleranceFailure(report)
     return report
 
 
@@ -310,7 +320,7 @@ def cmd_orbitavg(args) -> dict:
         "monotone": h_after >= h_before - args.tol,
     }
     if not report["monotone"]:
-        raise ToleranceFailure(json.dumps(report))
+        raise ToleranceFailure(report)
     return report
 
 
@@ -426,16 +436,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.handler(args)
-    except ToleranceFailure as exc:
-        _emit_error("ToleranceFailure", "identity check exceeded tolerance")
-        sys.stdout.write(str(exc) + "\n")
-        return 3
+        try:
+            report, status = args.handler(args), 0
+        except ToleranceFailure as exc:
+            report, status = exc.args[0], 3
+        _write_report(report, args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         _emit_error("ValidationError", str(exc))
         return 2
-    _write_report(report, args)
-    return 0
+    if status:
+        _emit_error("ToleranceFailure", "identity check exceeded tolerance")
+    return status
 
 
 def cli_main():

@@ -26,10 +26,6 @@ the stability scan and the identity checks call):
   refuses a support whose subsets of the K-sets outnumber the index's
   cap, the one its enumeration ran under.
 
-Gaps stream their batch through cache-sized row blocks, so that working
-memory does not grow with the batch, and no row's arithmetic depends on
-the blocking.
-
 For a matroid support the K-th root of the polynomial is concave on the
 nonnegative orthant, which :func:`concavity_probe` checks empirically on
 random midpoints.
@@ -103,9 +99,11 @@ class IndepSetIndex:
     __slots__ = ("k", "m", "sets", "cap", "_chains")
 
     def __init__(self, k: int, m: int, sets, cap: int = DEFAULT_ENUM_CAP):
-        arr = np.array(sets, dtype=np.int64, copy=True).reshape(-1, k)
+        arr = np.array(sets, dtype=np.int64, copy=True)
         if not arr.size:
             raise ValueError("an index needs at least one set")
+        if arr.ndim != 2 or arr.shape[1] != k:
+            raise ValueError(f"sets must be rows of {k} elements, got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= m:
             raise ValueError(f"set elements must lie in [0, {m})")
         if k > 1 and not np.all(np.diff(arr, axis=1) > 0):
@@ -223,18 +221,11 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     relative to ||p - u||^2 even for p extremely close to u, which is what
     dividing by the squared norm requires.
 
-    The remainder is summed by the index's evaluator (see :func:`_chains`):
-    as -K! m^-K sum_{j>=2} C(m-j, K-j) e_j(w), in O(mK) per row, when
-    every K-subset of the ground set is independent (a free truncation,
-    such as U(r, n) with K <= r or any simple matroid with K <= 2), and
-    otherwise over the chains of the support's minimal acceptor (of flats
-    on a matroid support), carrying per node the linear part of G in w and
-    the remainder of degree >= 2.  Either streams the batch through blocks
-    of rows sized by GAP_BLOCK_BYTES (but at least one row): m columns per
-    row for e_K; for the chains, the widest of one slot's gathered columns
-    and four columns per node of a level (see _Chains.gaps).  Beyond the
-    (batch, m) inputs the working memory is a few such buffers whatever
-    the batch size.  Each row's arithmetic and summation order do not
+    The remainder is summed by the index's evaluator (see :func:`_chains`,
+    _Elementary.gaps and _Chains.gaps), which streams the batch through
+    row blocks whose widest working buffer holds GAP_BLOCK_BYTES (but at
+    least one row), so that memory beyond the (batch, m) inputs does not
+    grow with the batch.  Each row's arithmetic and summation order do not
     depend on the blocking, so neither do the results.
     """
     pts = np.asarray(pts, dtype=float)
@@ -322,56 +313,48 @@ class _Chains:
         top, sweep = self._sweep(x)
         return float(top / factorial(self.k)), sweep
 
+    def _adjoints(self, sweep: list) -> list[np.ndarray]:
+        """Per level from the top down, the adjoint d G(E) / d G(F) of the
+        upper node F of each cover, from the sweep of :meth:`_sweep`."""
+        adjoint, per_cover = np.ones(1), []
+        for lv, (d, g) in zip(reversed(self.levels), reversed(sweep)):
+            per_cover.append(adjoint.repeat(lv.counts))
+            adjoint = np.bincount(lv.src, per_cover[-1] * d, minlength=g.size)
+        return per_cover
+
     def gradient(self, sweep: list) -> np.ndarray:
         """The gradient of f at the point a sweep was taken at."""
-        adjoint = np.ones(1)  # d G(E) / d G(F), level by level downwards
         grad = np.zeros(self.m + 1)
-        for lv, (d, g) in zip(reversed(self.levels), reversed(sweep)):
-            a = adjoint.repeat(lv.counts)
+        for lv, (_, g), a in zip(reversed(self.levels), reversed(sweep), self._adjoints(sweep)):
             w = a * g[lv.src]
             if lv.dense is not None:
                 grad += w @ lv.dense
             else:
                 grad += np.bincount(lv.diff.ravel(), w[None].repeat(lv.diff.shape[0], 0).ravel(),
                                     minlength=self.m + 1)
-            adjoint = np.bincount(lv.src, a * d, minlength=g.size)
         return grad[:-1] / factorial(self.k)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        """The Hessian of f at x: the reverse sweep of :meth:`gradient`
-        differentiated forward along all m unit directions at once, carried
-        as a trailing axis of the node values and adjoints.  The tangent of
-        a cover factor x(F \\ F') is the cover's membership row, so
-        d G(F) = sum over covers of d G(F') x(F \\ F') + G(F') 1[e in F \\ F'],
-        and row e of the Hessian collects d a G(F') + a d G(F') over the
-        covers whose difference set holds e, for the adjoint a of F.  Every
-        term is nonnegative at nonnegative x.  One triangle is mirrored, so
-        the result is exactly symmetric with a zero diagonal."""
+        """The Hessian of f at x, as (L + L^T) / K!.  A term of the second
+        derivative of G(E) reads two covers of a chain; L[a, b] sums those
+        whose upper cover F' ⋖ F has a in F \\ F', as the adjoint of F (see
+        :meth:`_adjoints`) times d G(F') / d x_b.  These tangents run forward
+        in all m unit directions at once, as a trailing axis of the node
+        values; a cover factor x(F \\ F') has the cover's membership row as
+        tangent.  Every term is nonnegative at nonnegative x, L + L^T is exactly
+        symmetric, and its diagonal is exactly zero: no chain reads an element twice."""
         m = self.m
         _, sweep = self._sweep(x)
-        rows, below = [], []  # per level: membership rows, d G of the level below
-        dg = np.zeros((1, m))
-        for lv, (d, g) in zip(self.levels, sweep):
+        lower, dg = np.zeros((m, m)), np.zeros((1, m))
+        for lv, (d, g), a in zip(self.levels, sweep, self._adjoints(sweep)[::-1]):
             member = lv.dense
             if member is None:
                 member = np.zeros((lv.src.size, m + 1))
                 member[np.arange(lv.src.size), lv.diff] = 1.0
-            rows.append(member[:, :m])
-            below.append(dg)
-            dg = np.add.reduceat(dg[lv.src] * d[:, None] + g[lv.src, None] * rows[-1], lv.starts)
-        adjoint, dadjoint = np.ones(1), np.zeros((1, m))
-        hess = np.zeros((m, m))
-        for lv, (d, g), member, dg in zip(reversed(self.levels), reversed(sweep),
-                                          reversed(rows), reversed(below)):
-            a = adjoint.repeat(lv.counts)
-            da = dadjoint.repeat(lv.counts, axis=0)
-            hess += member.T @ (da * g[lv.src, None] + a[:, None] * dg[lv.src])
-            keys = (lv.src[:, None] * m + np.arange(m)).ravel()
-            dadjoint = np.bincount(keys, (da * d[:, None] + a[:, None] * member).ravel(),
-                                   minlength=g.size * m).reshape(g.size, m)
-            adjoint = np.bincount(lv.src, a * d, minlength=g.size)
-        hess = np.triu(hess, 1)
-        return (hess + hess.T) / factorial(self.k)
+            member = member[:, :m]
+            lower += member.T @ (a[:, None] * dg[lv.src])
+            dg = np.add.reduceat(dg[lv.src] * d[:, None] + g[lv.src, None] * member, lv.starts)
+        return (lower + lower.T) / factorial(self.k)
 
     def _gap_plan(self) -> list[tuple[np.ufunc, list[_Slot]]]:
         """The tables of :meth:`gaps`, built on first use and cached: per

@@ -40,6 +40,7 @@ change the successes, only the number of oracle calls and the running time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .genpoly import _BUILD_BLOCK, Distribution
 from .matroids import Matroid
-from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_uniforms
+from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_blocks, trial_uniforms
 
 DEFAULT_CHUNK = 131_072
 _DRAW_BLOCK_BYTES = 256 << 10  # the uniforms of one draw block
@@ -127,11 +128,8 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     _check_draws(matroid, p, k)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    successes = sum(
-        _chunk_successes(matroid, p.probs, k, seed, start, min(chunk, n_trials - start))
-        for start in range(0, n_trials, chunk))
+    window = functools.partial(_chunk_successes, matroid, p.probs, k, seed)
+    successes = sum(trial_blocks(window, n_trials, chunk))
     p_hat = successes / n_trials
     std_err = sqrt(p_hat * (1.0 - p_hat) / n_trials)
     return McEstimate(n_trials=n_trials, successes=successes, p_hat=p_hat,

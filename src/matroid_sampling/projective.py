@@ -20,10 +20,11 @@ from .fields import PrimeField, _point_indices, nonzero_vectors
 from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex,
                       enumerate_independent_ksets, gaps_from_uniform)
 from .matroids import ProjectiveSpec, build_matroid, independent_count
-from .streams import trial_uniforms
+from .streams import trial_blocks, trial_uniforms
 
 NONUNIQUE_RATIO_THRESHOLD = 1e-6
 HISTOGRAM_BINS = 20  # bins of the stability scan's ratio histogram
+SCAN_CHUNK = 4096  # samples per block of the stability scan and of the CLI's identity checks
 
 
 def gaussian_bracket(j: int, q: int) -> int:
@@ -232,7 +233,7 @@ def _scan_samples(seed: int, first: int, count: int, m: int, mode: str) -> np.nd
 
 
 def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
-                   mode: str = "dirichlet", chunk: int = 4096) -> StabilityScanReport:
+                   mode: str = "dirichlet", chunk: int = SCAN_CHUNK) -> StabilityScanReport:
     """Scan the stability ratio R over random simplex points.
 
     Reports the minimum ratio and its argmin.  A minimum within 1e-6 of
@@ -250,17 +251,14 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     best_ratio, best_p = np.inf, None
     ratios = []
     skipped = 0
-    for start in range(0, n_samples, chunk):
-        count = min(chunk, n_samples - start)
-        pts = _scan_samples(seed, start, count, idx.m, mode)
+    for pts in trial_blocks(lambda first, count: _scan_samples(seed, first, count, idx.m, mode),
+                            n_samples, chunk):
         gaps, norm2 = gaps_from_uniform(idx, pts)
         keep = norm2 > 1e-24
-        skipped += int(count - keep.sum())
+        skipped += int(keep.size - keep.sum())
         if not np.any(keep):
             continue
         chunk_ratios = gaps[keep] / norm2[keep]

@@ -52,3 +52,13 @@ def trial_uniforms(seed: int, first_trial: int, n_trials: int,
     gen = Generator(Philox(key=int(seed), counter=first_trial * blocks))
     flat = gen.random(n_trials * width)
     return flat.reshape(n_trials, width)[:, :doubles_per_trial]
+
+
+def trial_blocks(run, n_trials: int, chunk: int):
+    """run(first, count) for consecutive blocks of at most ``chunk`` of
+    ``n_trials`` trials, so that working memory does not grow with
+    n_trials; ValueError on the first block unless chunk >= 1."""
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
+    for first in range(0, n_trials, chunk):
+        yield run(first, min(chunk, n_trials - first))

@@ -312,3 +312,20 @@ def test_chain_build_memory_is_bounded():
     assert [lv.starts.size for lv in chains.levels] == [31, 155, 155, 1]
     assert peak - before <= 2 * 2**20
     assert kept - before <= 2**19
+
+
+def test_hessian_memory_is_bounded():
+    # one forward tangent pass, level by level: no adjoint tangents, and no
+    # per-level rows kept for a backward pass
+    idx = enumerate_independent_ksets(build_matroid(ProjectiveSpec(5, 2)), 4)
+    x = np.full(idx.m, 1 / idx.m)
+    genpoly.hessian_f(idx, x)  # builds the chains
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hess = genpoly.hessian_f(idx, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hess.shape == (31, 31)
+    assert peak - before <= 1.4 * 2**20

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -180,6 +183,66 @@ def test_k2check_exit_3_when_forced(capsys):
                              "--k", "2", "--tol", "0")
     assert code == 3
     assert json.loads(err)["error"]["type"] == "ToleranceFailure"
+
+
+def test_exit_3_report_follows_format_and_out(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    code, out, err = run_cli(capsys, "k2check", "--spec", '{"type":"projective","n":3,"q":3}',
+                             "--k", "2", "--samples", "5", "--tol", "-1",
+                             "--format", "csv", "--out", str(path))
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"]["type"] == "ToleranceFailure"
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    assert rows[0] == ["key", "index", "value"]
+    assert ["pass", "", "False"] in rows
+    code, out, _ = run_cli(capsys, "k2check", "--spec", PROJECTIVE_22, "--k", "2", "--tol", "-1")
+    assert code == 3
+    assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--spec", PROJECTIVE_22),
+    ("k2check", "--spec", PROJECTIVE_22, "--k", "2", "--tol", "-1"),  # a failure's report
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "report.json"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert "missing" in error["message"]
+
+
+@pytest.mark.parametrize("argv,row", [
+    (("info", "--spec", '{"type":"linear","q":3,"columns":[[1,0],[0,1],[1,2]]}', "--k", "2",
+      "--gens", "[[1,2,0]]"), ["spec.columns.2", "1", "2"]),
+    (("info", "--spec", LAYER, "--k", "2"), ["spec.sets.1", "0", "2"]),
+    (("orbitavg", "--spec", PROJECTIVE_22, "--k", "2", "--gens", "[[1,2,0]]"),
+     ["orbits.0", "2", "2"]),
+])
+def test_csv_rows_of_nested_lists_have_three_fields(capsys, argv, row):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "index", "value"]
+    assert all(len(r) == 3 for r in rows)
+    assert row in rows
+
+
+@pytest.mark.parametrize("command,k", [("k2check", "2"), ("hesscheck", "3")])
+def test_identity_check_memory_does_not_grow_with_samples(capsys, command, k):
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, command, "--spec", '{"type":"projective","n":3,"q":3}',
+                                   "--k", k, "--samples", str(samples))
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        return used
+
+    one_block = peak(4096)  # the samples of one block of the scan's default chunk
+    assert peak(5 * 4096) <= 1.5 * one_block
 
 
 def test_hesscheck(capsys):

@@ -163,6 +163,17 @@ def test_index_validation(fano_idx):
         IndepSetIndex(2, 4, [])
 
 
+@pytest.mark.parametrize("k,sets", [
+    (2, [[0, 1, 2, 3]]),  # not the two sets {0, 1} and {2, 3}
+    (2, [0, 1]),          # a set, not a row of sets
+    (3, [[0, 1], [2, 3]]),
+    (1, [[[0]], [[1]]]),
+])
+def test_index_rejects_rows_of_the_wrong_width(k, sets):
+    with pytest.raises(ValueError, match=f"rows of {k} elements"):
+        IndepSetIndex(k, 6, sets)
+
+
 def test_eval_f_values(fano_idx, pg12_idx):
     assert eval_f(fano_idx, np.ones(7)) == 28.0
     assert eval_f(fano_idx, np.zeros(7)) == 0.0
