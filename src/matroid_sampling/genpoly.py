@@ -316,10 +316,11 @@ class _Chains:
     def _adjoints(self, sweep: list) -> list[np.ndarray]:
         """Per level from the top down, the adjoint d G(E) / d G(F) of the
         upper node F of each cover, from the sweep of :meth:`_sweep`."""
-        adjoint, per_cover = np.ones(1), []
-        for lv, (d, g) in zip(reversed(self.levels), reversed(sweep)):
-            per_cover.append(adjoint.repeat(lv.counts))
-            adjoint = np.bincount(lv.src, per_cover[-1] * d, minlength=g.size)
+        levels = self.levels[::-1]
+        per_cover = [np.ones(levels[0].src.size)]  # the top level has one node
+        for upper, lower, (d, g) in zip(levels, levels[1:], reversed(sweep)):
+            adjoint = np.bincount(upper.src, per_cover[-1] * d, minlength=g.size)
+            per_cover.append(adjoint.repeat(lower.counts))
         return per_cover
 
     def gradient(self, sweep: list) -> np.ndarray:
@@ -353,6 +354,8 @@ class _Chains:
                 member[np.arange(lv.src.size), lv.diff] = 1.0
             member = member[:, :m]
             lower += member.T @ (a[:, None] * dg[lv.src])
+            if lv is self.levels[-1]:  # no level reads the top's tangent
+                break
             dg = np.add.reduceat(dg[lv.src] * d[:, None] + g[lv.src, None] * member, lv.starts)
         return (lower + lower.T) / factorial(self.k)
 

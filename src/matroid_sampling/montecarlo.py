@@ -17,17 +17,19 @@ trials.
 
 Independence of a sampled set is decided by the matroid oracle, which for
 the column matroids (linear, projective, parallel classes) performs
-Gaussian elimination on their columns.  A trial's sorted draws are distinct when each
-column exceeds the one before it.  The trials of a request are split into
-windows of ``chunk`` trials, and equal sampled sets are deduplicated per
-window before the oracle is consulted.  A window is drawn in blocks whose
-uniforms fill ``_DRAW_BLOCK_BYTES``, and each block keeps only the sets of
-its trials whose draws are distinct: each such sorted set is packed into
-one int64 key, its elements the big-endian base-m digits, so that sorting
+Gaussian elimination on their columns.  The trials of a request are split
+into windows of ``chunk`` trials, and equal sampled sets are deduplicated
+per window before the oracle is consulted.  A window is drawn in blocks
+whose uniforms fill ``_DRAW_BLOCK_BYTES``, each a contiguous (k, n) array,
+row c holding draw c of its n trials, so that each numpy call runs over n
+entries, not k.  A compare-exchange network sorts each trial's column;
+its draws are distinct when each row exceeds the one before, and the block
+keeps only the sets of those trials, each packed by Horner's rule into one
+int64 key whose big-endian base-m digits are its elements, so that sorting
 the keys sorts the sets lexicographically.  Memory is thus one draw block
 plus 8 bytes per trial of the window, and after the sort 8 more per
 distinct set for the bounds of the runs of equal keys.  Where m^k would
-overflow the keys (m^k >= 2^63) a block keeps the rows themselves, k
+overflow the keys (m^k >= 2^63) a block keeps the sets themselves, k
 entries of the smallest unsigned type that holds m - 1, and ``np.lexsort``
 gives the same order.  After the last block each run of equal sets is one
 distinct set, asked once, its answer counting for the whole run.  The
@@ -94,6 +96,24 @@ def _draw_indices(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return draws
 
 
+def _sort_across(draws: np.ndarray) -> list[np.ndarray]:
+    """The k rows of a (k, n) array with each column sorted, overwriting
+    ``draws``: row c of the result holds the c-th smallest entry of every
+    column.  The compare-exchange network is the optimal one of five
+    comparators at k = 4, else odd-even transposition (k rounds of adjacent
+    pairs; optimal at k = 2 and 3).  Each comparator writes its minimum
+    into one spare (n,) buffer and its maximum in place."""
+    k = len(draws)
+    network = ([(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)] if k == 4 else
+               [(i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2)])
+    rows, spare = list(draws), np.empty_like(draws[0])
+    for i, j in network:
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], spare = spare, rows[i]
+    return rows
+
+
 def _check_draws(matroid: Matroid, p: Distribution, k: int):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -141,29 +161,36 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     """Successes among trials start .. start + count - 1, one dedupe window.
 
     The trials are drawn in blocks whose uniforms fill
-    ``_DRAW_BLOCK_BYTES``.  A block keeps only the packed keys of the
-    trials whose draws are distinct, in a buffer of 8 bytes per trial of
-    the window (k entries of the smallest unsigned type that holds m - 1
-    where m^k >= 2^63).  After the last block the window is sorted once
-    and each distinct set asked once, in lexicographic order."""
+    ``_DRAW_BLOCK_BYTES``, each a (k, n) array sorted by
+    :func:`_sort_across`, whose first row becomes the keys in place.  A
+    block keeps only the keys of the trials whose draws are distinct, in a
+    buffer of 8 bytes per trial of the window (k entries of the smallest
+    unsigned type that holds m - 1 where m^k >= 2^63).  After the last
+    block the window is sorted once and each distinct set asked once, in
+    lexicographic order."""
     m = matroid.m
     packed = m**k < 2**63
-    weights = [m ** (k - 1 - c) for c in range(k)]
     kept = (np.empty(count, np.int64) if packed
             else np.empty((count, k), np.min_scalar_type(m - 1)))
     n_rows = 0
     per_block = max(1, _DRAW_BLOCK_BYTES // (8 * DOUBLES_PER_BLOCK * blocks_per_trial(k)))
     for lo in range(start, start + count, per_block):
         n = min(per_block, start + count - lo)
-        draws = _draw_indices(probs, trial_uniforms(seed, lo, n, k))
-        draws.sort(axis=1)
+        uniforms = np.ascontiguousarray(trial_uniforms(seed, lo, n, k).T)
+        draws = _sort_across(_draw_indices(probs, uniforms))
         distinct = np.ones(n, dtype=bool)
         for c in range(1, k):
-            distinct &= draws[:, c] > draws[:, c - 1]
-        rows = (draws @ np.array(weights))[distinct] if packed else draws[distinct]
+            distinct &= draws[c] > draws[c - 1]
+        if packed:  # the keys by Horner's rule, in place of the first row
+            for row in draws[1:]:
+                draws[0] *= m
+                draws[0] += row
+            rows = draws[0][distinct]
+        else:
+            rows = np.stack(draws, axis=1)[distinct]
         kept[n_rows:n_rows + rows.shape[0]] = rows
         n_rows += rows.shape[0]
-    del draws, distinct, rows
+    del uniforms, draws, distinct, rows
     if not n_rows:
         return 0
     # the first row of each run of equal sets, then n_rows
@@ -180,6 +207,7 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     bounds = np.flatnonzero(bounds)
     successes = 0
     step = max(1, _BUILD_BLOCK // k)
+    weights = [m ** (k - 1 - c) for c in range(k)]
     for b in range(0, bounds.size - 1, step):
         edges = bounds[b:b + step + 1]
         if packed:  # each representative as the tuple of its key's digits

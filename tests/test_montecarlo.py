@@ -11,7 +11,7 @@ from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               enumerate_independent_ksets, estimate_F, eval_F,
                               sample_kset)
-from matroid_sampling.montecarlo import DEFAULT_CHUNK, _draw_indices
+from matroid_sampling.montecarlo import DEFAULT_CHUNK, _draw_indices, _sort_across
 from matroid_sampling.streams import (blocks_per_trial, trial_substream,
                                       trial_uniforms)
 
@@ -205,6 +205,14 @@ def _candidate_rows(p, k, n_trials, seed, chunk):
     # k = 11), each ending in a ragged block
     ("u", 4, 20_000, 20_000),
     ("wide", 11, 6_000, 6_000),
+    # U(11, 64) past the five-comparator network of k = 4, on odd-even
+    # transposition, with packed keys up to 64^8 = 2^48; windows of 4,096-trial
+    # blocks
+    ("wide", 5, 6_000, 6_000),
+    ("wide", 6, 3_000, 997),
+    ("wide", 8, 6_000, 6_000),
+    # zero ends and runs of tiny masses, one comparator, 8,192-trial blocks
+    ("skew", 2, 20_000, 20_000),
 ])
 def test_one_oracle_call_per_distinct_set_per_chunk(pg33, kind, k, n_trials, chunk):
     if kind == "wide":
@@ -218,6 +226,16 @@ def test_one_oracle_call_per_distinct_set_per_chunk(pg33, kind, k, n_trials, chu
                 for row in np.unique(rows, axis=0).tolist()]
     assert len(counting.queries) == len(expected)
     assert counting.queries == expected
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_sorting_network_sorts_every_row(k):
+    """Against np.sort on random rows of many ties, and on every 0/1 row,
+    which by the 0-1 principle shows that the network sorts any input."""
+    binary = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    for rows in (np.random.default_rng(k).integers(0, 3, size=(1_000, k)), binary):
+        got = np.stack(_sort_across(np.ascontiguousarray(rows.T)))
+        assert np.array_equal(got, np.sort(rows, axis=1).T)
 
 
 def test_chunks_do_not_hold_memory_across_chunks(pg33):
