@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matroids import Matroid, independent_count
+from .matroids import Matroid, _keys, _subset_keys, independent_count
 from .streams import trial_uniforms
 
 SUM_TOL = 1e-12
@@ -578,20 +578,6 @@ class _Elementary:
         return -(factorial(k) * float(m) ** (-k)) * higher
 
 
-def _unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-d array (np.unique would import
-    numpy.ma, about 1 MB, on its first call)."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
-def _subset_keys(keys: np.ndarray, t: int, m: int) -> np.ndarray:
-    """Sorted distinct keys of the t-subsets of the (t+1)-sets with the
-    given keys; the key of a sorted tuple s is sum_i s_i m^(len(s)-1-i)."""
-    lows = [m**j for j in range(t + 1)]  # the weight of each digit dropped
-    return _unique(np.concatenate([_unique(keys // (low * m) * low + keys % low) for low in lows]))
-
-
 def _acceptor(idx: IndepSetIndex) -> _Chains:
     """The minimal automaton of the support's ordered K-sequences, as chains.
 
@@ -605,15 +591,13 @@ def _acceptor(idx: IndepSetIndex) -> _Chains:
 
     The levels are built from the top down: the nodes of level t are the
     distinct signatures of its t-sets (see _signatures), which read the
-    nodes of level t + 1.  The t-sets are integer keys (see _subset_keys),
+    nodes of level t + 1.  The t-sets are integer keys (see matroids._keys),
     Python integers when m^K would overflow int64.  Raises before any
     signature is computed when the shadow holds more than the index's cap
     of t-sets.
     """
     k, m = idx.k, idx.m
-    keys = [np.zeros(idx.n_sets, dtype=np.int64 if m**k < 2**63 else object)]
-    for col in idx.sets.T:  # lexsorted rows give ascending keys
-        keys[0] = keys[0] * m + col
+    keys = [_keys(idx.sets, m)]  # lexsorted rows give ascending keys
     for t in range(k - 1, -1, -1):
         keys.append(_subset_keys(keys[-1], t, m))
         shadow = sum(a.size for a in keys[1:])

@@ -15,19 +15,20 @@ The linear, projective and parallel-class families are all column
 matroids over a prime field, built by one function: the parallel classes
 are m_per_class copies of the binary column (1, 0), then as many of (0, 1).
 
-Besides the scalar oracle, every matroid answers a batch of same-size sets
-at once with :meth:`Matroid.independent_rows`: one vectorized elimination
-over F_q for the column matroids, a closed form for the uniform ones, and
-the scalar oracle in a loop for explicit layers.
+Every family decides a batch of same-size sets at once, with
+:meth:`Matroid.independent_rows`: one elimination over F_q for the column
+matroids, a closed form for the uniform ones, and a lookup of sorted keys
+in the listed sets' shadow for explicit layers.  Ranks come from the spec.
 
-Matroids are immutable after construction and oracle calls are pure, so
-instances can be shared freely across threads.  The scalar F_q-rank oracle
-of every column matroid remembers its answers in a memo of at most
-``ORACLE_MEMO_BYTES`` per matroid; it changes only running time.
+Matroids are immutable and oracle calls are pure, so instances can be
+shared across threads.  One set goes to the batch oracle, except in the
+uniform family (its size decides) and the column matroids, which alone keep
+a memo: at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 from math import comb, factorial, prod
@@ -78,38 +79,37 @@ _SPEC_TYPES = {"uniform": UniformSpec, "linear": LinearSpec, "projective": Proje
 
 
 class Matroid:
-    """Ground-set size, independence oracle, batch oracle, and rank.
+    """Ground-set size, batch oracle, scalar oracle, and rank.
 
-    The ground set is 0..m-1, and ``oracle`` receives a sorted tuple of
-    distinct element indices.  ``rows_oracle``, when given, receives a
-    validated (B, t) int64 array of strictly increasing rows and answers
-    all of them in one bool array (see :meth:`independent_rows`); without
-    it the batch loops over ``oracle``.
-    Rank is computed once by greedy extension, which is correct for matroids
-    by the greedy property; it and the pruning of the K-set enumeration (a
-    dependent prefix has no independent superset) are all that rely on the
-    matroid axioms.  F, its gradient and the gaps F(u) - F(p) are summed
-    over whatever support the enumeration returns, so they are right for a
-    user-supplied explicit layer that is not a matroid too, though the
-    paper's theorems about them are not; :func:`axiom_spot_check` offers a
-    non-exhaustive check of the axioms.
+    The ground set is 0..m-1.  ``rows_oracle`` answers a validated (B, t)
+    int64 array of strictly increasing rows with one bool each (see
+    :meth:`independent_rows`).  ``oracle``, if given, answers a sorted
+    tuple of distinct elements; otherwise :meth:`is_independent` asks
+    ``rows_oracle`` about one row.  ``rank`` comes from the spec.  It and
+    the pruning of the K-set enumeration (a dependent prefix has no
+    independent superset) are all that rely on the matroid axioms.  F, its
+    gradient and the gaps F(u) - F(p) are summed over whatever support the
+    enumeration returns, so they are right for a user-supplied explicit
+    layer that is not a matroid too, though the paper's theorems about them
+    are not; :func:`axiom_spot_check` offers a non-exhaustive check of the
+    axioms.
 
-    A matroid is immutable and its oracle is pure, so one instance may be
-    shared across threads.  The memo behind the F_q-rank oracle of the
-    column matroids (linear, projective and parallel-class) does not
-    change that: each write stores the same single byte whichever thread
-    makes it, and a lost write only costs a recomputation.
+    A matroid is immutable and its oracles are pure, so one instance may be
+    shared across threads.  The column matroids' memo and an explicit
+    layer's shadow keys, filled on first use, do not change that: every
+    thread writes the same values, and a lost write costs a recomputation.
     """
 
-    def __init__(self, m: int, spec: MatroidSpec, oracle, name: str, rows_oracle=None):
+    def __init__(self, m: int, spec: MatroidSpec, name: str, rank: int, rows_oracle,
+                 oracle=None):
         if m < 1:
             raise ValueError(f"ground set must have at least one element, got m={m}")
         self.m = m
         self.spec = spec
         self.name = name
-        self._oracle = oracle
+        self.rank = rank
         self._rows_oracle = rows_oracle
-        self.rank = self.subset_rank(range(m))
+        self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
 
     def _normalize(self, subset) -> tuple:
         s = tuple(sorted(set(map(int, subset))))
@@ -140,9 +140,6 @@ class Matroid:
         if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= self.m
                           or np.any(rows[:, 1:] <= rows[:, :-1])):
             raise ValueError(f"rows must list strictly increasing elements of [0, {self.m})")
-        if self._rows_oracle is None:
-            return np.fromiter(map(self._oracle, map(tuple, rows.tolist())), dtype=bool,
-                               count=rows.shape[0])
         return self._rows_oracle(rows)
 
     def subset_rank(self, subset) -> int:
@@ -212,6 +209,27 @@ def _memoized(oracle, m: int, max_size: int):
     return memoized
 
 
+def _keys(rows: np.ndarray, m: int) -> np.ndarray:
+    """The key sum_i s_i m^(t-1-i) of each row s of a (B, t) array, which sorts
+    as the rows do: int64, or Python ints where m^t >= 2^63."""
+    keys = np.zeros(rows.shape[0], dtype=np.int64 if m ** rows.shape[1] < 2**63 else object)
+    for col in rows.T:
+        keys = keys * m + col
+    return keys
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a nonempty 1-d array, without np.unique's numpy.ma."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _subset_keys(keys: np.ndarray, t: int, m: int) -> np.ndarray:
+    """Sorted distinct keys of the t-subsets of the (t+1)-sets with these keys."""
+    lows = [m**j for j in range(t + 1)]  # the weight of each digit dropped
+    return _unique(np.concatenate([_unique(keys // (low * m) * low + keys % low) for low in lows]))
+
+
 def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> Matroid:
     """The matroid of ``columns`` (nonzero vectors of F_q^dim): a set is
     independent when its columns are linearly independent.  The scalar
@@ -220,11 +238,7 @@ def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> 
     table = np.array(columns, dtype=np.int64)
 
     def oracle(s: tuple) -> bool:
-        if len(s) > dim:
-            return False
-        if len(s) <= 1:
-            return True
-        return _rank_rows([columns[e] for e in s], q) == len(s)
+        return len(s) <= 1 or len(s) <= dim and _rank_rows([columns[e] for e in s], q) == len(s)
 
     def rows_oracle(rows: np.ndarray) -> np.ndarray:
         t = rows.shape[1]
@@ -232,7 +246,8 @@ def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> 
             return np.full(rows.shape[0], t <= 1)
         return _independent_stacks(table[rows], q)
 
-    return Matroid(len(columns), spec, _memoized(oracle, len(columns), dim), name, rows_oracle)
+    return Matroid(len(columns), spec, name, _rank_rows(columns, q), rows_oracle,
+                   _memoized(oracle, len(columns), dim))
 
 
 def build_matroid(spec: MatroidSpec) -> Matroid:
@@ -246,9 +261,9 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
         if spec.n < 1:
             raise ValueError("uniform matroid needs n >= 1")
         r = spec.r
-        return Matroid(spec.n, spec, lambda s: len(s) <= r,
-                       f"uniform(r={spec.r},n={spec.n})",
-                       lambda rows: np.full(rows.shape[0], rows.shape[1] <= r))
+        return Matroid(spec.n, spec, f"uniform(r={r},n={spec.n})", r,
+                       lambda rows: np.full(rows.shape[0], rows.shape[1] <= r),
+                       lambda s: len(s) <= r)
 
     if isinstance(spec, LinearSpec):
         field = PrimeField(spec.q)
@@ -272,33 +287,34 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
                                f"parallel_classes(m={mpc})")
 
     if isinstance(spec, ExplicitSpec):
-        if spec.ground_size < 1:
+        m, k = spec.ground_size, spec.k
+        if m < 1:
             raise ValueError("explicit matroid needs ground_size >= 1")
-        if not 1 <= spec.k <= spec.ground_size:
-            raise ValueError(f"explicit matroid needs 1 <= k <= ground_size, got k={spec.k}")
+        if not 1 <= k <= m:
+            raise ValueError(f"explicit matroid needs 1 <= k <= ground_size, got k={k}")
         norm = set()
         for s in spec.sets:
             t = tuple(sorted(int(e) for e in s))
-            if len(set(t)) != spec.k:
-                raise ValueError(f"explicit set {s} does not have exactly k={spec.k} distinct elements")
-            if t[0] < 0 or t[-1] >= spec.ground_size:
+            if len(set(t)) != k:
+                raise ValueError(f"explicit set {s} does not have exactly k={k} distinct elements")
+            if t[0] < 0 or t[-1] >= m:
                 raise ValueError(f"explicit set {s} has elements out of range")
             norm.add(t)
-        sets = tuple(sorted(norm))
-        spec = ExplicitSpec(spec.ground_size, spec.k, sets)
-        as_sets = [frozenset(t) for t in sets]
-        k = spec.k
+        sets = tuple(sorted(norm))  # lexicographic, so their keys ascend
+        rank = k if sets else 0
 
-        def oracle(s: tuple) -> bool:
-            if len(s) > k:
-                return False
-            if not s:
-                return True
-            ss = set(s)
-            return any(ss <= layer for layer in as_sets)
+        @functools.cache
+        def shadow(t: int) -> np.ndarray:  # sorted keys of the t-subsets of the sets
+            return _keys(np.array(sets, np.int64), m) if t == k else _subset_keys(shadow(t + 1), t, m)
 
-        return Matroid(spec.ground_size, spec, oracle,
-                       f"explicit(m={spec.ground_size},k={spec.k})")
+        def rows_oracle(rows: np.ndarray) -> np.ndarray:
+            t = rows.shape[1]
+            if t == 0 or t > rank:
+                return np.full(rows.shape[0], t == 0)
+            keys, level = _keys(rows, m), shadow(t)
+            return level[np.searchsorted(level, keys).clip(max=level.size - 1)] == keys
+
+        return Matroid(m, ExplicitSpec(m, k, sets), f"explicit(m={m},k={k})", rank, rows_oracle)
 
     raise ValueError(f"unknown matroid spec: {spec!r}")
 

@@ -35,9 +35,9 @@ gives the same order.  After the last block each run of equal sets is one
 distinct set, asked once, its answer counting for the whole run.  The
 representatives are decoded from the keys, one digit column at a time, and
 asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries.  The
-oracle's own memo (see :mod:`matroid_sampling.matroids`) then answers sets
-already seen in earlier windows or calls.  Neither the windows nor the memo
-change the successes, only the number of oracle calls and the running time.
+column matroids' memo, the only one (see :mod:`matroid_sampling.matroids`),
+answers sets already seen in earlier windows or calls.  Neither windows nor
+memo change the successes, only the number of oracle calls and the time.
 """
 
 from __future__ import annotations

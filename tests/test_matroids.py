@@ -1,9 +1,10 @@
 import json
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matroid_sampling import (ExplicitSpec, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, axiom_spot_check,
@@ -358,3 +359,99 @@ def test_independent_count_is_none_without_closed_form():
     assert independent_count(ParallelClassesSpec(3), 2) is None
     assert independent_count(ExplicitSpec(3, 2, ((0, 1),)), 2) is None
     assert independent_count(LinearSpec(2, ((1, 0), (0, 1))), 2) is None
+
+
+def _in_layer(spec, s) -> bool:
+    """Brute force for an explicit layer: the empty set, or a set inside some listed set."""
+    return not s or any(set(s) <= set(listed) for listed in spec.sets)
+
+
+def _layer_rows(spec, t, rng) -> list[tuple]:
+    """Every t-subset of the ground set when there are at most 2,000 of
+    them, else the t-subsets of the first listed sets and random t-subsets."""
+    m = spec.ground_size
+    if comb(m, t) <= 2_000:
+        return list(combinations(range(m), t))
+    inside = [c for s in spec.sets[:3] for c in islice(combinations(sorted(s), t), 300)]
+    outside = [tuple(sorted(rng.choice(m, t, replace=False).tolist())) for _ in range(300)]
+    return sorted(set(inside + outside))
+
+
+@st.composite
+def explicit_specs(draw):
+    """A layer of 0..8 random k-sets of 1..9 points, unsorted and with repeats."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(1, m))
+    listed = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    return ExplicitSpec(m, k, tuple(map(tuple, draw(st.lists(listed, max_size=8)))))
+
+
+# 64^11 = 2^66: the keys of the 11-sets, and the shadow built from them, are Python ints
+_WIDE_LAYER = ExplicitSpec(64, 11, tuple(tuple(range(start, 64, 5))[:11] for start in range(5))
+                           + ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63),))
+
+
+@PROPERTY
+@given(explicit_specs())
+@example(ExplicitSpec(5, 3, ()))
+@example(ExplicitSpec(4, 2, ((0, 1), (2, 3))))
+@example(_WIDE_LAYER)
+def test_explicit_oracle_matches_brute_force(spec):
+    matroid = build_matroid(spec)
+    rng = np.random.default_rng(spec.ground_size)
+    for t in range(spec.k + 2):
+        subsets = _layer_rows(spec, t, rng)
+        want = [_in_layer(spec, s) for s in subsets]
+        rows = np.array(subsets, dtype=np.int64).reshape(len(subsets), t)
+        assert matroid.independent_rows(rows).tolist() == want
+        assert [matroid.is_independent(s) for s in subsets] == want
+
+
+def test_wide_layer_keys_overflow_int64():
+    assert matroids._keys(np.zeros((1, 11), dtype=np.int64), 64).dtype == object
+    assert matroids._keys(np.zeros((1, 10), dtype=np.int64), 64).dtype == np.int64
+    matroid = build_matroid(_WIDE_LAYER)
+    assert matroid.rank == 11
+    assert enumerate_independent_ksets(matroid, 11).sets.tolist() == sorted(
+        map(list, _WIDE_LAYER.sets))
+
+
+def test_explicit_layer_with_no_sets():
+    matroid = build_matroid(ExplicitSpec(5, 2, ()))
+    assert matroid.rank == matroid.subset_rank(range(5)) == 0
+    assert matroid.is_independent(())
+    for t in range(1, 6):
+        subsets = list(combinations(range(5), t))
+        assert not any(matroid.is_independent(s) for s in subsets)
+        assert not matroid.independent_rows(np.array(subsets, dtype=np.int64)).any()
+    with pytest.raises(ValueError, match="out of range"):
+        enumerate_independent_ksets(matroid, 1)
+
+
+@st.composite
+def linear_specs_with_parallels(draw):
+    """A linear spec whose columns repeat some of its columns, and some of
+    their nonzero multiples, in a random order."""
+    spec = draw(linear_specs())
+    q, columns = spec.q, list(spec.columns)
+    columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+    for col in draw(st.lists(st.sampled_from(columns), max_size=3)):
+        c = draw(st.integers(1, q - 1))
+        columns.append(tuple(c * x % q for x in col))
+    return LinearSpec(q, tuple(draw(st.permutations(columns))))
+
+
+@PROPERTY
+@given(st.one_of(linear_specs_with_parallels(), explicit_specs()))
+@example(LinearSpec(2, ((1, 0, 0), (1, 0, 0), (0, 1, 0))))  # a repeated column
+@example(LinearSpec(3, ((1, 2), (2, 1), (0, 1))))  # (2, 1) = 2 (1, 2): parallel columns
+@example(ExplicitSpec(6, 3, ((0, 4, 5), (1, 2, 3))))  # not a matroid
+@example(ExplicitSpec(5, 3, ()))
+@example(UniformSpec(0, 3))
+@example(UniformSpec(4, 4))
+@example(ProjectiveSpec(1, 3))
+@example(ProjectiveSpec(4, 3))
+@example(ParallelClassesSpec(3))
+def test_rank_from_the_spec_is_the_greedy_rank(spec):
+    matroid = build_matroid(spec)
+    assert matroid.rank == matroid.subset_rank(range(matroid.m))
