@@ -12,7 +12,7 @@ from .fields import (FieldMatrix, PrimeField, canonical_point, nonzero_vectors,
                      projective_points, rank_over_fp)
 from .genpoly import (ConcavityReport, Distribution, IndepSetIndex, concavity_probe,
                       enumerate_independent_ksets, eval_F, eval_f, eval_h,
-                      gaps_from_uniform, hessian_f)
+                      gaps_from_uniform, hessian_f, independent_set_index)
 from .matroids import (ExplicitSpec, LinearSpec, Matroid, MatroidSpec,
                        ParallelClassesSpec, ProjectiveSpec, UniformSpec,
                        axiom_spot_check, build_matroid, spec_from_json, spec_to_json)
@@ -37,8 +37,8 @@ __all__ = [
     "b2_explicit", "build_matroid", "canonical_point", "check_invariance",
     "concavity_probe", "enumerate_independent_ksets", "estimate_F", "eval_F",
     "eval_f", "eval_h", "gaps_from_uniform", "gaussian_bracket",
-    "hessian_coefficient", "hessian_f", "is_transitive", "k2_gap", "maximize_F",
-    "nonzero_vectors", "optimality_gap", "orbit_average", "orbits",
+    "hessian_coefficient", "hessian_f", "independent_set_index", "is_transitive",
+    "k2_gap", "maximize_F", "nonzero_vectors", "optimality_gap", "orbit_average", "orbits",
     "pgl_point_permutation", "projective_points", "pushforward", "rank_over_fp",
     "sample_kset", "spec_from_json", "spec_to_json", "stability_ratio",
     "stability_scan", "uniform_optimum",

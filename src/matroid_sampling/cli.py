@@ -23,8 +23,8 @@ from math import factorial
 
 import numpy as np
 
-from .genpoly import (Distribution, enumerate_independent_ksets, eval_F, eval_h,
-                      gaps_from_uniform, hessian_f, DEFAULT_ENUM_CAP)
+from .genpoly import (Distribution, eval_F, eval_h, gaps_from_uniform, hessian_f,
+                      independent_set_index, DEFAULT_ENUM_CAP)
 from .matroids import ProjectiveSpec, _ints, build_matroid, spec_from_json, spec_to_json
 from .optimize import AscentConfig, maximize_F
 from .montecarlo import estimate_F
@@ -136,7 +136,7 @@ def _build(args, spec=None):
     matroid = build_matroid(spec)
     if args.k is None:
         return spec, matroid, None
-    idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
+    idx = independent_set_index(matroid, args.k, cap=args.enum_cap)
     return spec, matroid, idx
 
 
@@ -209,15 +209,16 @@ def cmd_mc(args) -> dict:
     spec = _load_spec(args.spec)
     matroid = build_matroid(spec)
     dist = _load_dist(args.dist, matroid.m)
-    # enumerate the exact reference first: an over-cap request fails before simulating
-    idx = None
+    # the exact reference first, evaluator and all: an over-cap request fails before
+    # simulating, whether the cap stops the enumeration or the evaluator's build
+    exact = None
     if 1 <= args.k <= matroid.rank:
-        idx = enumerate_independent_ksets(matroid, args.k, cap=args.enum_cap)
+        exact = eval_F(independent_set_index(matroid, args.k, cap=args.enum_cap), dist)
     est = estimate_F(matroid, dist, args.k, args.trials, seed=args.seed)
     report = {"spec": spec_to_json(spec), "k": args.k}
     report.update(est.to_json())
-    if idx is not None:
-        report["exact_F"] = eval_F(idx, dist)
+    if exact is not None:
+        report["exact_F"] = exact
     return report
 
 
@@ -335,7 +336,7 @@ def cmd_pushforward(args) -> dict:
         "pushforward": projected.probs.tolist(),
     }
     if args.k is not None:
-        idx = enumerate_independent_ksets(build_matroid(spec), args.k, cap=args.enum_cap)
+        idx = independent_set_index(build_matroid(spec), args.k, cap=args.enum_cap)
         report["k"] = args.k
         report["F"] = eval_F(idx, projected)
         report["F_uniform_rational"] = _rational(uniform_optimum(PGParams(spec.n, spec.q, args.k)))
@@ -363,8 +364,8 @@ def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=No
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if enum_cap:
         sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                         help="abort if the independent-set enumeration, or the subsets of "
-                              "its sets that the evaluator's build holds, exceed this count")
+                         help="abort if the independent K-sets, or the subsets of them "
+                              "that the evaluator's build holds, exceed this count")
     if tol is not None:
         sub.add_argument("--tol", type=float, default=tol,
                          help="tolerance (default: %(default)s)")

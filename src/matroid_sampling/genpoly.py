@@ -1,12 +1,14 @@
 """The degree-K independent-set generating polynomial and its calculus.
 
-The polynomial is represented by the explicit list of its monomials, i.e.
-the independent K-sets, enumerated once per (matroid, K) pair and cached in
-an :class:`IndepSetIndex`.  :func:`enumerate_independent_ksets` grows them
-level by level, from the independent t-sets to the (t+1)-sets, and decides
-each level's candidates in blocks with one call of the matroid's batch
-oracle (:meth:`~matroid_sampling.matroids.Matroid.independent_rows`) per
-block.
+The polynomial's monomials are the independent K-sets, held once per
+(matroid, K) pair in an :class:`IndepSetIndex`.
+:func:`enumerate_independent_ksets` grows them level by level, from the
+independent t-sets to the (t+1)-sets, and decides each level's candidates
+in blocks with one call of the matroid's batch oracle
+(:meth:`~matroid_sampling.matroids.Matroid.independent_rows`) per block.
+:func:`independent_set_index` returns the same index, but where the count
+has a closed form (uniform and projective families) it takes the count
+from the spec and enumerates only when a reader first asks for the sets.
 
 Every float value of the polynomial goes through one private evaluator,
 built from the index on first use and cached on it (:func:`_chains`):
@@ -17,7 +19,8 @@ F(u) - F(p) around the uniform point (:func:`gaps_from_uniform`, which
 the stability scan and the identity checks call):
 
 * when the support holds every K-subset of the ground set, f is the
-  elementary symmetric polynomial e_K, evaluated in O(mK) with no build;
+  elementary symmetric polynomial e_K, evaluated in O(mK) with no build
+  and, on a lazy index, with no enumeration: the test reads only the count;
 * otherwise, the chains of the support's minimal acceptor, whose nodes
   group the t-sets with the same completions to a K-set and whose sum
   counts every K-set in each of its K! orders, exactly, on any support.
@@ -88,15 +91,18 @@ class Distribution:
 
 
 class IndepSetIndex:
-    """All independent K-sets of a matroid, as a (count, K) index array
-    with count >= 1.
+    """All independent K-sets of a matroid: their number ``n_sets`` >= 1
+    and, as ``sets``, a (n_sets, K) index array.
 
     Rows are sorted increasingly within each set and lexicographically
-    across sets; the array is immutable.  ``cap`` bounds the sets that
-    building the evaluator may hold (see _acceptor).
+    across sets; the array is immutable.  An index from
+    :func:`independent_set_index` knows its count in closed form and
+    enumerates its sets when ``sets`` is first read, which the e_K
+    evaluator never does (see :func:`_chains`).  ``cap`` bounds the sets
+    that building the evaluator may hold (see _acceptor).
     """
 
-    __slots__ = ("k", "m", "sets", "cap", "_chains")
+    __slots__ = ("k", "m", "n_sets", "cap", "_sets", "_matroid", "_chains")
 
     def __init__(self, k: int, m: int, sets, cap: int = DEFAULT_ENUM_CAP):
         arr = np.array(sets, dtype=np.int64, copy=True)
@@ -113,18 +119,51 @@ class IndepSetIndex:
         if len(arr) > 1 and np.any(np.all(arr[1:] == arr[:-1], axis=1)):
             raise ValueError("duplicate sets in index")
         arr.flags.writeable = False
-        self.k = int(k)
-        self.m = int(m)
-        self.sets = arr
-        self.cap = int(cap)
+        self._fill(k, m, cap, len(arr), arr)
+
+    @classmethod
+    def _lazy(cls, matroid: Matroid, k: int, n_sets: int, cap: int) -> IndepSetIndex:
+        """An index of ``n_sets`` sets that ``matroid`` enumerates on first read."""
+        return cls.__new__(cls)._fill(k, matroid.m, cap, n_sets, None, matroid)
+
+    def _fill(self, k, m, cap, n_sets, sets, matroid=None) -> IndepSetIndex:
+        self.k, self.m, self.cap, self.n_sets = int(k), int(m), int(cap), int(n_sets)
+        self._sets, self._matroid = sets, matroid
         self._chains = None  # the evaluator, built on first use: see _chains
+        return self
 
     @property
-    def n_sets(self) -> int:
-        return self.sets.shape[0]
+    def sets(self) -> np.ndarray:
+        if self._sets is None:
+            self._sets = enumerate_independent_ksets(self._matroid, self.k, self.cap).sets
+        return self._sets
 
     def __repr__(self):
         return f"IndepSetIndex(k={self.k}, m={self.m}, n_sets={self.n_sets})"
+
+
+def _checked_count(matroid: Matroid, k: int, cap: int) -> int | None:
+    """The closed-form count of independent k-sets, or None where the family
+    has none; raises when k is outside [1, rank] or the count exceeds cap."""
+    if k < 1 or k > matroid.rank:
+        raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
+    known = independent_count(matroid.spec, k)
+    if known is not None and known > cap:
+        raise ValueError(f"enumeration exceeds cap of {cap} sets")
+    return known
+
+
+def independent_set_index(matroid: Matroid, k: int,
+                          cap: int = DEFAULT_ENUM_CAP) -> IndepSetIndex:
+    """The index of the independent k-sets, as from
+    :func:`enumerate_independent_ksets`, but lazy where the count has a
+    closed form (:func:`~matroid_sampling.matroids.independent_count`):
+    then ``n_sets`` is that count and the sets are enumerated when
+    ``sets`` is first read.  Other families are enumerated now."""
+    known = _checked_count(matroid, k, cap)
+    if known is None:
+        return enumerate_independent_ksets(matroid, k, cap)
+    return IndepSetIndex._lazy(matroid, k, known, cap)
 
 
 def enumerate_independent_ksets(matroid: Matroid, k: int,
@@ -145,12 +184,8 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
     before the search starts.  The index keeps ``cap`` for its evaluator's
     build.
     """
-    if k < 1 or k > matroid.rank:
-        raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
+    _checked_count(matroid, k, cap)
     m = matroid.m
-    known = independent_count(matroid.spec, k)
-    if known is not None and known > cap:
-        raise ValueError(f"enumeration exceeds cap of {cap} sets")
     level = np.empty((1, 0), dtype=np.int64)  # the empty set
     for t in range(k):
         # candidates e leave room for the k - t - 1 elements after them: e <= m - k + t
@@ -685,8 +720,9 @@ def _level(rows: np.ndarray) -> _Level:
 def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
     """The index's evaluator of f, its gradient, its Hessian and the gaps,
     built on first use and cached on the index: the elementary-symmetric
-    one when the support holds every K-subset of the ground set, otherwise
-    the chains of the support's minimal acceptor (see _acceptor)."""
+    one when the support holds every K-subset of the ground set, which the
+    count alone decides, otherwise the chains of the support's minimal
+    acceptor (see _acceptor), which read the sets."""
     if idx._chains is None:
         if idx.n_sets == comb(idx.m, idx.k):
             idx._chains = _Elementary(idx.m, idx.k)

@@ -17,8 +17,8 @@ from math import factorial
 import numpy as np
 
 from .fields import PrimeField, _point_indices, nonzero_vectors
-from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex,
-                      enumerate_independent_ksets, gaps_from_uniform)
+from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex, gaps_from_uniform,
+                      independent_set_index)
 from .matroids import ProjectiveSpec, build_matroid, independent_count
 from .streams import trial_blocks, trial_uniforms
 
@@ -56,8 +56,9 @@ class PGParams:
         return gaussian_bracket(self.n, self.q)
 
     def index(self, cap: int = DEFAULT_ENUM_CAP) -> IndepSetIndex:
-        return enumerate_independent_ksets(build_matroid(ProjectiveSpec(self.n, self.q)),
-                                           self.k, cap=cap)
+        """The independent k-sets, counted in closed form, listed on first read."""
+        return independent_set_index(build_matroid(ProjectiveSpec(self.n, self.q)), self.k,
+                                     cap=cap)
 
 
 def uniform_optimum(params: PGParams) -> Fraction:

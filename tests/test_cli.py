@@ -9,11 +9,14 @@ from time import perf_counter
 
 import pytest
 
+from matroid_sampling import Matroid, cli, enumerate_independent_ksets
 from matroid_sampling.cli import main
 
 PROJECTIVE_32 = '{"type":"projective","n":3,"q":2}'
 PROJECTIVE_22 = '{"type":"projective","n":2,"q":2}'
 PARALLEL_2 = '{"type":"parallel_classes","m_per_class":2}'
+U25 = '{"type":"uniform","r":2,"n":5}'
+U36 = '{"type":"uniform","r":3,"n":6}'
 LAYER = '{"type":"explicit","ground_size":4,"k":2,"sets":[[0,1],[2,3]]}'
 
 
@@ -366,6 +369,73 @@ def test_mc_over_cap_fails_before_simulating(capsys):
     assert perf_counter() - start < 1.0
     assert code == 2
     assert "exceeds cap" in json.loads(err)["error"]["message"]
+
+
+def count_oracle_calls(monkeypatch) -> dict:
+    """Count the calls of both Matroid oracles, by name, from now on."""
+    calls = {"is_independent": 0, "independent_rows": 0}
+    for name in calls:
+        method = getattr(Matroid, name)
+
+        def counted(self, arg, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, arg)
+
+        monkeypatch.setattr(Matroid, name, counted)
+    return calls
+
+
+def test_mc_refuses_an_over_cap_evaluator_before_simulating(capsys, monkeypatch):
+    """Three disjoint 4-sets pass a cap of 10; the shadow refuses the
+    evaluator's build before the first of 10^7 trials."""
+    calls = count_oracle_calls(monkeypatch)
+    spec = '{"type":"explicit","ground_size":12,"k":4,"sets":[[0,1,2,3],[4,5,6,7],[8,9,10,11]]}'
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "mc", "--spec", spec, "--k", "4", "--enum-cap", "10",
+                             "--trials", "10000000")
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "over the cap of 10" in json.loads(err)["error"]["message"]
+    assert calls["is_independent"] == 0
+
+
+LAZY_REQUESTS = [
+    ["info", "--spec", PROJECTIVE_32, "--k", "3"],
+    ["info", "--spec", '{"type":"projective","n":5,"q":2}', "--k", "4"],
+    ["info", "--spec", U25, "--k", "2"],
+    ["eval", "--spec", PROJECTIVE_22, "--k", "2", "--dist", "[0.5,0.25,0.25]"],
+    ["eval", "--spec", U36, "--k", "3", "--dist", "[0.3,0.25,0.2,0.1,0.1,0.05]"],
+    ["optimize", "--spec", U25, "--k", "2", "--dist", "[0.4,0.3,0.1,0.1,0.1]"],
+    ["k2check", "--spec", '{"type":"projective","n":3,"q":3}', "--k", "2", "--samples", "20"],
+    ["orbitavg", "--spec", U25, "--k", "2", "--dist", "[0.4,0.3,0.1,0.1,0.1]",
+     "--gens", "[[1,2,3,4,0]]"],
+    ["scan", "--spec", U36, "--k", "3", "--samples", "500"],
+    ["scan", "--spec", PROJECTIVE_32, "--k", "2", "--samples", "500"],
+]
+
+
+@pytest.mark.parametrize("argv", LAZY_REQUESTS)
+def test_closed_form_counts_and_free_supports_call_no_oracle(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "independent_set_index", enumerate_independent_ksets)
+        code, eager, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    calls = count_oracle_calls(monkeypatch)
+    code, lazy, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert calls == {"is_independent": 0, "independent_rows": 0}
+    assert lazy == eager
+
+
+def test_info_refuses_a_closed_form_count_over_the_cap(capsys, monkeypatch):
+    calls = count_oracle_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "info", "--spec", '{"type":"projective","n":5,"q":2}',
+                             "--k", "4", "--enum-cap", str(26_040 - 1))
+    assert (code, out) == (2, "")
+    assert "exceeds cap" in json.loads(err)["error"]["message"]
+    assert calls == {"is_independent": 0, "independent_rows": 0}
+    assert run_json(capsys, "info", "--spec", '{"type":"projective","n":5,"q":2}', "--k", "4",
+                    "--enum-cap", "26040")["n_independent_ksets"] == 26_040
 
 
 def test_enum_cap_bounds_the_evaluator_build(capsys):

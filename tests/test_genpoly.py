@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearSpec,
                               ParallelClassesSpec, ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
-                              eval_F, eval_f, eval_h, hessian_f)
+                              eval_F, eval_f, eval_h, hessian_f, independent_set_index)
 from conftest import (CountingMatroid, add_at_gradient, kset_f, kset_hessian, linear_matroids,
                       singer_cycle)
 from matroid_sampling.genpoly import _chains, _Elementary, _midpoint_check
@@ -142,6 +142,27 @@ def test_enumeration_cap_checked_before_search(spec, k, count):
         enumerate_independent_ksets(matroid, k, cap=count - 1)
     assert matroid.queries == []
     assert enumerate_independent_ksets(matroid, k, cap=count).n_sets == count
+
+
+@pytest.mark.parametrize("spec,k,free", [
+    (ProjectiveSpec(4, 2), 3, False),
+    (ProjectiveSpec(5, 2), 4, False),
+    (ProjectiveSpec(4, 3), 2, True),   # every pair of points is independent
+    (UniformSpec(4, 30), 4, True),
+    (UniformSpec(2, 5), 2, True),
+])
+def test_lazy_index_counts_without_the_oracle(spec, k, free):
+    matroid = CountingMatroid(build_matroid(spec))
+    idx = independent_set_index(matroid, k)
+    want = enumerate_independent_ksets(build_matroid(spec), k)
+    assert idx.n_sets == want.n_sets
+    assert matroid.queries == []
+    # the free test reads the count; the acceptor reads the sets, which enumerates them
+    assert isinstance(_chains(idx), _Elementary) == free
+    assert free == (matroid.queries == [])
+    assert np.array_equal(idx.sets, want.sets)
+    assert not idx.sets.flags.writeable
+    assert matroid.queries
 
 
 def test_enumeration_beyond_cap_fails_fast():
