@@ -12,10 +12,10 @@ from .fields import (FieldMatrix, PrimeField, canonical_point, nonzero_vectors,
                      projective_points, rank_over_fp)
 from .genpoly import (ConcavityReport, Distribution, IndepSetIndex, concavity_probe,
                       enumerate_independent_ksets, eval_F, eval_f, eval_h,
-                      gaps_from_uniform, hessian_f, independent_set_index)
+                      gaps_from_uniform, hessian_f, independent_set_index, is_matroid_support)
 from .matroids import (ExplicitSpec, LinearSpec, Matroid, MatroidSpec,
                        ParallelClassesSpec, ProjectiveSpec, UniformSpec,
-                       axiom_spot_check, build_matroid, spec_from_json, spec_to_json)
+                       build_matroid, spec_from_json, spec_to_json)
 from .montecarlo import McEstimate, estimate_F, sample_kset
 from .optimize import AscentConfig, AscentResult, maximize_F, optimality_gap
 from .projective import (PGParams, StabilityScanReport, VectorDistribution,
@@ -33,13 +33,13 @@ __all__ = [
     "ExplicitSpec", "FieldMatrix", "IndepSetIndex", "LinearSpec", "Matroid",
     "MatroidSpec", "McEstimate", "PGParams", "ParallelClassesSpec", "Permutation",
     "PrimeField", "ProjectiveSpec", "StabilityScanReport", "UniformSpec",
-    "VectorDistribution", "apply_to_distribution", "axiom_spot_check", "b2_count",
+    "VectorDistribution", "apply_to_distribution", "b2_count",
     "b2_explicit", "build_matroid", "canonical_point", "check_invariance",
     "concavity_probe", "enumerate_independent_ksets", "estimate_F", "eval_F",
     "eval_f", "eval_h", "gaps_from_uniform", "gaussian_bracket",
-    "hessian_coefficient", "hessian_f", "independent_set_index", "is_transitive",
-    "k2_gap", "maximize_F", "nonzero_vectors", "optimality_gap", "orbit_average", "orbits",
-    "pgl_point_permutation", "projective_points", "pushforward", "rank_over_fp",
-    "sample_kset", "spec_from_json", "spec_to_json", "stability_ratio",
+    "hessian_coefficient", "hessian_f", "independent_set_index", "is_matroid_support",
+    "is_transitive", "k2_gap", "maximize_F", "nonzero_vectors", "optimality_gap",
+    "orbit_average", "orbits", "pgl_point_permutation", "projective_points", "pushforward",
+    "rank_over_fp", "sample_kset", "spec_from_json", "spec_to_json", "stability_ratio",
     "stability_scan", "uniform_optimum",
 ]

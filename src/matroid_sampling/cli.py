@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -343,6 +343,16 @@ def cmd_pushforward(args) -> dict:
     return report
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind`` of the text, refused (exit 2) unless ``ok``."""
+    def parse(text: str):
+        if ok(value := kind(text)):
+            return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    parse.__name__ = kind.__name__  # names the type in argparse's other errors
+    return parse
+
+
 def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=None,
                 enum_cap=True):
     """Flags shared by the subcommands; each declares only what its handler reads."""
@@ -363,11 +373,11 @@ def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=No
     sub.add_argument("--out", default=None, help="write the report to this file")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if enum_cap:
-        sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                         help="abort if the independent K-sets, or the subsets of them "
-                              "that the evaluator's build holds, exceed this count")
+        sub.add_argument("--enum-cap", type=_checked(int, lambda n: n >= 0, "a count >= 0"),
+                         default=DEFAULT_ENUM_CAP, help="abort if the independent K-sets, or "
+                         "the subsets of them that the evaluator's build holds, exceed this count")
     if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol,
+        sub.add_argument("--tol", type=_checked(float, isfinite, "a finite number"), default=tol,
                          help="tolerance (default: %(default)s)")
 
 

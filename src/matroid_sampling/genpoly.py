@@ -29,9 +29,9 @@ the stability scan and the identity checks call):
   refuses a support whose subsets of the K-sets outnumber the index's
   cap, the one its enumeration ran under.
 
-For a matroid support the K-th root of the polynomial is concave on the
-nonnegative orthant, which :func:`concavity_probe` checks empirically on
-random midpoints.
+On a matroid support, which :func:`is_matroid_support` decides exactly,
+the K-th root of the polynomial is concave on the nonnegative orthant;
+:func:`concavity_probe` checks that empirically on random midpoints.
 """
 
 from __future__ import annotations
@@ -731,6 +731,36 @@ def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
     return idx._chains
 
 
+def is_matroid_support(idx: IndepSetIndex) -> bool:
+    """Whether the index's K-sets are the independent K-sets of a matroid,
+    decided exactly: whether no node F of a level t < K of the acceptor
+    (see _acceptor) has a shadow (t+1)-set among its non-extenders N(F),
+    the elements in no difference set of F's covers, F's own among them.
+    That is augmentation from t to t + 1 for the t-sets in F, which share a
+    link.  Per level, the nodes are the trailing axis of one sweep of the
+    chains' levels 0..t at x = 1_N(F), in row blocks of GAP_BLOCK_BYTES,
+    which keeps only the values > 0.  Every K-subset (e_K) needs no build."""
+    chains = _chains(idx)
+    if isinstance(chains, _Elementary):
+        return True
+    for t, lv in enumerate(chains.levels):
+        swept, n = chains.levels[:t + 1], int(lv.src.max()) + 1
+        width = max(s.diff.size if s.dense is None else 8 * s.src.size for s in swept)
+        rows = max(1, GAP_BLOCK_BYTES // width)
+        for start in range(0, n, rows):
+            mine = (lv.src >= start) & (lv.src < start + rows)
+            outside = np.ones((idx.m + 1, min(rows, n - start)), dtype=bool)
+            outside[lv.diff[:, mine], lv.src[mine] - start] = False
+            outside[idx.m] = False  # the padding
+            reach = np.ones((1, outside.shape[1]), dtype=bool)  # the root
+            for s in swept:
+                hit = outside[s.diff].any(0) if s.dense is None else s.dense @ outside > 0
+                reach = np.logical_or.reduceat(reach[s.src] & hit, s.starts)
+            if reach.any():
+                return False
+    return True
+
+
 def _midpoint_check(idx: IndepSetIndex, x, y) -> tuple[float, float]:
     """Signed midpoint violations (positive = violation) of
 
@@ -758,11 +788,11 @@ def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> Co
     convexity on random pairs of points in [0, 1)^m.  Trial t's pair (x, y)
     is the 2m uniforms of trial t of the ``streams`` contract under ``seed``.
 
-    What is guaranteed: when the index holds the independent K-sets of a
-    matroid, f is the basis generating polynomial of its rank-K
+    What is guaranteed: on a matroid support (:func:`is_matroid_support`
+    decides), f is the basis generating polynomial of its rank-K
     truncation, which is Lorentzian (Brändén and Huh), so f^(1/K) is
     concave on the nonnegative orthant and both maxima are <= 0 up to
-    rounding (values <= ~1e-9 are the expected floating-point noise).  For
+    rounding (values <= ~1e-9 are the expected floating-point noise).  On
     a support that is not a matroid, such as an arbitrary ``explicit``
     layer, nothing is guaranteed and positive violations are possible.
     """

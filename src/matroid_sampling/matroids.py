@@ -38,7 +38,6 @@ from typing import Union
 import numpy as np
 
 from .fields import PrimeField, _independent_stacks, _rank_rows, projective_points
-from .streams import trial_substream
 
 ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
 _COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
@@ -91,8 +90,8 @@ class Matroid:
     gradient and the gaps F(u) - F(p) are summed over whatever support the
     enumeration returns, so they are right for a user-supplied explicit
     layer that is not a matroid too, though the paper's theorems about them
-    are not; :func:`axiom_spot_check` offers a non-exhaustive check of the
-    axioms.
+    are not; :func:`~matroid_sampling.genpoly.is_matroid_support` decides
+    exactly whether the K-sets are those of a matroid.
 
     A matroid is immutable and its oracles are pure, so one instance may be
     shared across threads.  The column matroids' memo and an explicit
@@ -370,42 +369,3 @@ def spec_from_json(data) -> MatroidSpec:
                            2 if f.type == "tuple" else 0) for f in fields(cls)))
     except KeyError as exc:
         raise ValueError(f"matroid spec JSON missing field {exc}") from exc
-
-
-def axiom_spot_check(matroid: Matroid, trials: int = 300, seed: int = 0) -> list[str]:
-    """Randomized, non-exhaustive check of the matroid axioms.
-
-    Samples random independent sets and checks downward closure and the
-    exchange property.  Returns a list of human-readable violations (empty
-    when none were found).  Absence of violations is evidence, not proof.
-    The draws come from the Philox stream of trial 0 under ``seed``.
-    """
-    rng = trial_substream(seed, 0, 1)
-    m = matroid.m
-    violations: list[str] = []
-    if not matroid.is_independent(()):
-        violations.append("empty set reported dependent")
-    indep_pool: list[tuple] = []
-    for _ in range(trials):
-        size = int(rng.integers(0, max(matroid.rank, 1) + 1))
-        s = tuple(sorted(rng.choice(m, size=min(size, m), replace=False).tolist()))
-        if not matroid.is_independent(s):
-            continue
-        indep_pool.append(s)
-        if s:
-            keep = rng.random(len(s)) < 0.5
-            sub = tuple(e for e, k in zip(s, keep) if k)
-            if not matroid.is_independent(sub):
-                violations.append(f"downward closure fails: {sub} inside independent {s}")
-    for _ in range(trials):
-        if len(indep_pool) < 2:
-            break
-        a = indep_pool[int(rng.integers(len(indep_pool)))]
-        b = indep_pool[int(rng.integers(len(indep_pool)))]
-        if len(a) == len(b):
-            continue
-        small, big = (a, b) if len(a) < len(b) else (b, a)
-        candidates = [e for e in big if e not in small]
-        if not any(matroid.is_independent(small + (e,)) for e in candidates):
-            violations.append(f"exchange fails between {small} and {big}")
-    return violations

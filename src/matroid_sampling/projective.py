@@ -253,28 +253,27 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     best_ratio, best_p = np.inf, None
-    ratios = []
-    skipped = 0
+    ratios, kept = np.empty(n_samples), 0  # the kept samples' ratios, held once
     for pts in trial_blocks(lambda first, count: _scan_samples(seed, first, count, idx.m, mode),
                             n_samples, chunk):
         gaps, norm2 = gaps_from_uniform(idx, pts)
         keep = norm2 > 1e-24
-        skipped += int(keep.size - keep.sum())
         if not np.any(keep):
             continue
-        chunk_ratios = gaps[keep] / norm2[keep]
-        ratios.append(chunk_ratios)
+        chunk_ratios = ratios[kept:kept + int(keep.sum())]
+        np.divide(gaps[keep], norm2[keep], out=chunk_ratios)
+        kept += chunk_ratios.size
         i = int(np.argmin(chunk_ratios))
         if chunk_ratios[i] < best_ratio:
             best_ratio = float(chunk_ratios[i])
             best_p = pts[keep][i].copy()
-    if not ratios:
+    if not kept:
         raise ValueError("every sample coincides with the uniform distribution; ratio undefined")
-    all_ratios = np.concatenate(ratios)
-    lo, hi = float(all_ratios.min()), float(all_ratios.max())
+    ratios = ratios[:kept]
+    lo, hi = float(ratios.min()), float(ratios.max())
     if hi - lo < 1e-9 * max(abs(lo), abs(hi), 1.0):
         lo, hi = lo - 0.5, hi + 0.5  # essentially constant data: pad the range
-    counts, edges = np.histogram(all_ratios, bins=HISTOGRAM_BINS, range=(lo, hi))
+    counts, edges = np.histogram(ratios, bins=HISTOGRAM_BINS, range=(lo, hi))
     return StabilityScanReport(
         min_ratio=best_ratio,
         argmin=best_p,
@@ -283,5 +282,5 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
         mode=mode,
         histogram_counts=counts,
         histogram_edges=edges,
-        skipped=skipped,
+        skipped=n_samples - kept,
     )

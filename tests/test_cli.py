@@ -486,6 +486,19 @@ def test_flags_are_declared_only_where_read(capsys):
     assert report["tol"] == 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "nan"),
+    ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "inf"),
+    ("optimize", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "nan"),
+    ("info", "--spec", PROJECTIVE_32, "--k", "3", "--enum-cap", "-5"),
+])
+def test_non_finite_tolerance_and_negative_cap_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+
+
 def test_usage_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "eval", "--spec", PROJECTIVE_22)  # missing --k
     assert code == 2

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearSpec,
                               ParallelClassesSpec, ProjectiveSpec, UniformSpec, build_matroid,
                               concavity_probe, enumerate_independent_ksets,
-                              eval_F, eval_f, eval_h, hessian_f, independent_set_index)
+                              eval_F, eval_f, eval_h, hessian_f, independent_set_index,
+                              is_matroid_support)
 from conftest import (CountingMatroid, add_at_gradient, kset_f, kset_hessian, linear_matroids,
                       singer_cycle)
 from matroid_sampling.genpoly import _chains, _Elementary, _midpoint_check
@@ -417,3 +418,45 @@ def test_midpoint_check_equal_points_exact(fano_idx):
     hv, sv = _midpoint_check(fano_idx, x, x)
     assert hv == 0.0
     assert sv == 0.0
+
+
+def augments(sets):
+    """Whether the shadow of the sets (all their subsets) satisfies the
+    augmentation axiom, by brute force over every pair of shadow sets."""
+    shadow = {frozenset(c) for s in sets for t in range(len(s) + 1) for c in combinations(s, t)}
+    return all(any(small | {x} in shadow for x in big - small)
+               for small in shadow for big in shadow if len(big) == len(small) + 1)
+
+
+@st.composite
+def small_supports(draw):
+    """The index of a linear matroid over F_2 or F_3 on at most 8 columns
+    at K <= 4, or of an explicit layer of 2..12 random K-sets, 2 <= K <= 4,
+    on K + 1..8 elements, many of them not a matroid."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        m = draw(st.integers(k + 1, 8))
+        sets = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
+                             min_size=2, max_size=12, unique=True))
+        return enumerate_independent_ksets(build_matroid(ExplicitSpec(m, k, tuple(sets))), k)
+    matroid = draw(linear_matroids(max_dim=4, max_size=8))
+    top = min(matroid.rank, 4)  # near the rank, where not every K-subset is independent
+    return enumerate_independent_ksets(matroid, draw(st.integers(max(1, top - 1), top)))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(small_supports())
+def test_is_matroid_support_matches_brute_force_augmentation(idx):
+    assert is_matroid_support(idx) == augments(idx.sets.tolist())
+
+
+def test_is_matroid_support_memory_on_pg_4_2():
+    idx = independent_set_index(build_matroid(ProjectiveSpec(5, 2)), 4)
+    _chains(idx)  # the evaluator, prebuilt
+    tracemalloc.start()
+    try:
+        assert is_matroid_support(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

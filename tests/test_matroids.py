@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matroid_sampling import (ExplicitSpec, LinearSpec, ParallelClassesSpec,
-                              ProjectiveSpec, UniformSpec, axiom_spot_check,
-                              build_matroid, enumerate_independent_ksets, matroids,
-                              projective_points, spec_from_json, spec_to_json)
+                              ProjectiveSpec, UniformSpec, build_matroid,
+                              enumerate_independent_ksets, independent_set_index,
+                              is_matroid_support, matroids, projective_points,
+                              spec_from_json, spec_to_json)
 from matroid_sampling.fields import _rank_rows
 from matroid_sampling.matroids import independent_count
 
@@ -235,15 +236,19 @@ def test_exchange_property_spot_check():
                 assert any(matroid.is_independent(a + (e,)) for e in b if e not in a)
 
 
-def test_axiom_spot_check_clean_families(fano, parallel2, uniform25):
-    for matroid in (fano, parallel2, uniform25):
-        assert axiom_spot_check(matroid, trials=150, seed=5) == []
+def test_is_matroid_support_clean_families(fano, parallel2, uniform25):
+    for matroid in (fano, parallel2, uniform25, build_matroid(ProjectiveSpec(4, 2))):
+        for k in range(1, matroid.rank + 1):
+            assert is_matroid_support(independent_set_index(matroid, k))
+    # U(2,5) lists every pair: e_K decides it from the count, with no enumeration
+    idx = independent_set_index(uniform25, 2)
+    assert is_matroid_support(idx) and idx._sets is None
 
 
-def test_axiom_spot_check_flags_non_matroid():
+def test_is_matroid_support_flags_non_matroid():
     # {0,1} and {2,3} violate exchange with any singleton from the other block
     fake = build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3))))
-    assert axiom_spot_check(fake, trials=300, seed=5) != []
+    assert not is_matroid_support(enumerate_independent_ksets(fake, 2))
 
 
 def _subsets(m, max_size):

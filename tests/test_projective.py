@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -11,6 +12,7 @@ from matroid_sampling import (Distribution, ExplicitSpec, PGParams,
                               gaussian_bracket, hessian_coefficient, hessian_f,
                               k2_gap, pushforward, stability_ratio,
                               stability_scan, uniform_optimum)
+from matroid_sampling import projective
 from matroid_sampling.projective import HISTOGRAM_BINS
 
 
@@ -271,6 +273,43 @@ def test_stability_scan_deterministic_and_chunk_independent(fano_idx):
     assert a.min_ratio == b.min_ratio
     assert np.array_equal(a.argmin, b.argmin)
     assert np.array_equal(a.histogram_counts, b.histogram_counts)
+
+
+def test_stability_scan_holds_its_ratios_once():
+    # PG(2,3) K=2 at 409,600 samples: one float per sample for the ratios, and
+    # blocks that do not grow with the sample count; a second copy of the
+    # ratios (3.1 MiB) would cross the bound
+    idx = PGParams(3, 3, 2).index()
+    stability_scan(idx, n_samples=100)  # the evaluator, prebuilt
+    n = 409_600
+    tracemalloc.start()
+    try:
+        report = stability_scan(idx, n_samples=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.histogram_counts.sum() == n - report.skipped
+    assert peak < 8 * n + (4 << 20)
+
+
+def test_stability_scan_skips_samples_at_u(fano_idx, monkeypatch):
+    # every third sample is u itself: the scan skips those and reports the
+    # minimum, argmin and histogram of the others, across ragged blocks
+    draw = projective._scan_samples
+
+    def with_u(seed, first, count, m, mode):
+        pts = draw(seed, first, count, m, mode)
+        pts[np.arange(first, first + count) % 3 == 0] = 1.0 / m
+        return pts
+
+    monkeypatch.setattr(projective, "_scan_samples", with_u)
+    report = stability_scan(fano_idx, n_samples=300, seed=4, chunk=64)
+    kept = with_u(4, 0, 300, 7, "dirichlet")[np.arange(300) % 3 != 0]
+    ratios = [stability_ratio(fano_idx, p) for p in kept]
+    assert report.skipped == 100
+    assert report.histogram_counts.sum() == 200
+    assert report.min_ratio == min(ratios)
+    assert np.array_equal(report.argmin, kept[int(np.argmin(ratios))])
 
 
 def test_stability_scan_sparse_mode(fano_idx):
