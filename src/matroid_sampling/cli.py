@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -28,9 +29,8 @@ from .genpoly import (Distribution, eval_F, eval_h, gaps_from_uniform, hessian_f
 from .matroids import ProjectiveSpec, _ints, build_matroid, spec_from_json, spec_to_json
 from .optimize import AscentConfig, maximize_F
 from .montecarlo import estimate_F
-from .projective import (SCAN_CHUNK, PGParams, VectorDistribution, _scan_samples, b2_count,
-                         b2_explicit, hessian_coefficient, pushforward, stability_scan,
-                         uniform_optimum)
+from .projective import (SCAN_CHUNK, PGParams, VectorDistribution, _scan_samples, b2_explicit,
+                         hessian_coefficient, pushforward, stability_scan, uniform_optimum)
 from .streams import trial_blocks, trial_uniforms
 from .symmetry import Permutation, is_transitive, orbit_average, orbits
 
@@ -41,6 +41,11 @@ class ToleranceFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number, exponent forms included, is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         _emit_error("UsageError", message)
         raise SystemExit(2)
@@ -266,12 +271,12 @@ def cmd_hesscheck(args) -> dict:
         raise ValueError("--samples must be >= 1")
     pg = _projective(_load_spec(args.spec))
     params = PGParams(pg.n, pg.q, args.k)
-    coefficient = hessian_coefficient(params)
+    coefficient, b2 = hessian_coefficient(params), b2_explicit(params)
     coef = float(coefficient)
-    b2 = b2_explicit(params)
     spec, matroid, idx = _build(args, pg)
     m, t = matroid.m, 1e-3
-    hess = factorial(args.k) * hessian_f(idx, np.full(m, 1.0 / m))
+    pairs = hessian_f(idx, np.ones(m))  # the pair counts, exact integers
+    hess = factorial(args.k) / m ** (args.k - 2) * pairs  # at u, as f is K-homogeneous
     worst_exact = worst_fd = 0.0  # of |v^T H v + c| and its difference quotient
     draw = functools.partial(trial_uniforms, args.seed, doubles_per_trial=m)
     for dirs in trial_blocks(draw, args.samples, SCAN_CHUNK):
@@ -283,7 +288,7 @@ def cmd_hesscheck(args) -> dict:
         worst_exact = np.max(np.abs(quad + coef), initial=worst_exact)
         worst_fd = np.max(np.abs(fd + coef), initial=worst_fd)
     worst_exact, worst_fd = float(worst_exact) / coef, float(worst_fd) / coef
-    b2_enum = b2_count(idx, 0, 1)
+    b2_enum = int(pairs[0, 1])
     report = {
         "spec": spec_to_json(spec),
         "k": args.k,

@@ -277,7 +277,7 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     """Exact Hessian of eval_f: zero diagonal (the polynomial is multi-affine),
     entry (e, e') sums the products of the remaining K-2 coordinates over the
     sets containing both e and e'.  Taken by the index's evaluator (see
-    :func:`_chains`) and exactly symmetric."""
+    :func:`_chains`) and exactly symmetric; at x = 1, the pair counts."""
     return _chains(idx).hessian(as_point(x, idx.m))
 
 
@@ -314,17 +314,19 @@ class _Chains:
     coordinates over the stored difference set, never x(F) - x(F'), so
     zero and tiny coordinates lose no digits.  The gradient is the reverse
     (adjoint) sweep plus one scatter of the cover weights per level; it
-    reuses the forward sweep that :meth:`evaluate` returns with f.
+    reuses the forward sweep that :meth:`evaluate` returns with f.  At x = 1
+    the gradient is the degrees and the Hessian the pair counts, sums of
+    nonnegative integers, exact while K! n_sets < 2^53 (K <= 12 at the
+    default cap).
     """
 
     __slots__ = ("m", "k", "levels", "slope", "_plan")
 
-    def __init__(self, m: int, k: int, levels: list[_Level], degrees: np.ndarray):
-        self.m = m
-        self.k = k
-        self.levels = levels
-        # m times the degrees less their mean, as exact integers: the linear part
-        # of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0, is K!/m w.slope
+    def __init__(self, m: int, k: int, levels: list[_Level]):
+        self.m, self.k, self.levels = m, k, levels
+        # m times the degrees (the gradient at 1) less their mean, exact integers: the linear
+        # part of m^K G(E) in w = m p - 1, less its multiple of sum(w) = 0, is K!/m w.slope
+        degrees = self.gradient(self.evaluate(np.ones(m))[1])
         self.slope = m * degrees - degrees.sum()
         self._plan = None  # the tables of gaps, built on first use: see _gap_plan
 
@@ -627,9 +629,10 @@ def _acceptor(idx: IndepSetIndex) -> _Chains:
     The levels are built from the top down: the nodes of level t are the
     distinct signatures of its t-sets (see _signatures), which read the
     nodes of level t + 1.  The t-sets are integer keys (see matroids._keys),
-    Python integers when m^K would overflow int64.  Raises before any
-    signature is computed when the shadow holds more than the index's cap
-    of t-sets.
+    Python integers when m^K would overflow int64, and only they read the
+    K-sets: the degrees are the chains' gradient at x = 1.  Raises before
+    any signature is computed when the shadow holds more than the index's
+    cap of t-sets.
     """
     k, m = idx.k, idx.m
     keys = [_keys(idx.sets, m)]  # lexsorted rows give ascending keys
@@ -643,8 +646,7 @@ def _acceptor(idx: IndepSetIndex) -> _Chains:
     for t, (upper, lower) in enumerate(zip(keys, keys[1:])):
         rows, node = _signatures(lower, upper, node, k - 1 - t, m)
         levels.append(_level(rows))
-    degrees = np.bincount(idx.sets.ravel(), minlength=m).astype(float)
-    return _Chains(m, k, levels[::-1], degrees)
+    return _Chains(m, k, levels[::-1])
 
 
 def _signatures(keys: np.ndarray, upper: np.ndarray, upper_node: np.ndarray, t: int, m: int):

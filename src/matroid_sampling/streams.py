@@ -47,11 +47,8 @@ def trial_uniforms(seed: int, first_trial: int, n_trials: int,
         raise ValueError("n_trials must be nonnegative")
     blocks = blocks_per_trial(doubles_per_trial)
     width = blocks * DOUBLES_PER_BLOCK
-    if n_trials == 0:
-        return np.empty((0, doubles_per_trial))
     gen = Generator(Philox(key=int(seed), counter=first_trial * blocks))
-    flat = gen.random(n_trials * width)
-    return flat.reshape(n_trials, width)[:, :doubles_per_trial]
+    return gen.random(n_trials * width).reshape(n_trials, width)[:, :doubles_per_trial]
 
 
 def trial_blocks(run, n_trials: int, chunk: int):

@@ -62,12 +62,16 @@ def linear_matroids(draw, fields=(2, 3), max_dim=3, min_size=2, max_size=7):
 
 @st.composite
 def supports(draw):
-    """An index of 1..12 random K-subsets of a ground set of K..8
-    elements, K <= 4, most of them not the K-sets of a matroid."""
-    k = draw(st.integers(1, 4))
-    m = draw(st.integers(k, 8))
+    """An index of random K-subsets of a ground set of at most 8
+    elements, K <= 4, most of them not the K-sets of a matroid: three
+    draws in four take 2..12 sets at K >= 2 on m >= K + 2 elements (every
+    family of K-subsets of K + 1 elements is a matroid), the rest 1..12
+    sets at 1 <= K <= m, so that K = 1 and m = K stay reachable."""
+    wide = draw(st.integers(0, 3)) > 0
+    k = draw(st.integers(1 + wide, 4))
+    m = draw(st.integers(k + 2 * wide, 8))
     sets = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
-                         min_size=1, max_size=12, unique=True))
+                         min_size=1 + wide, max_size=12, unique=True))
     return IndepSetIndex(k, m, sets)
 
 

@@ -4,7 +4,9 @@ on free truncations.
 
 The acceptor is checked against brute force on random supports, most of
 them not matroids: no two nodes of a level share a link, and f, the
-gradient and the gaps match exact rational sums over the K-sets.  On
+gradient and the gaps match exact rational sums over the K-sets, and at
+x = 1 the Hessian is exactly the pair counts and the gradient the
+degrees, against a scan of the K-sets.  On
 random small linear matroids (loops and parallel elements included) its
 nodes must be the flats in packed-membership order and its sums match
 the exact K-set sums; on projective geometries it must give the closed
@@ -26,12 +28,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (add_at_gradient, centered, kset_f, kset_gradient, linear_matroids,
-                      supports, with_loops)
+from conftest import (add_at_gradient, centered, kset_f, kset_gradient, kset_hessian,
+                      linear_matroids, supports, with_loops)
 from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
                               PGParams, ProjectiveSpec, UniformSpec,
                               build_matroid, enumerate_independent_ksets, eval_F, eval_f, genpoly,
-                              maximize_F, uniform_optimum)
+                              hessian_f, maximize_F, uniform_optimum)
 from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -148,6 +150,28 @@ def test_acceptor_matches_exact_sums_on_any_support(data):
             assert_matches_kset_sums(evaluator, sets, p)
         for p, gap in zip(points, evaluator.gaps(w), strict=True):
             assert abs(Fraction(gap) - factorial(k) * (f_u - kset_f(sets, p))) <= 1e-12
+
+
+@PROPERTY
+@given(st.data())
+def test_pair_counts_and_degrees_are_read_at_one(data):
+    """At x = 1 the evaluator's Hessian is the pair-count matrix and the
+    chains' gradient is the degrees, both exactly, against a scan of the
+    K-sets: on random supports and on F_2/F_3 linear matroids with loops and
+    parallel elements."""
+    if data.draw(st.booleans()):
+        idx = data.draw(supports())
+    else:
+        matroid = data.draw(linear_matroids(max_dim=3, min_size=1, max_size=8))
+        k = data.draw(st.integers(1, matroid.rank))
+        sets, m, _ = with_loops(data, matroid, k)
+        idx = IndepSetIndex(k, m, sets)
+    m, sets, ones = idx.m, idx.sets.tolist(), [1] * idx.m
+    assert hessian_f(idx, np.ones(m)).tolist() == kset_hessian(sets, ones)
+    degrees = kset_gradient(sets, ones)
+    chains = _acceptor(idx)
+    assert chains.gradient(chains.evaluate(np.ones(m))[1]).tolist() == degrees
+    assert chains.slope.tolist() == [m * d - sum(degrees) for d in degrees]
 
 
 def wide_index():

@@ -203,6 +203,19 @@ def test_exit_3_report_follows_format_and_out(capsys, tmp_path):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("tol", ["-1e-3", "-1E+2", "-.5e-1"])
+def test_negative_tolerance_in_exponent_form_is_a_value(capsys, tol):
+    """A negative --tol in exponent notation, given as its own argument, is
+    read as the value, not as an option: the same failing report as --tol=."""
+    argv = ("k2check", "--spec", PROJECTIVE_22, "--k", "2", "--samples", "5")
+    joined = run_cli(capsys, *argv, f"--tol={tol}")
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert (code, out, err) == joined
+    assert code == 3
+    report = json.loads(out)
+    assert (report["tol"], report["pass"]) == (float(tol), False)
+
+
 @pytest.mark.parametrize("argv", [
     ("info", "--spec", PROJECTIVE_22),
     ("k2check", "--spec", PROJECTIVE_22, "--k", "2", "--tol", "-1"),  # a failure's report
@@ -489,6 +502,7 @@ def test_flags_are_declared_only_where_read(capsys):
 @pytest.mark.parametrize("argv", [
     ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "nan"),
     ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "inf"),
+    ("hesscheck", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "-inf"),
     ("optimize", "--spec", PROJECTIVE_32, "--k", "3", "--tol", "nan"),
     ("info", "--spec", PROJECTIVE_32, "--k", "3", "--enum-cap", "-5"),
 ])

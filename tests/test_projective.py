@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from conftest import CountingMatroid
 from matroid_sampling import (Distribution, ExplicitSpec, PGParams,
                               ProjectiveSpec, VectorDistribution, b2_count,
                               b2_explicit, build_matroid,
@@ -84,6 +85,16 @@ def test_b2_count_matches_explicit(fano_idx, pg12_idx):
         for _ in range(20):
             e, e2 = rng.choice(idx.m, size=2, replace=False)
             assert b2_count(idx, int(e), int(e2)) == expected
+
+
+def test_b2_count_on_every_pair_reads_no_set():
+    """On PG(3,3) at K = 2 every pair of points is independent: the count
+    comes from e_2, with no oracle call and no enumeration."""
+    idx = PGParams(4, 3, 2).index()
+    idx._matroid = counting = CountingMatroid(idx._matroid)
+    assert b2_count(idx, 0, 1) == 1
+    assert counting.queries == []
+    assert idx._sets is None
 
 
 def test_b2_count_errors(fano, fano_idx):
