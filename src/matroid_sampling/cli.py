@@ -3,11 +3,12 @@
 Every subcommand is deterministic given its full flag set (including
 --seed) and emits a machine-readable report on stdout, JSON by default or
 CSV with ``--format csv``.  Exit codes: 0 on success, 2 on validation
-errors (reported as JSON objects on stderr), 3 when an identity check
-exceeds its tolerance, which makes the identity subcommands usable as CI
-gates.  Floats are printed in full precision: JSON uses shortest
-round-trip representations and CSV uses 17 significant digits, so emitted
-distributions can be fed back to reproduce the same values to the last ulp.
+errors and on requests too large to allocate (reported as JSON objects on
+stderr), 3 when an identity check exceeds its tolerance, which makes the
+identity subcommands usable as CI gates.  Floats are printed in full
+precision: JSON uses shortest round-trip representations and CSV uses 17
+significant digits, so emitted distributions can be fed back to reproduce
+the same values to the last ulp.
 """
 
 from __future__ import annotations
@@ -199,7 +200,6 @@ def cmd_exact_uniform(args) -> dict:
 def cmd_optimize(args) -> dict:
     spec, matroid, idx = _build(args)
     cfg = AscentConfig(
-        step_size=args.step,
         max_iters=args.iters,
         tol_grad=args.tol,
         start=_load_dist(args.dist, matroid.m),
@@ -408,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("optimize", help="maximize F over the simplex by multiplicative ascent")
     _add_common(sub, dist=True, tol=1e-10)
-    sub.add_argument("--step", type=float, default=0.5,
-                     help="first step, and the fallback when the curvature estimate is not positive")
     sub.add_argument("--iters", type=int, default=10_000)
     sub.set_defaults(handler=cmd_optimize)
 
@@ -459,6 +457,9 @@ def main(argv=None) -> int:
         _write_report(report, args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         _emit_error("ValidationError", str(exc))
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        _emit_error("MemoryError", str(exc) or "out of memory")
         return 2
     if status:
         _emit_error("ToleranceFailure", "identity check exceeded tolerance")

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matroids import Matroid, _keys, _subset_keys, independent_count
-from .streams import trial_uniforms
+from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_blocks, trial_uniforms
 
 SUM_TOL = 1e-12
 REPAIR_TOL = 1e-6
@@ -788,7 +788,8 @@ class ConcavityReport:
 def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> ConcavityReport:
     """Check midpoint concavity of the K-th root and midpoint superlevel
     convexity on random pairs of points in [0, 1)^m.  Trial t's pair (x, y)
-    is the 2m uniforms of trial t of the ``streams`` contract under ``seed``.
+    is the 2m uniforms of trial t of the ``streams`` contract under ``seed``,
+    drawn in blocks whose uniforms fill at most GAP_BLOCK_BYTES.
 
     What is guaranteed: on a matroid support (:func:`is_matroid_support`
     decides), f is the basis generating polynomial of its rank-K
@@ -803,8 +804,11 @@ def concavity_probe(idx: IndepSetIndex, trials: int = 1000, seed: int = 0) -> Co
     m = idx.m
     worst_h = -np.inf
     worst_s = -np.inf
-    for row in trial_uniforms(seed, 0, trials, 2 * m):
-        hv, sv = _midpoint_check(idx, row[:m], row[m:])
-        worst_h = max(worst_h, hv)
-        worst_s = max(worst_s, sv)
+    rows = max(1, GAP_BLOCK_BYTES // (8 * DOUBLES_PER_BLOCK * blocks_per_trial(2 * m)))
+    for block in trial_blocks(lambda first, count: trial_uniforms(seed, first, count, 2 * m),
+                              trials, rows):
+        for row in block:
+            hv, sv = _midpoint_check(idx, row[:m], row[m:])
+            worst_h = max(worst_h, hv)
+            worst_s = max(worst_s, sv)
     return ConcavityReport(trials, seed, worst_h, worst_s)

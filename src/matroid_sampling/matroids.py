@@ -21,8 +21,8 @@ matroids, a closed form for the uniform ones, and a lookup of sorted keys
 in the listed sets' shadow for explicit layers.  Ranks come from the spec.
 
 Matroids are immutable and oracle calls are pure, so instances can be
-shared across threads.  One set goes to the batch oracle, except in the
-uniform family (its size decides) and the column matroids, which alone keep
+shared across threads.  One set goes to the batch oracle as a one-row
+batch, except in the column matroids, which alone keep a scalar oracle and
 a memo: at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run time.
 """
 
@@ -78,20 +78,21 @@ _SPEC_TYPES = {"uniform": UniformSpec, "linear": LinearSpec, "projective": Proje
 
 
 class Matroid:
-    """Ground-set size, batch oracle, scalar oracle, and rank.
+    """Ground-set size, batch oracle, optional scalar oracle, and rank.
 
     The ground set is 0..m-1.  ``rows_oracle`` answers a validated (B, t)
     int64 array of strictly increasing rows with one bool each (see
-    :meth:`independent_rows`).  ``oracle``, if given, answers a sorted
-    tuple of distinct elements; otherwise :meth:`is_independent` asks
-    ``rows_oracle`` about one row.  ``rank`` comes from the spec.  It and
-    the pruning of the K-set enumeration (a dependent prefix has no
-    independent superset) are all that rely on the matroid axioms.  F, its
-    gradient and the gaps F(u) - F(p) are summed over whatever support the
-    enumeration returns, so they are right for a user-supplied explicit
-    layer that is not a matroid too, though the paper's theorems about them
-    are not; :func:`~matroid_sampling.genpoly.is_matroid_support` decides
-    exactly whether the K-sets are those of a matroid.
+    :meth:`independent_rows`).  ``oracle``, given only by the column
+    matroids, answers a sorted tuple of distinct elements; otherwise
+    :meth:`is_independent` asks ``rows_oracle`` about one row.  ``rank``
+    comes from the spec.  It and the pruning of the K-set enumeration (a
+    dependent prefix has no independent superset) are all that rely on the
+    matroid axioms.  F, its gradient and the gaps F(u) - F(p) are summed
+    over whatever support the enumeration returns, so they are right for a
+    user-supplied explicit layer that is not a matroid too, though the
+    paper's theorems about them are not;
+    :func:`~matroid_sampling.genpoly.is_matroid_support` decides exactly
+    whether the K-sets are those of a matroid.
 
     A matroid is immutable and its oracles are pure, so one instance may be
     shared across threads.  The column matroids' memo and an explicit
@@ -110,13 +111,8 @@ class Matroid:
         self._rows_oracle = rows_oracle
         self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
 
-    def _normalize(self, subset) -> tuple:
-        s = tuple(sorted(set(map(int, subset))))
-        if s and (s[0] < 0 or s[-1] >= self.m):
-            raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
-        return s
-
     def is_independent(self, subset) -> bool:
+        """Independence of the set of ``subset``'s elements, in any order, repeats allowed."""
         if type(subset) is list or type(subset) is tuple:
             # fast path: a row that is already strictly increasing ints in range
             last = -1
@@ -127,7 +123,10 @@ class Matroid:
             else:
                 if last < self.m:
                     return bool(self._oracle(tuple(subset)))
-        return bool(self._oracle(self._normalize(subset)))
+        s = tuple(sorted(set(map(int, subset))))
+        if s and (s[0] < 0 or s[-1] >= self.m):
+            raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
+        return bool(self._oracle(s))
 
     def independent_rows(self, rows) -> np.ndarray:
         """Independence of each row of a (B, t) integer array whose rows
@@ -140,15 +139,6 @@ class Matroid:
                           or np.any(rows[:, 1:] <= rows[:, :-1])):
             raise ValueError(f"rows must list strictly increasing elements of [0, {self.m})")
         return self._rows_oracle(rows)
-
-    def subset_rank(self, subset) -> int:
-        """Rank of a subset: size of a maximal independent subset, greedily."""
-        chain: list[int] = []
-        for e in self._normalize(subset):
-            chain.append(e)
-            if not self._oracle(tuple(chain)):
-                chain.pop()
-        return len(chain)
 
     def __repr__(self):
         return f"Matroid({self.name}, m={self.m}, rank={self.rank})"
@@ -261,8 +251,7 @@ def build_matroid(spec: MatroidSpec) -> Matroid:
             raise ValueError("uniform matroid needs n >= 1")
         r = spec.r
         return Matroid(spec.n, spec, f"uniform(r={r},n={spec.n})", r,
-                       lambda rows: np.full(rows.shape[0], rows.shape[1] <= r),
-                       lambda s: len(s) <= r)
+                       lambda rows: np.full(rows.shape[0], rows.shape[1] <= r))
 
     if isinstance(spec, LinearSpec):
         field = PrimeField(spec.q)

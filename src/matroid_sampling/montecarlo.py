@@ -143,11 +143,15 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     with ``trial_substream(seed, t, k)``.  ``chunk`` is the dedupe window:
     each distinct set among a window's trials costs one oracle call (fewer
     when the oracle's memo knows it), so larger windows ask the oracle
-    less often, and the window's keys take 8 bytes per trial.
+    less often, and the window's keys take 8 bytes per trial.  When k
+    exceeds the rank no k-set is independent: every seed gives 0
+    successes, returned without drawing.
     """
     _check_draws(matroid, p, k)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if k > matroid.rank and chunk >= 1:  # trial_blocks refuses a chunk < 1
+        return McEstimate(n_trials, 0, 0.0, 0.0, seed)
     window = functools.partial(_chunk_successes, matroid, p.probs, k, seed)
     successes = sum(trial_blocks(window, n_trials, chunk))
     p_hat = successes / n_trials

@@ -18,20 +18,19 @@ import numpy as np
 
 from .genpoly import Distribution, IndepSetIndex, _chains, gaps_from_uniform
 
+FIRST_STEP = 0.5  # the first trial step, and the one taken when the curvature is not positive
 MIN_STEP = 1e-18
 DECREASE_TOL = 1e-12
 
 
 @dataclass
 class AscentConfig:
-    step_size: float = 0.5
+    """The start and the stopping rules of :func:`maximize_F`."""
     max_iters: int = 10_000
     tol_grad: float = 1e-10
     start: Distribution | None = None  # None = uniform
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol_grad <= 0:
@@ -72,18 +71,18 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     ascent on log f.
 
     Each step multiplies the coordinates by exp(step * d log f) and
-    renormalizes (a constant gradient shift cancels, so the largest entry
-    is subtracted before exponentiating for stability).  The first trial
-    step is ``config.step_size``; after a step s is accepted with projected
-    gradient g changing by dg, the next trial step is s |g|^2 / -<g, dg>,
-    or ``step_size`` again when that curvature is not positive.  A trial
-    point that lowers F by more than the relative DECREASE_TOL (1e-12) of
-    its current value, or underflows a coordinate to 0, is rejected and
-    the step halved, so iterates stay strictly inside the simplex.
-    Terminates when the simplex-projected gradient of log f has sup-norm
-    at most tol_grad (stop_reason "gradient", the only case reported as
-    converged), when backtracking bottoms out before the gradient test
-    passes ("plateau"), or at max_iters ("max_iters").
+    renormalizes (a constant gradient shift cancels, so the largest entry is
+    subtracted before exponentiating for stability).  The first trial step
+    is FIRST_STEP (0.5); after a step s is accepted with projected gradient
+    g changing by dg, the next trial step is s |g|^2 / -<g, dg> (Barzilai
+    and Borwein), or FIRST_STEP again when that curvature is not positive.
+    A trial point that lowers F by more than the relative DECREASE_TOL
+    (1e-12) of its current value, or underflows a coordinate to 0, is
+    rejected and the step halved, so iterates stay strictly inside the
+    simplex.  Terminates when the simplex-projected gradient of log f has
+    sup-norm at most tol_grad (stop_reason "gradient", the only case
+    reported as converged), when backtracking bottoms out before the
+    gradient test passes ("plateau"), or at max_iters ("max_iters").
 
     f and its gradient come from the index's cached evaluator (see
     :mod:`~matroid_sampling.genpoly`).  Each iteration reduces with ufunc
@@ -105,7 +104,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
     halvings = 0
     evaluations = 1
     grad_log = evaluator.gradient(state) / f
-    step = cfg.step_size
+    step = FIRST_STEP
     while len(trajectory) <= cfg.max_iters:
         projected = grad_log - np.add.reduce(grad_log) / m
         if np.maximum.reduce(np.absolute(projected)) <= cfg.tol_grad:
@@ -135,7 +134,7 @@ def maximize_F(idx: IndepSetIndex, config: AscentConfig | None = None) -> Ascent
         curvature = -float(projected @ (grad_next - grad_log))
         step = step * float(projected @ projected) / curvature if curvature > 0 else 0.0
         if not MIN_STEP <= step < np.inf:
-            step = cfg.step_size
+            step = FIRST_STEP
         grad_log = grad_next
 
     # every iterate is divided by its sum, so x is a distribution as it

@@ -132,6 +132,17 @@ def add_at_gradient(idx, x):
     return grad
 
 
+def greedy_rank(matroid, subset):
+    """The rank of a set of elements: the size of the independent set that
+    the greedy scan of its sorted elements builds."""
+    chain = []
+    for e in sorted(set(subset)):
+        chain.append(e)
+        if not matroid.is_independent(chain):
+            chain.pop()
+    return len(chain)
+
+
 class CountingMatroid:
     """Forwards everything to a matroid and records each ``is_independent``
     query, and each row of each ``independent_rows`` batch, as a sorted

@@ -167,6 +167,18 @@ def test_scan_with_every_sample_at_u_exits_2(capsys):
     assert "coincides with the uniform distribution" in json.loads(err)["error"]["message"]
 
 
+def test_request_too_large_to_allocate_exits_2(capsys):
+    # 10^15 ratios are 7.11 PiB, past any address space: the allocation
+    # fails before memory is touched
+    code, out, err = run_cli(capsys, "scan", "--spec", PROJECTIVE_32, "--k", "3",
+                             "--samples", str(10**15))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MemoryError"
+    assert "Unable to allocate" in error["message"]
+
+
 def test_scan_projective_positive(capsys):
     report = run_json(capsys, "scan", "--spec", PROJECTIVE_32, "--k", "3",
                       "--samples", "2000", "--seed", "7")
@@ -491,7 +503,8 @@ def test_flags_are_declared_only_where_read(capsys):
     for argv in (["eval", "--spec", PROJECTIVE_22, "--k", "2", "--threads", "2"],
                  ["eval", "--spec", PROJECTIVE_22, "--k", "2", "--seed", "1"],
                  ["scan", "--spec", PROJECTIVE_22, "--k", "2", "--tol", "1e-3"],
-                 ["exact-uniform", "--spec", PROJECTIVE_32, "--k", "3", "--enum-cap", "9"]):
+                 ["exact-uniform", "--spec", PROJECTIVE_32, "--k", "3", "--enum-cap", "9"],
+                 ["optimize", "--spec", PROJECTIVE_32, "--k", "3", "--step", "0.5"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"

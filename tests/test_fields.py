@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from matroid_sampling import (FieldMatrix, PrimeField, ProjectiveSpec, build_matroid,
                               canonical_point, nonzero_vectors, projective_points,
                               rank_over_fp)
-from conftest import random_invertible
+from conftest import greedy_rank, random_invertible
 from matroid_sampling.fields import _point_indices, _rank_rows
 
 POINT_CASES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 5)]
@@ -105,7 +105,7 @@ def test_rank_of_sampled_rows_matches_projective_subset_rank():
             rows = [inv.entries[i].tolist() for i in picks]
             classes = {index[canonical_point(r, q)] for r in rows}
             mat = FieldMatrix(np.array(rows) % q, PrimeField(q))
-            assert rank_over_fp(mat) == matroid.subset_rank(classes)
+            assert rank_over_fp(mat) == greedy_rank(matroid, classes)
 
 
 def test_nonzero_vector_count_and_order():

@@ -16,7 +16,7 @@ from matroid_sampling import (Distribution, ExplicitSpec, IndepSetIndex, LinearS
 from conftest import (CountingMatroid, add_at_gradient, kset_f, kset_hessian, linear_matroids,
                       singer_cycle)
 from matroid_sampling.genpoly import _chains, _Elementary, _midpoint_check
-from matroid_sampling.streams import trial_substream
+from matroid_sampling.streams import trial_substream, trial_uniforms
 from matroid_sampling.symmetry import apply_to_distribution
 
 
@@ -410,6 +410,23 @@ def test_concavity_probe_linear_case():
     assert report.max_superlevel_violation <= 1e-13
     assert report.max_concavity_violation == float.fromhex("0x1.0000000000000p-50")
     assert report.max_superlevel_violation == float.fromhex("-0x1.bb26588864800p-9")
+
+
+def test_concavity_probe_draws_in_blocks():
+    # 500 trials of 2 * 400 uniforms are 3.1 MiB at once; blocks of at most
+    # GAP_BLOCK_BYTES (256 KiB) give the report of the unblocked draw
+    idx = enumerate_independent_ksets(build_matroid(UniformSpec(1, 400)), 1)
+    checks = [_midpoint_check(idx, row[:400], row[400:])
+              for row in trial_uniforms(3, 0, 500, 800)]
+    tracemalloc.start()
+    try:
+        report = concavity_probe(idx, trials=500, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert report.max_concavity_violation == max(h for h, _ in checks)
+    assert report.max_superlevel_violation == max(s for _, s in checks)
 
 
 def test_midpoint_check_equal_points_exact(fano_idx):

@@ -14,6 +14,8 @@ from matroid_sampling import (ExplicitSpec, LinearSpec, ParallelClassesSpec,
 from matroid_sampling.fields import _rank_rows
 from matroid_sampling.matroids import independent_count
 
+from conftest import greedy_rank
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -123,37 +125,6 @@ def test_is_independent_sees_each_input_as_its_sorted_set():
     for bad in ([0, 7], (3, 9), [-1, 2], [2, -1], [5, 5, 8]):
         with pytest.raises(ValueError, match="out of range"):
             fano.is_independent(bad)
-
-
-@pytest.mark.parametrize("spec", [ProjectiveSpec(3, 2), ProjectiveSpec(3, 3), UniformSpec(3, 6),
-                                  ParallelClassesSpec(3)])
-def test_subset_rank_of_messy_input_is_the_rank_of_its_set(spec):
-    matroid = build_matroid(spec)
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        messy = rng.integers(0, matroid.m, size=rng.integers(0, 9))  # unsorted, repeats
-        elements = sorted(set(messy.tolist()))
-        rank = max(r for r in range(len(elements) + 1)
-                   if any(matroid.is_independent(c) for c in combinations(elements, r)))
-        assert matroid.subset_rank(messy) == matroid.subset_rank(list(reversed(messy))) == rank
-
-
-def test_subset_rank_queries_each_sorted_prefix_once():
-    fano = build_matroid(ProjectiveSpec(3, 2))
-    seen = []
-    oracle = fano._oracle
-    fano._oracle = lambda s: seen.append(s) or oracle(s)
-    # the third point of a line of PG(2, 2) depends on the other two
-    line = next(c for c in combinations(range(7), 3) if not oracle(c))
-    assert fano.subset_rank([line[2], line[0], line[1], line[2], line[0]]) == 2
-    assert seen == [line[:1], line[:2], line]
-
-
-def test_subset_rank_out_of_range(fano):
-    with pytest.raises(ValueError, match="out of range"):
-        fano.subset_rank([3, 1, 7])
-    with pytest.raises(ValueError, match="out of range"):
-        fano.subset_rank([-1, 0])
 
 
 def test_spec_validation_errors():
@@ -423,7 +394,7 @@ def test_wide_layer_keys_overflow_int64():
 
 def test_explicit_layer_with_no_sets():
     matroid = build_matroid(ExplicitSpec(5, 2, ()))
-    assert matroid.rank == matroid.subset_rank(range(5)) == 0
+    assert matroid.rank == greedy_rank(matroid, range(5)) == 0
     assert matroid.is_independent(())
     for t in range(1, 6):
         subsets = list(combinations(range(5), t))
@@ -459,4 +430,4 @@ def linear_specs_with_parallels(draw):
 @example(ParallelClassesSpec(3))
 def test_rank_from_the_spec_is_the_greedy_rank(spec):
     matroid = build_matroid(spec)
-    assert matroid.rank == matroid.subset_rank(range(matroid.m))
+    assert matroid.rank == greedy_rank(matroid, range(matroid.m))

@@ -11,6 +11,7 @@ from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               enumerate_independent_ksets, estimate_F, eval_F,
                               sample_kset)
+from matroid_sampling import montecarlo
 from matroid_sampling.montecarlo import DEFAULT_CHUNK, _draw_indices, _sort_across
 from matroid_sampling.streams import (blocks_per_trial, trial_substream,
                                       trial_uniforms)
@@ -80,6 +81,17 @@ def test_k1_estimate_is_exactly_one(fano):
     est = estimate_F(fano, Distribution.uniform(7), 1, 500, seed=2)
     assert est.p_hat == 1.0
     assert est.std_err == 0.0
+
+
+def test_k_past_the_rank_draws_nothing(fano, monkeypatch):
+    # no 4 points of the Fano plane are independent, whatever is drawn
+    def draw(*args):
+        raise AssertionError("drew uniforms past the rank")
+
+    monkeypatch.setattr(montecarlo, "trial_uniforms", draw)
+    est = estimate_F(fano, Distribution.uniform(7), 4, 100_000, seed=3)
+    assert (est.n_trials, est.successes, est.p_hat, est.std_err, est.seed) == (
+        100_000, 0, 0.0, 0.0, 3)
 
 
 def test_golden_fixed_seed_draws(fano):
@@ -152,6 +164,8 @@ def test_input_validation(fano):
     for chunk in (0, -4):
         with pytest.raises(ValueError, match="chunk must be >= 1"):
             estimate_F(fano, u, 2, 100, chunk=chunk)
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            estimate_F(fano, u, 4, 100, chunk=chunk)  # past the rank too
     with pytest.raises(ValueError, match="distribution length 6 != ground size 7"):
         estimate_F(fano, Distribution.uniform(6), 2, 100)
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):

@@ -22,8 +22,6 @@ def random_interior(m, rng):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AscentConfig(step_size=0.0)
-    with pytest.raises(ValueError):
         AscentConfig(max_iters=0)
     with pytest.raises(ValueError):
         AscentConfig(start=Distribution([0.0, 1.0]))  # boundary start
@@ -236,16 +234,16 @@ def test_ascent_on_random_linear_matroids(data):
 def test_curvature_fallback_on_a_non_matroid_layer():
     # log f = log(x0 x1 + x2 x3) is not concave on the simplex, and along this
     # ascent every curvature estimate is negative: each trial step falls back
-    # to step_size, so the iterates are those of the fixed-step ascent
+    # to FIRST_STEP, so the iterates are those of the fixed-step ascent
     idx = enumerate_independent_ksets(build_matroid(ExplicitSpec(4, 2, ((0, 1), (2, 3)))), 2)
     start = Distribution([0.4, 0.3, 0.2, 0.1])
-    result = maximize_F(idx, AscentConfig(step_size=0.3, max_iters=8, start=start))
+    result = maximize_F(idx, AscentConfig(max_iters=8, start=start))
     assert result.iterations == 8
     assert result.halvings == 0
     x = start.probs.copy()
     for value in result.trajectory[1:]:
         grad = np.array([x[1], x[0], x[3], x[2]]) / (x[0] * x[1] + x[2] * x[3])
-        x = x * np.exp(0.3 * (grad - grad.max()))
+        x = x * np.exp(optimize.FIRST_STEP * (grad - grad.max()))
         x /= x.sum()
         assert value == pytest.approx(2 * (x[0] * x[1] + x[2] * x[3]), rel=1e-12)
     result = maximize_F(idx, AscentConfig(start=start))
