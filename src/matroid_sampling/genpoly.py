@@ -21,13 +21,18 @@ the stability scan and the identity checks call):
 * when the support holds every K-subset of the ground set, f is the
   elementary symmetric polynomial e_K, evaluated in O(mK) with no build
   and, on a lazy index, with no enumeration: the test reads only the count;
+* when the index knows a column matroid (linear, projective and
+  parallel-class specs, matroids by construction), the chains of the
+  flats of its rank-K truncation, built from its columns with no K-set
+  read and no rank test (:func:`_flats`): a few thousand flats where
+  the index may count 10^8 K-sets.  A level of flats over the index's
+  cap is refused;
 * otherwise, the chains of the support's minimal acceptor, whose nodes
   group the t-sets with the same completions to a K-set and whose sum
   counts every K-set in each of its K! orders, exactly, on any support.
-  On a matroid the nodes are the flats of the rank-K truncation, a few
-  hundred where the index has tens of thousands of K-sets.  The build
-  refuses a support whose subsets of the K-sets outnumber the index's
-  cap, the one its enumeration ran under.
+  On a matroid its nodes are those flats, and its levels equal the flats
+  build's.  The build refuses a support whose subsets of the K-sets
+  outnumber the index's cap, the one its enumeration ran under.
 
 On a matroid support, which :func:`is_matroid_support` decides exactly,
 the K-th root of the polynomial is concave on the nonnegative orthant;
@@ -97,9 +102,10 @@ class IndepSetIndex:
     Rows are sorted increasingly within each set and lexicographically
     across sets; the array is immutable.  An index from
     :func:`independent_set_index` knows its count in closed form and
-    enumerates its sets when ``sets`` is first read, which the e_K
-    evaluator never does (see :func:`_chains`).  ``cap`` bounds the sets
-    that building the evaluator may hold (see _acceptor).
+    enumerates its sets when ``sets`` is first read, which neither the
+    e_K evaluator nor a column matroid's flats build does (see
+    :func:`_chains`).  ``cap`` bounds the sets, or the flats of a level,
+    that building the evaluator may hold (see _acceptor and _flats).
     """
 
     __slots__ = ("k", "m", "n_sets", "cap", "_sets", "_matroid", "_chains")
@@ -208,7 +214,9 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
             kept.append(block)
         level = np.concatenate(kept)
         del kept  # no second copy of the K-sets while the index sorts them
-    return IndepSetIndex(k, m, level, cap)
+    index = IndepSetIndex(k, m, level, cap)
+    index._matroid = matroid  # for its evaluator's build (see _chains)
+    return index
 
 
 def as_point(x, m: int) -> np.ndarray:
@@ -719,15 +727,132 @@ def _level(rows: np.ndarray) -> _Level:
     return _Level(src, diff, dense, lens.astype(float), np.cumsum(counts) - counts, counts)
 
 
+def _flats(idx: IndepSetIndex, q: int, columns: np.ndarray) -> _Chains:
+    """The chains of a column matroid's rank-K truncation, built from its
+    flats with no rank test and no K-set: the levels are those of
+    _acceptor, array for array.
+
+    A rank-t flat F keeps the m columns reduced modulo span(F), as F_q
+    vectors that vanish on the pivot columns of F's basis: up to one
+    scalar common to F's rows, the residual of each coset of span(F) is
+    unique.  So y lies in F when its residual is zero, and the covers of F
+    are cl(F + x) = F + {y : res(y) is a multiple of res(x)} (see
+    _cover_flats).  A child reduces its parent's residuals by its one new
+    pivot row, without division, as fields._independent_stacks does.  The
+    residuals are kept in the narrowest unsigned dtype that holds q - 1.
+    Every rank-(K-1) flat has the one top node E as its only cover, with
+    the elements outside it as difference set.  No column is zero, so
+    cl(empty) is empty.
+    """
+    m, k = idx.m, idx.k
+    member = np.zeros((1, m), dtype=bool)
+    res = columns.astype(np.min_scalar_type(q - 1))[None]
+    levels = []
+    for t in range(k - 1):
+        rows, member, parent, x = _cover_flats(member, res, q, idx.cap)
+        levels.append(_level(rows))
+        if t + 2 < k:
+            res = _reduce(res, parent, x, q)
+    levels.append(_level(np.where(member, -1, 0)))
+    return _Chains(m, k, levels)
+
+
+def _cover_flats(member: np.ndarray, res: np.ndarray, q: int,
+                 cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(the signature rows of a level of flats, as _signatures gives them;
+    the membership rows of the next level's flats; for each of those, the
+    flat and the element x outside it whose closure it is) from the flats'
+    membership rows and (flats, m, n) residuals.
+
+    The flats are swept in blocks of _BUILD_BLOCK residual entries.  In
+    each, the residuals are scaled to lead 1 and sorted by flat, then by
+    the bytes of the scaled residual, so that each run of equal nonzero
+    residuals is a cover.  The covers are deduplicated across flats by
+    their packed membership rows and numbered in the order of those rows,
+    as _signatures numbers its nodes; a next level of more than ``cap``
+    flats is refused before its rows are allocated.
+    """
+    n_flats, m, n = res.shape
+    step = max(1, _BUILD_BLOCK // (m * n))
+    entry_cover, found, first = [], [], []  # per block
+    covers = 0
+    for start in range(0, n_flats, step):
+        block = member[start:start + step]
+        r = res[start:start + step].reshape(-1, n).astype(np.int64)
+        at = np.arange(r.shape[0])  # flat at // m of the block, element at % m
+        canon = r * _inverse(r[at, (r != 0).argmax(axis=1)], q)[:, None] % q
+        key = np.column_stack((at // m, canon)).view(np.dtype((np.void, 8 * n + 8))).ravel()
+        order = np.argsort(key, kind="stable")  # within a run, elements increase
+        outside = ~block.ravel()[order]
+        new = outside.copy()
+        new[1:] &= key[order[1:]] != key[order[:-1]]  # the first entry of each cover's run
+        run = np.cumsum(new) - 1
+        cand = block[order[new] // m]
+        cand[run[outside], order[outside] % m] = True
+        cover = np.full(at.size, -1, dtype=np.int64)
+        cover[order[outside]] = covers + run[outside]
+        entry_cover.append(cover)
+        found.append(np.packbits(cand, axis=1))
+        first.append(start * m + order[new])
+        covers += cand.shape[0]
+    found, first = np.concatenate(found), np.concatenate(first)
+    rows = found.view(np.dtype((np.void, found.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")  # by bytes: the order of the packed rows
+    new = np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))
+    if new.sum() > cap:
+        raise ValueError(f"a level of {new.sum()} flats is over the cap of {cap}")
+    child = np.empty_like(order)
+    child[order] = np.cumsum(new) - 1
+    cover = np.concatenate(entry_cover)
+    sig = np.where(cover < 0, -1, child[cover]).reshape(n_flats, m)
+    kept = order[new]  # one cover per flat of the next level
+    member = np.unpackbits(found[kept], axis=1, count=m).astype(bool)
+    return sig, member, first[kept] // m, first[kept] % m
+
+
+def _reduce(res: np.ndarray, parent: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
+    """The residuals of each flat cl(F + x), from the residuals of F =
+    ``parent``: each column y goes to lead * r_y - r_y[col] * r_x, with col
+    the pivot column of r_x and lead its entry there, in blocks of
+    _BUILD_BLOCK entries.  Entries stay below q**2 < 2**32 before each
+    reduction mod q."""
+    _, m, n = res.shape
+    step = max(1, _BUILD_BLOCK // (m * n))
+    children = np.empty((parent.size, m, n), dtype=res.dtype)
+    for start in range(0, parent.size, step):
+        r = res[parent[start:start + step]].astype(np.int64)
+        at = np.arange(r.shape[0])
+        pivot = r[at, x[start:start + step]]
+        col = (pivot != 0).argmax(axis=1)
+        lead = pivot[at, col][:, None, None]
+        children[start:start + step] = (lead * r - r[at, :, col][..., None] * pivot[:, None]) % q
+    return children
+
+
+def _inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """a^(q-2) mod q per entry of an int64 array over F_q: the inverse of
+    each nonzero entry, by square and multiply."""
+    out, e = np.ones_like(a), q - 2
+    while e:
+        if e & 1:
+            out = out * a % q
+        a, e = a * a % q, e >> 1
+    return out
+
+
 def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
     """The index's evaluator of f, its gradient, its Hessian and the gaps,
     built on first use and cached on the index: the elementary-symmetric
     one when the support holds every K-subset of the ground set, which the
-    count alone decides, otherwise the chains of the support's minimal
-    acceptor (see _acceptor), which read the sets."""
+    count alone decides; otherwise, when the index knows a column matroid,
+    the chains of its flats (see _flats), which read no K-set; otherwise
+    the chains of the support's minimal acceptor (see _acceptor), which
+    read the sets."""
     if idx._chains is None:
         if idx.n_sets == comb(idx.m, idx.k):
             idx._chains = _Elementary(idx.m, idx.k)
+        elif idx._matroid is not None and idx._matroid.columns is not None:
+            idx._chains = _flats(idx, *idx._matroid.columns)
         else:
             idx._chains = _acceptor(idx)
     return idx._chains
@@ -736,12 +861,13 @@ def _chains(idx: IndepSetIndex) -> _Elementary | _Chains:
 def is_matroid_support(idx: IndepSetIndex) -> bool:
     """Whether the index's K-sets are the independent K-sets of a matroid,
     decided exactly: whether no node F of a level t < K of the acceptor
-    (see _acceptor) has a shadow (t+1)-set among its non-extenders N(F),
-    the elements in no difference set of F's covers, F's own among them.
-    That is augmentation from t to t + 1 for the t-sets in F, which share a
-    link.  Per level, the nodes are the trailing axis of one sweep of the
-    chains' levels 0..t at x = 1_N(F), in row blocks of GAP_BLOCK_BYTES,
-    which keeps only the values > 0.  Every K-subset (e_K) needs no build."""
+    (see _acceptor, whose levels a column matroid's flats build gives) has
+    a shadow (t+1)-set among its non-extenders N(F), the elements in no
+    difference set of F's covers, F's own among them.  That is
+    augmentation from t to t + 1 for the t-sets in F, which share a link.
+    Per level, the nodes are the trailing axis of one sweep of the chains'
+    levels 0..t at x = 1_N(F), in row blocks of GAP_BLOCK_BYTES, which
+    keeps only the values > 0.  Every K-subset (e_K) needs no build."""
     chains = _chains(idx)
     if isinstance(chains, _Elementary):
         return True

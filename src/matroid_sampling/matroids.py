@@ -84,7 +84,10 @@ class Matroid:
     int64 array of strictly increasing rows with one bool each (see
     :meth:`independent_rows`).  ``oracle``, given only by the column
     matroids, answers a sorted tuple of distinct elements; otherwise
-    :meth:`is_independent` asks ``rows_oracle`` about one row.  ``rank``
+    :meth:`is_independent` asks ``rows_oracle`` about one row.  ``columns``,
+    given only by the column matroids, is the pair (q, the read-only
+    (m, n) int64 array of the columns over F_q), from which the evaluator
+    builds the flats with no oracle call; otherwise None.  ``rank``
     comes from the spec.  It and the pruning of the K-set enumeration (a
     dependent prefix has no independent superset) are all that rely on the
     matroid axioms.  F, its gradient and the gaps F(u) - F(p) are summed
@@ -101,7 +104,7 @@ class Matroid:
     """
 
     def __init__(self, m: int, spec: MatroidSpec, name: str, rank: int, rows_oracle,
-                 oracle=None):
+                 oracle=None, columns=None):
         if m < 1:
             raise ValueError(f"ground set must have at least one element, got m={m}")
         self.m = m
@@ -110,6 +113,7 @@ class Matroid:
         self.rank = rank
         self._rows_oracle = rows_oracle
         self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
+        self.columns = columns
 
     def is_independent(self, subset) -> bool:
         """Independence of the set of ``subset``'s elements, in any order, repeats allowed."""
@@ -225,6 +229,7 @@ def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> 
     oracle runs one elimination per set behind the memo; the batch oracle
     runs all rows of a call as one stacked elimination."""
     table = np.array(columns, dtype=np.int64)
+    table.flags.writeable = False
 
     def oracle(s: tuple) -> bool:
         return len(s) <= 1 or len(s) <= dim and _rank_rows([columns[e] for e in s], q) == len(s)
@@ -236,7 +241,7 @@ def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> 
         return _independent_stacks(table[rows], q)
 
     return Matroid(len(columns), spec, name, _rank_rows(columns, q), rows_oracle,
-                   _memoized(oracle, len(columns), dim))
+                   _memoized(oracle, len(columns), dim), (q, table))
 
 
 def build_matroid(spec: MatroidSpec) -> Matroid:

@@ -28,13 +28,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (add_at_gradient, centered, kset_f, kset_gradient, kset_hessian,
-                      linear_matroids, supports, with_loops)
-from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex,
-                              PGParams, ProjectiveSpec, UniformSpec,
-                              build_matroid, enumerate_independent_ksets, eval_F, eval_f, genpoly,
-                              hessian_f, maximize_F, uniform_optimum)
-from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary
+from conftest import (CountingMatroid, add_at_gradient, centered, kset_f, kset_gradient,
+                      kset_hessian, linear_matroids, supports, with_loops)
+from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSetIndex, LinearSpec,
+                              ParallelClassesSpec, PGParams, ProjectiveSpec, UniformSpec,
+                              build_matroid, enumerate_independent_ksets, eval_F, eval_f,
+                              gaps_from_uniform, genpoly, hessian_f, independent_set_index,
+                              maximize_F, projective_points, uniform_optimum)
+from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary, _flats
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -172,6 +173,107 @@ def test_pair_counts_and_degrees_are_read_at_one(data):
     chains = _acceptor(idx)
     assert chains.gradient(chains.evaluate(np.ones(m))[1]).tolist() == degrees
     assert chains.slope.tolist() == [m * d - sum(degrees) for d in degrees]
+
+
+def assert_same_levels(chains, want):
+    """The levels of two chains, field by field: equal arrays of equal dtypes."""
+    assert len(chains.levels) == len(want.levels)
+    for got, ref in zip(chains.levels, want.levels):
+        for name, a, b in zip(got._fields, got, ref):
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@PROPERTY
+@given(linear_matroids(fields=(2, 3, 5), max_dim=4))
+def test_flats_build_the_acceptors_levels(matroid):
+    """On random linear matroids, parallel columns included, at every K:
+    the chains built from the flats are the acceptor's, array for array."""
+    for k in range(1, matroid.rank + 1):
+        idx = enumerate_independent_ksets(matroid, k)
+        assert_same_levels(_flats(idx, *matroid.columns), _acceptor(idx))
+
+
+# 12 columns over F_65521 with two parallel pairs: q^5 >= 2^63, so a base-q
+# int64 key of a residual would wrap
+F65521 = LinearSpec(65521, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+                            (0, 0, 0, 0, 1), (1, 1, 0, 0, 0), (65520, 65520, 0, 0, 0),
+                            (1, 2, 3, 4, 5), (2, 4, 6, 8, 10), (1, 65520, 1, 65520, 1),
+                            (0, 0, 1, 1, 0), (3, 0, 1, 1, 0)))
+
+
+# the 15 points of PG(3,2) with the first two repeated, as in the CI gates
+PG32_REPEATS = LinearSpec(2, tuple(projective_points(4, 2) + projective_points(4, 2)[:2]))
+
+
+@pytest.mark.parametrize("spec,k", [
+    (ProjectiveSpec(3, 2), 3), (ProjectiveSpec(4, 2), 3), (ProjectiveSpec(3, 3), 3),
+    (ProjectiveSpec(5, 2), 4), (ProjectiveSpec(4, 3), 4),
+    (ParallelClassesSpec(2), 2), (ParallelClassesSpec(3), 2),
+    (F65521, 3), (F65521, 4),
+    # the other instances the CI gates build chains on
+    (ProjectiveSpec(4, 3), 3), (ProjectiveSpec(5, 2), 5), (PG32_REPEATS, 4),
+])
+def test_flats_build_calls_no_oracle_and_gives_the_acceptors_values(spec, k):
+    """A column matroid's index builds its chains from the flats, with no
+    oracle call and no read of the sets, lazy or not; F, the gaps and the
+    Hessian are those of the acceptor on the same sets, to the bit."""
+    matroid = CountingMatroid(build_matroid(spec))
+    idx = independent_set_index(matroid, k)
+    matroid.queries.clear()
+    lazy = idx._sets is None
+    chains = _chains(idx)
+    assert matroid.queries == []
+    assert lazy == (idx._sets is None)
+    ref = IndepSetIndex(k, idx.m, idx.sets)
+    assert_same_levels(chains, _acceptor(ref))
+    rng = np.random.default_rng(5)
+    pts = rng.dirichlet(np.ones(idx.m), 6)
+    pts[1, :2] = 0.0
+    pts[1] /= pts[1].sum()
+    for p in pts[:2]:
+        assert eval_F(idx, Distribution(p, renormalize=True)) == eval_F(
+            ref, Distribution(p, renormalize=True))
+        assert np.array_equal(hessian_f(idx, p), hessian_f(ref, p))
+    for got, want in zip(gaps_from_uniform(idx, pts), gaps_from_uniform(ref, pts)):
+        assert np.array_equal(got, want)
+
+
+def test_flats_refuse_a_level_over_the_cap(monkeypatch):
+    """e1, e1, e2, e3 over F_2 at K = 3: its two independent 3-sets pass a
+    cap of 2, its three points do not, and no level is allocated."""
+    spec = LinearSpec(2, ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    idx = enumerate_independent_ksets(build_matroid(spec), 3, cap=2)
+    assert idx.n_sets == 2
+
+    def no_level(*args):
+        raise AssertionError("a level was allocated")
+
+    monkeypatch.setattr(genpoly, "_level", no_level)
+    with pytest.raises(ValueError, match="a level of 3 flats is over the cap of 2"):
+        _chains(idx)
+    assert idx._chains is None
+
+
+def test_flats_build_past_the_cap_in_bounded_memory():
+    """PG(4,3) K=5 has 123,845,436 independent 5-sets, past the default cap,
+    and 121, 1,210, 1,210 and 121 flats of ranks 1 to 4: its chains are
+    built from the flats in under 16 MiB, and F(u) is the closed form."""
+    idx = independent_set_index(build_matroid(ProjectiveSpec(5, 3)), 5, cap=2 * 10**8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chains = _chains(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [lv.starts.size for lv in chains.levels] == [121, 1210, 1210, 121, 1]
+    assert peak - before <= 16 * 2**20
+    assert idx._sets is None
+    optimum = uniform_optimum(PGParams(5, 3, 5))
+    assert abs(Fraction(eval_F(idx, Distribution.uniform(121))) - optimum) <= (
+        Fraction(1e-15) * optimum)
 
 
 def wide_index():

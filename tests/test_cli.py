@@ -436,6 +436,11 @@ LAZY_REQUESTS = [
      "--gens", "[[1,2,3,4,0]]"],
     ["scan", "--spec", U36, "--k", "3", "--samples", "500"],
     ["scan", "--spec", PROJECTIVE_32, "--k", "2", "--samples", "500"],
+    # chains built from the flats of a projective geometry: no oracle and no K-set
+    ["hesscheck", "--spec", '{"type":"projective","n":4,"q":2}', "--k", "3", "--samples", "5"],
+    ["pushforward", "--spec", PROJECTIVE_32, "--k", "3"],
+    ["eval", "--spec", '{"type":"projective","n":4,"q":2}', "--k", "3",
+     "--dist", json.dumps([i / 120 for i in range(1, 16)])],
 ]
 
 
