@@ -21,9 +21,10 @@ matroids, a closed form for the uniform ones, and a lookup of sorted keys
 in the listed sets' shadow for explicit layers.  Ranks come from the spec.
 
 Matroids are immutable and oracle calls are pure, so instances can be
-shared across threads.  One set goes to the batch oracle as a one-row
-batch, except in the column matroids, which alone keep a scalar oracle and
-a memo: at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run time.
+shared across threads.  :meth:`Matroid.is_independent` keeps one memo for
+every family, at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run
+time; on a miss it asks the family's decision: the column matroids' scalar
+elimination, or a one-row batch for the others.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class Matroid:
 
     The ground set is 0..m-1.  ``rows_oracle`` answers a validated (B, t)
     int64 array of strictly increasing rows with one bool each (see
-    :meth:`independent_rows`).  ``oracle``, given only by the column
-    matroids, answers a sorted tuple of distinct elements; otherwise
-    :meth:`is_independent` asks ``rows_oracle`` about one row.  ``columns``,
+    :meth:`independent_rows`).  ``oracle`` is the decision that
+    :meth:`is_independent` asks on a memo miss, about a sorted tuple of
+    elements in range: the column matroids pass a scalar elimination, and
+    otherwise it asks ``rows_oracle`` about one row.  ``columns``,
     given only by the column matroids, is the pair (q, the read-only
     (m, n) int64 array of the columns over F_q), from which the evaluator
     builds the flats with no oracle call; otherwise None.  ``rank``
@@ -98,9 +100,9 @@ class Matroid:
     whether the K-sets are those of a matroid.
 
     A matroid is immutable and its oracles are pure, so one instance may be
-    shared across threads.  The column matroids' memo and an explicit
-    layer's shadow keys, filled on first use, do not change that: every
-    thread writes the same values, and a lost write costs a recomputation.
+    shared across threads.  The memo of :meth:`is_independent` and an explicit
+    layer's shadow keys, filled on first use, do not change that: every thread
+    writes the same values, and a lost write costs a recomputation.
     """
 
     def __init__(self, m: int, spec: MatroidSpec, name: str, rank: int, rows_oracle,
@@ -114,9 +116,25 @@ class Matroid:
         self._rows_oracle = rows_oracle
         self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
         self.columns = columns
+        # is_independent's memo: per size from 2 while it fits, its answer bytes,
+        # None until the size's first miss; then the colex rows that index them
+        left = ORACLE_MEMO_BYTES - m * _COLEX_ENTRY_BYTES  # row 0 of the colex rows
+        self._tables, self._colex = [None, None], []
+        for size in range(2, rank + 1):
+            left -= comb(m, size) + m * _COLEX_ENTRY_BYTES
+            if left < 0:
+                break
+            self._tables.append(None)
 
     def is_independent(self, subset) -> bool:
-        """Independence of the set of ``subset``'s elements, in any order, repeats allowed."""
+        """Independence of the set of ``subset``'s elements, in any order, repeats allowed.
+
+        Sizes 2 up to the rank are memoized while C(m, s) bytes and a colex row
+        per size fit in what is left of ``ORACLE_MEMO_BYTES``: a set x_0 < ... <
+        x_{s-1} has the byte at its colex rank sum_i C(x_i, i + 1), a bijection
+        onto range(C(m, s)), 0 (unknown), 1 (dependent) or 2 (independent).  The
+        first size that does not fit ends the memo.  Misses ask ``_oracle``.
+        """
         if type(subset) is list or type(subset) is tuple:
             # fast path: a row that is already strictly increasing ints in range
             last = -1
@@ -126,11 +144,30 @@ class Matroid:
                 last = e
             else:
                 if last < self.m:
-                    return bool(self._oracle(tuple(subset)))
+                    size = len(subset)
+                    table = self._tables[size] if size < len(self._tables) else None
+                    if table:
+                        known = table[sum(map(getitem, self._colex, subset))]
+                        if known:
+                            return known == 2
+                    return self._miss(tuple(subset))
         s = tuple(sorted(set(map(int, subset))))
         if s and (s[0] < 0 or s[-1] >= self.m):
             raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
-        return bool(self._oracle(s))
+        return self.is_independent(s)
+
+    def _miss(self, s: tuple) -> bool:
+        """Ask ``_oracle`` about a sorted set in range; keep the answer if its size
+        is memoized, building the colex rows, then its table, on first use."""
+        answer = bool(self._oracle(s))
+        size = len(s)
+        if 2 <= size < len(self._tables):
+            if self._tables[size] is None:
+                self._colex = self._colex or [[comb(x, i + 1) for x in range(self.m)]
+                                              for i in range(len(self._tables) - 1)]
+                self._tables[size] = bytearray(comb(self.m, size))
+            self._tables[size][sum(map(getitem, self._colex, s))] = 2 if answer else 1
+        return answer
 
     def independent_rows(self, rows) -> np.ndarray:
         """Independence of each row of a (B, t) integer array whose rows
@@ -163,45 +200,6 @@ def _validate_columns(columns, q: int):
     return tuple(cols), dim
 
 
-def _memoized(oracle, m: int, max_size: int):
-    """Wrap a pure oracle on sorted tuples from range(m) in a bounded memo.
-
-    A set x_0 < ... < x_{s-1} is stored at its colex rank sum_i C(x_i, i + 1),
-    a bijection onto range(C(m, s)), in one bytearray per size (0 unknown,
-    1 dependent, 2 independent) allocated on first use.  Sizes from 2 up get
-    a table, and one more row of m colex entries, while the C(m, s) bytes and
-    those entries fit in what is left of ``ORACLE_MEMO_BYTES``; the first size
-    that does not fit ends the memo.  All other sizes go straight to the oracle.
-    """
-    counts = [0] * (max_size + 1)
-    left = ORACLE_MEMO_BYTES - m * _COLEX_ENTRY_BYTES  # row 0 of the colex tables
-    for size in range(2, max_size + 1):
-        left -= comb(m, size) + m * _COLEX_ENTRY_BYTES
-        if left < 0:
-            break
-        counts[size] = comb(m, size)
-    positions = max((size for size, count in enumerate(counts) if count), default=0)
-    colex = [[comb(x, i + 1) for x in range(m)] for i in range(positions)]
-    tables = [None] * (max_size + 1)
-
-    def memoized(s: tuple) -> bool:
-        size = len(s)
-        if size > max_size or not counts[size]:
-            return oracle(s)
-        table = tables[size]
-        if table is None:
-            table = tables[size] = bytearray(counts[size])
-        key = sum(map(getitem, colex, s))
-        known = table[key]
-        if known:
-            return known == 2
-        answer = oracle(s)
-        table[key] = 2 if answer else 1
-        return answer
-
-    return memoized
-
-
 def _keys(rows: np.ndarray, m: int) -> np.ndarray:
     """The key sum_i s_i m^(t-1-i) of each row s of a (B, t) array, which sorts
     as the rows do: int64, or Python ints where m^t >= 2^63."""
@@ -226,8 +224,8 @@ def _subset_keys(keys: np.ndarray, t: int, m: int) -> np.ndarray:
 def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> Matroid:
     """The matroid of ``columns`` (nonzero vectors of F_q^dim): a set is
     independent when its columns are linearly independent.  The scalar
-    oracle runs one elimination per set behind the memo; the batch oracle
-    runs all rows of a call as one stacked elimination."""
+    oracle runs one elimination per set; the batch oracle runs all rows of
+    a call as one stacked elimination."""
     table = np.array(columns, dtype=np.int64)
     table.flags.writeable = False
 
@@ -240,8 +238,8 @@ def _column_matroid(spec: MatroidSpec, columns, q: int, dim: int, name: str) -> 
             return np.full(rows.shape[0], t <= 1)
         return _independent_stacks(table[rows], q)
 
-    return Matroid(len(columns), spec, name, _rank_rows(columns, q), rows_oracle,
-                   _memoized(oracle, len(columns), dim), (q, table))
+    return Matroid(len(columns), spec, name, _rank_rows(columns, q), rows_oracle, oracle,
+                   (q, table))
 
 
 def build_matroid(spec: MatroidSpec) -> Matroid:

@@ -35,9 +35,9 @@ gives the same order.  After the last block each run of equal sets is one
 distinct set, asked once, its answer counting for the whole run.  The
 representatives are decoded from the keys, one digit column at a time, and
 asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries.  The
-column matroids' memo, the only one (see :mod:`matroid_sampling.matroids`),
-answers sets already seen in earlier windows or calls.  Neither windows nor
-memo change the successes, only the number of oracle calls and the time.
+matroid's memo (:meth:`~matroid_sampling.matroids.Matroid.is_independent`)
+answers sets seen in earlier windows or calls.  Neither windows nor memo
+change the successes, only the number of oracle calls and the time.
 """
 
 from __future__ import annotations
@@ -141,10 +141,10 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     Reproducible: ``successes`` depends only on (seed, n_trials,
     instance).  Trial t draws the same k uniforms as ``sample_kset`` would
     with ``trial_substream(seed, t, k)``.  ``chunk`` is the dedupe window:
-    each distinct set among a window's trials costs one oracle call (fewer
-    when the oracle's memo knows it), so larger windows ask the oracle
-    less often, and the window's keys take 8 bytes per trial.  When k
-    exceeds the rank no k-set is independent: every seed gives 0
+    each distinct set among a window's trials costs one ``is_independent``
+    ask (an oracle call unless the matroid's memo knows the set), so larger
+    windows ask less often, and the window's keys take 8 bytes per trial.
+    When k exceeds the rank no k-set is independent: every seed gives 0
     successes, returned without drawing.
     """
     _check_draws(matroid, p, k)

@@ -1,4 +1,8 @@
 import json
+import random
+import sys
+import threading
+from collections import Counter
 from itertools import combinations, islice
 from math import comb
 
@@ -109,7 +113,8 @@ def test_independent_rows_validates_rows(fano):
             fano.independent_rows(bad)
 
 
-def test_is_independent_sees_each_input_as_its_sorted_set():
+def test_is_independent_sees_each_input_as_its_sorted_set(monkeypatch):
+    monkeypatch.setattr(matroids, "ORACLE_MEMO_BYTES", 0)  # every ask reaches the oracle
     fano = build_matroid(ProjectiveSpec(3, 2))
     seen = []
     oracle = fano._oracle
@@ -226,15 +231,15 @@ def _subsets(m, max_size):
     return [s for size in range(max_size + 1) for s in combinations(range(m), size)]
 
 
-def _answers_cold_then_warm(spec, budget, subsets, rnd):
-    """Build under a memo budget; answer every subset, then all again shuffled."""
+def _counted(spec, budget, decide=None):
+    """The matroid of ``spec`` built under a memo budget, with its decision
+    (or ``decide`` in its place) wrapped to count the asks that reach it, per set."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matroids, "ORACLE_MEMO_BYTES", budget)
         matroid = build_matroid(spec)
-    cold = {s: matroid.is_independent(s) for s in subsets}
-    warm = list(subsets)
-    rnd.shuffle(warm)
-    return cold, {s: matroid.is_independent(s) for s in warm}
+    asks, oracle = Counter(), decide or matroid._oracle
+    matroid._oracle = lambda s: asks.update([s]) or oracle(s)
+    return matroid, asks
 
 
 @st.composite
@@ -246,18 +251,45 @@ def linear_specs(draw):
     return LinearSpec(q, tuple(draw(st.lists(column, min_size=2, max_size=9))))
 
 
-@PROPERTY
-@given(linear_specs(), st.integers(1, 4_000), st.randoms(use_true_random=False))
+@st.composite
+def explicit_specs(draw):
+    """A layer of 0..8 random k-sets of 1..9 points, unsorted and with repeats."""
+    m = draw(st.integers(1, 9))
+    k = draw(st.integers(1, m))
+    listed = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    return ExplicitSpec(m, k, tuple(map(tuple, draw(st.lists(listed, max_size=8)))))
+
+
+@settings(PROPERTY, max_examples=120)  # some 40 linear specs, as when it drew them alone
+@given(st.one_of(linear_specs(), explicit_specs(),
+                 st.integers(1, 9).flatmap(lambda n: st.builds(UniformSpec, st.integers(0, n),
+                                                               st.just(n)))),
+       st.integers(1, 4_000), st.randoms(use_true_random=False))
 def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
-    # budget 0 sends every size straight to elimination; a partial budget
+    # budget 0 sends every size straight to the oracle; a partial budget
     # memoizes only the smallest sizes; the default memoizes all of them
-    rank = build_matroid(spec).rank
-    subsets = _subsets(len(spec.columns), rank + 1)
-    truth = {s: _rank_rows([spec.columns[e] for e in s], spec.q) == len(s) for s in subsets}
+    matroid = build_matroid(spec)
+    subsets = _subsets(matroid.m, matroid.rank + 1)
+    truth = {s: bool(matroid.independent_rows(np.array([s], np.int64).reshape(1, len(s)))[0])
+             for s in subsets}
+    if isinstance(spec, LinearSpec):
+        assert truth == {s: _rank_rows([spec.columns[e] for e in s], spec.q) == len(s)
+                         for s in subsets}
     for budget in (0, partial_budget, matroids.ORACLE_MEMO_BYTES):
-        cold, warm = _answers_cold_then_warm(spec, budget, subsets, rnd)
-        assert cold == truth
-        assert warm == truth
+        matroid, asks = _counted(spec, budget)
+        warm = list(subsets)
+        rnd.shuffle(warm)
+        assert {s: matroid.is_independent(s) for s in subsets} == truth
+        assert {s: matroid.is_independent(s) for s in warm} == truth
+        # a set of a memoized size reaches the oracle once, any other on every ask;
+        # the memoized sizes run from 2 up, all of them up to the rank at the default
+        memoized = sorted({len(s) for s in subsets if asks[s] == 1})
+        assert asks == Counter({s: 1 if len(s) in memoized else 2 for s in subsets})
+        assert memoized == list(range(2, 2 + len(memoized)))
+        if budget == 0:
+            assert memoized == []
+        if budget == matroids.ORACLE_MEMO_BYTES:
+            assert memoized == list(range(2, matroid.rank + 1))
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -266,47 +298,37 @@ def test_memo_colex_rank_is_a_bijection(m):
     # the cold pass asks the oracle once per set (no two sets share a slot)
     # and the warm pass never asks it, the colex rank maps the s-subsets
     # one-to-one onto range(C(m, s)).  Sizes 0 and 1 are not memoized.
-    calls = []
-
-    def oracle(s):
-        calls.append(s)
-        return sum(s) % 3 == 0
-
-    memoized = matroids._memoized(oracle, m, m)
+    # U(m, m) memoizes every size from 2 to m; its decision is replaced.
+    matroid, asks = _counted(UniformSpec(m, m), matroids.ORACLE_MEMO_BYTES,
+                             lambda s: sum(s) % 3 == 0)
     for size in range(m + 1):
         subsets = list(combinations(range(m), size))
-        calls.clear()
-        assert [memoized(s) for s in subsets] == [sum(s) % 3 == 0 for s in subsets]
-        assert calls == subsets
-        calls.clear()
-        assert [memoized(s) for s in reversed(subsets)] == [sum(s) % 3 == 0
-                                                            for s in reversed(subsets)]
-        assert calls == ([] if size >= 2 else subsets[::-1])
+        asks.clear()
+        assert [matroid.is_independent(s) for s in subsets] == [sum(s) % 3 == 0
+                                                                for s in subsets]
+        assert list(asks.elements()) == subsets
+        asks.clear()
+        assert [matroid.is_independent(s) for s in reversed(subsets)] == [
+            sum(s) % 3 == 0 for s in reversed(subsets)]
+        assert list(asks.elements()) == ([] if size >= 2 else subsets[::-1])
 
 
-def _memo_under_budget(m, max_size, budget):
-    calls = []
-
-    def oracle(s):
-        calls.append(s)
-        return True
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matroids, "ORACLE_MEMO_BYTES", budget)
-        memoized = matroids._memoized(oracle, m, max_size)
-    return memoized, calls
+def _asks_twice(spec, budget, sets):
+    """The sets that reach the oracle when each of ``sets`` is asked twice."""
+    matroid, asks = _counted(spec, budget)
+    for _ in range(2):
+        for s in sets:
+            matroid.is_independent(s)
+    return [s for s in sets for _ in range(asks[s])]
 
 
 def test_memo_stays_inside_its_budget():
     # PG(3, 3), rank 4: tables for sizes 2..4 take 780 + 9,880 + 91,390 bytes,
     # and each of the colex rows 0..size-1 holds 40 entries
     row = 40 * matroids._COLEX_ENTRY_BYTES
-    memoized, calls = _memo_under_budget(40, 4, row + (780 + row) + (9_880 + row))
-    for _ in range(2):
-        memoized((0, 1))
-        memoized((0, 1, 2))
-        memoized((0, 1, 2, 3))
-    assert calls == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]
+    sets = [(0, 1), (0, 1, 2), (0, 1, 2, 3)]
+    asked = _asks_twice(ProjectiveSpec(4, 3), row + (780 + row) + (9_880 + row), sets)
+    assert asked == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]
 
 
 def test_memo_ends_at_the_first_size_that_does_not_fit():
@@ -314,12 +336,42 @@ def test_memo_ends_at_the_first_size_that_does_not_fit():
     # Size 5 misses by one byte, so size 6, which would fit, is not memoized.
     row = 10 * matroids._COLEX_ENTRY_BYTES
     fits = row + (45 + row) + (120 + row) + (210 + row)
-    memoized, calls = _memo_under_budget(10, 10, fits + 252 + row - 1)
-    for _ in range(2):
-        for size in range(2, 7):
-            memoized(tuple(range(size)))
-    first = [tuple(range(size)) for size in range(2, 7)]
-    assert calls == first + [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5)]
+    sets = [tuple(range(size)) for size in range(2, 7)]
+    asked = _asks_twice(UniformSpec(10, 10), fits + 252 + row - 1, sets)
+    assert asked == sets[:3] + [sets[3]] * 2 + [sets[4]] * 2
+
+
+def test_memo_shared_across_threads():
+    # four threads fill one fresh matroid's memo at once, switching every
+    # microsecond, and each reads every answer right; twenty fresh matroids,
+    # so that the first misses of each size race many times
+    spec = ProjectiveSpec(4, 2)
+    subsets = _subsets(15, 5)
+    truth = build_matroid(spec)
+    want = [bool(truth.independent_rows(np.array([s], np.int64).reshape(1, len(s)))[0])
+            for s in subsets]
+    orders = [random.Random(seed).sample(range(len(subsets)), len(subsets)) for seed in range(4)]
+
+    def ask(matroid, start, order, got):
+        start.wait(timeout=60)
+        got.update((i, matroid.is_independent(subsets[i])) for i in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            matroid, start = build_matroid(spec), threading.Barrier(len(orders))
+            answers = [{} for _ in orders]
+            threads = [threading.Thread(target=ask, args=(matroid, start, order, got))
+                       for order, got in zip(orders, answers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all([got[i] for i in range(len(subsets))] == want for got in answers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("spec,max_k", [(UniformSpec(3, 7), 3), (ProjectiveSpec(3, 2), 3),
@@ -351,15 +403,6 @@ def _layer_rows(spec, t, rng) -> list[tuple]:
     inside = [c for s in spec.sets[:3] for c in islice(combinations(sorted(s), t), 300)]
     outside = [tuple(sorted(rng.choice(m, t, replace=False).tolist())) for _ in range(300)]
     return sorted(set(inside + outside))
-
-
-@st.composite
-def explicit_specs(draw):
-    """A layer of 0..8 random k-sets of 1..9 points, unsorted and with repeats."""
-    m = draw(st.integers(1, 9))
-    k = draw(st.integers(1, m))
-    listed = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
-    return ExplicitSpec(m, k, tuple(map(tuple, draw(st.lists(listed, max_size=8)))))
 
 
 # 64^11 = 2^66: the keys of the 11-sets, and the shadow built from them, are Python ints

@@ -196,6 +196,14 @@ def test_golden_successes_pg33(pg33, kind, k, seed, n_trials, chunks, successes)
         assert estimate_F(pg33, p, k, n_trials, seed=seed, chunk=chunk).successes == successes
 
 
+def test_golden_successes_uniform_4_30():
+    # U(4, 30) at u, recorded when uniform matroids kept no memo; the last
+    # call asks only sets that the first two left in the memo
+    matroid, u = build_matroid(UniformSpec(4, 30)), Distribution.uniform(30)
+    for chunk in (DEFAULT_CHUNK, 997, DEFAULT_CHUNK):
+        assert estimate_F(matroid, u, 4, 100_000, seed=1, chunk=chunk).successes == 81381
+
+
 def _candidate_rows(p, k, n_trials, seed, chunk):
     """Per chunk, the sorted draws of the trials whose k draws are distinct."""
     cumulative = np.cumsum(p.probs)
