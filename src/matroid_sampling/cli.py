@@ -379,9 +379,9 @@ def _add_common(sub, k_required=True, dist=False, gens=False, seed=False, tol=No
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if enum_cap:
         sub.add_argument("--enum-cap", type=_checked(int, lambda n: n >= 0, "a count >= 0"),
-                         default=DEFAULT_ENUM_CAP, help="abort if the independent K-sets exceed "
-                         "this count, or the subsets of them that the acceptor's build holds, or "
-                         "the flats of one level of a column matroid's build")
+                         default=DEFAULT_ENUM_CAP, help="the most rows one build may hold: the "
+                         "K-sets an enumeration lists, the subsets of them the acceptor keeps, or "
+                         "a level's flats times m (their covers' packed bytes) in the flats build")
     if tol is not None:
         sub.add_argument("--tol", type=_checked(float, isfinite, "a finite number"), default=tol,
                          help="tolerance (default: %(default)s)")

@@ -8,7 +8,7 @@ in blocks with one call of the matroid's batch oracle
 (:meth:`~matroid_sampling.matroids.Matroid.independent_rows`) per block.
 :func:`independent_set_index` returns the same index, but where the count
 has a closed form (uniform and projective families) it takes the count
-from the spec and enumerates only when a reader first asks for the sets.
+from the spec, at any size, and enumerates only when the sets are read.
 
 Every float value of the polynomial goes through one private evaluator,
 built from the index on first use and cached on it (:func:`_chains`):
@@ -25,8 +25,8 @@ the stability scan and the identity checks call):
   parallel-class specs, matroids by construction), the chains of the
   flats of its rank-K truncation, built from its columns with no K-set
   read and no rank test (:func:`_flats`): a few thousand flats where
-  the index may count 10^8 K-sets.  A level of flats over the index's
-  cap is refused;
+  the index may count 10^8 K-sets.  A level of flats times m, or of
+  covers' packed bytes, over the index's cap is refused;
 * otherwise, the chains of the support's minimal acceptor, whose nodes
   group the t-sets with the same completions to a K-set and whose sum
   counts every K-set in each of its K! orders, exactly, on any support.
@@ -104,8 +104,8 @@ class IndepSetIndex:
     :func:`independent_set_index` knows its count in closed form and
     enumerates its sets when ``sets`` is first read, which neither the
     e_K evaluator nor a column matroid's flats build does (see
-    :func:`_chains`).  ``cap`` bounds the sets, or the flats of a level,
-    that building the evaluator may hold (see _acceptor and _flats).
+    :func:`_chains`).  ``cap`` is the most rows one build may hold: K-sets
+    listed, shadow sets, or flats times m of a level (see _acceptor, _flats).
     """
 
     __slots__ = ("k", "m", "n_sets", "cap", "_sets", "_matroid", "_chains")
@@ -148,15 +148,12 @@ class IndepSetIndex:
         return f"IndepSetIndex(k={self.k}, m={self.m}, n_sets={self.n_sets})"
 
 
-def _checked_count(matroid: Matroid, k: int, cap: int) -> int | None:
+def _checked_count(matroid: Matroid, k: int) -> int | None:
     """The closed-form count of independent k-sets, or None where the family
-    has none; raises when k is outside [1, rank] or the count exceeds cap."""
+    has none; raises when k is outside [1, rank], never for the count's size."""
     if k < 1 or k > matroid.rank:
         raise ValueError(f"k={k} out of range [1, rank={matroid.rank}]")
-    known = independent_count(matroid.spec, k)
-    if known is not None and known > cap:
-        raise ValueError(f"enumeration exceeds cap of {cap} sets")
-    return known
+    return independent_count(matroid.spec, k)
 
 
 def independent_set_index(matroid: Matroid, k: int,
@@ -164,9 +161,9 @@ def independent_set_index(matroid: Matroid, k: int,
     """The index of the independent k-sets, as from
     :func:`enumerate_independent_ksets`, but lazy where the count has a
     closed form (:func:`~matroid_sampling.matroids.independent_count`):
-    then ``n_sets`` is that count and the sets are enumerated when
-    ``sets`` is first read.  Other families are enumerated now."""
-    known = _checked_count(matroid, k, cap)
+    then ``n_sets`` is that count, whatever ``cap`` reads, and the sets are
+    enumerated when ``sets`` is first read.  Other families are enumerated now."""
+    known = _checked_count(matroid, k)
     if known is None:
         return enumerate_independent_ksets(matroid, k, cap)
     return IndepSetIndex._lazy(matroid, k, known, cap)
@@ -190,7 +187,9 @@ def enumerate_independent_ksets(matroid: Matroid, k: int,
     before the search starts.  The index keeps ``cap`` for its evaluator's
     build.
     """
-    _checked_count(matroid, k, cap)
+    known = _checked_count(matroid, k)
+    if known is not None and known > cap:
+        raise ValueError(f"enumeration exceeds cap of {cap} sets")
     m = matroid.m
     level = np.empty((1, 0), dtype=np.int64)  # the empty set
     for t in range(k):
@@ -324,8 +323,7 @@ class _Chains:
     (adjoint) sweep plus one scatter of the cover weights per level; it
     reuses the forward sweep that :meth:`evaluate` returns with f.  At x = 1
     the gradient is the degrees and the Hessian the pair counts, sums of
-    nonnegative integers, exact while K! n_sets < 2^53 (K <= 12 at the
-    default cap).
+    nonnegative integers, exact while K! n_sets < 2^53.
     """
 
     __slots__ = ("m", "k", "levels", "slope", "_plan")
@@ -742,7 +740,7 @@ def _flats(idx: IndepSetIndex, q: int, columns: np.ndarray) -> _Chains:
     residuals are kept in the narrowest unsigned dtype that holds q - 1.
     Every rank-(K-1) flat has the one top node E as its only cover, with
     the elements outside it as difference set.  No column is zero, so
-    cl(empty) is empty.
+    cl(empty) is empty.  _cover_flats refuses a level by its rows, not its K-sets.
     """
     m, k = idx.m, idx.k
     member = np.zeros((1, m), dtype=bool)
@@ -769,8 +767,9 @@ def _cover_flats(member: np.ndarray, res: np.ndarray, q: int,
     the bytes of the scaled residual, so that each run of equal nonzero
     residuals is a cover.  The covers are deduplicated across flats by
     their packed membership rows and numbered in the order of those rows,
-    as _signatures numbers its nodes; a next level of more than ``cap``
-    flats is refused before its rows are allocated.
+    as _signatures numbers its nodes.  The sweep stops once its covers'
+    packed rows pass ``cap`` bytes, and a next level of flats times m over
+    ``cap`` is refused before its residuals or rows are allocated.
     """
     n_flats, m, n = res.shape
     step = max(1, _BUILD_BLOCK // (m * n))
@@ -795,12 +794,14 @@ def _cover_flats(member: np.ndarray, res: np.ndarray, q: int,
         found.append(np.packbits(cand, axis=1))
         first.append(start * m + order[new])
         covers += cand.shape[0]
+        if covers * found[-1].shape[1] > cap:
+            raise ValueError(f"the covers of a level of flats pass the cap of {cap} bytes")
     found, first = np.concatenate(found), np.concatenate(first)
     rows = found.view(np.dtype((np.void, found.shape[1]))).ravel()
     order = np.argsort(rows, kind="stable")  # by bytes: the order of the packed rows
     new = np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))
-    if new.sum() > cap:
-        raise ValueError(f"a level of {new.sum()} flats is over the cap of {cap}")
+    if new.sum() * m > cap:
+        raise ValueError(f"a level of {new.sum()} flats x {m} elements is over the cap of {cap}")
     child = np.empty_like(order)
     child[order] = np.cumsum(new) - 1
     cover = np.concatenate(entry_cover)

@@ -89,9 +89,9 @@ def b2_count(idx: IndepSetIndex, e: int, e2: int) -> int:
 
     It is entry (e, e2) of the Hessian of f at x = 1, taken by the index's
     evaluator with no scan of the sets (none is enumerated on e_K): a sum
-    of nonnegative integers, exact while k! n_sets < 2**53 (k <= 12 at the
-    default cap).  For a projective matroid it is independent of the
-    chosen pair and equals :func:`b2_explicit`.
+    of nonnegative integers, exact while k! n_sets < 2**53.  For a
+    projective matroid it is independent of the chosen pair and equals
+    :func:`b2_explicit`.
     """
     if e == e2:
         raise ValueError("the two elements must be distinct")

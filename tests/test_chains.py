@@ -36,6 +36,7 @@ from matroid_sampling import (AscentConfig, Distribution, ExplicitSpec, IndepSet
                               gaps_from_uniform, genpoly, hessian_f, independent_set_index,
                               maximize_F, projective_points, uniform_optimum)
 from matroid_sampling.genpoly import _acceptor, _chains, _Chains, _Elementary, _flats
+from matroid_sampling.matroids import independent_count
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -242,25 +243,30 @@ def test_flats_build_calls_no_oracle_and_gives_the_acceptors_values(spec, k):
 
 def test_flats_refuse_a_level_over_the_cap(monkeypatch):
     """e1, e1, e2, e3 over F_2 at K = 3: its two independent 3-sets pass a
-    cap of 2, its three points do not, and no level is allocated."""
+    cap of 2.  The three covers of the empty flat fill a packed byte each,
+    which passes a cap of 2 bytes; at a cap of 11 they do not, but the
+    three points times the 4 elements do.  No level is allocated."""
     spec = LinearSpec(2, ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    idx = enumerate_independent_ksets(build_matroid(spec), 3, cap=2)
-    assert idx.n_sets == 2
 
     def no_level(*args):
         raise AssertionError("a level was allocated")
 
     monkeypatch.setattr(genpoly, "_level", no_level)
-    with pytest.raises(ValueError, match="a level of 3 flats is over the cap of 2"):
-        _chains(idx)
-    assert idx._chains is None
+    for cap, message in ((2, "the covers of a level of flats pass the cap of 2 bytes"),
+                         (11, "a level of 3 flats x 4 elements is over the cap of 11")):
+        idx = enumerate_independent_ksets(build_matroid(spec), 3, cap=cap)
+        assert idx.n_sets == 2
+        with pytest.raises(ValueError, match=message):
+            _chains(idx)
+        assert idx._chains is None
 
 
 def test_flats_build_past_the_cap_in_bounded_memory():
     """PG(4,3) K=5 has 123,845,436 independent 5-sets, past the default cap,
-    and 121, 1,210, 1,210 and 121 flats of ranks 1 to 4: its chains are
-    built from the flats in under 16 MiB, and F(u) is the closed form."""
-    idx = independent_set_index(build_matroid(ProjectiveSpec(5, 3)), 5, cap=2 * 10**8)
+    and 121, 1,210, 1,210 and 121 flats of ranks 1 to 4: at the default cap
+    its chains are built from the flats in under 16 MiB, and F(u) is the
+    closed form."""
+    idx = independent_set_index(build_matroid(ProjectiveSpec(5, 3)), 5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -274,6 +280,64 @@ def test_flats_build_past_the_cap_in_bounded_memory():
     optimum = uniform_optimum(PGParams(5, 3, 5))
     assert abs(Fraction(eval_F(idx, Distribution.uniform(121))) - optimum) <= (
         Fraction(1e-15) * optimum)
+
+
+@pytest.mark.parametrize("n,q,k", [(4, 5, 4), (6, 2, 6), (5, 3, 5)])
+def test_flats_past_the_cap_need_no_index(n, q, k):
+    """PG(3,5) K=4, PG(5,2) K=6 and PG(4,3) K=5 count 18.9M to 124M
+    independent K-sets, past the default cap, and are checked with none
+    listed: the levels are the Gaussian binomials, f(1) read off the sweep
+    is the closed-form count (exact, as K! n_sets < 2^53), and F(u) is the
+    closed form.  No oracle is called."""
+    matroid = CountingMatroid(build_matroid(ProjectiveSpec(n, q)))
+    idx = independent_set_index(matroid, k)
+    count = independent_count(matroid.spec, k)
+    assert idx.n_sets == count > genpoly.DEFAULT_ENUM_CAP
+    assert factorial(k) * count < 2**53
+    chains = _chains(idx)
+    assert [lv.starts.size for lv in chains.levels] == (
+        [gaussian_binomial(n, j, q) for j in range(1, k)] + [1])
+    assert chains.evaluate(np.ones(idx.m))[0] == count
+    optimum = uniform_optimum(PGParams(n, q, k))
+    assert abs(Fraction(eval_F(idx, Distribution.uniform(idx.m))) - optimum) <= (
+        Fraction(1e-15) * optimum)
+    assert matroid.queries == []
+    assert idx._sets is None
+
+
+@pytest.mark.parametrize("n,k", [(10, 10), (11, 3)])
+def test_flats_refuse_a_build_over_the_cap_early(n, k):
+    """PG(9,2) K=10 has 174,251 lines of 1,023 points and PG(10,2) K=3
+    698,027 lines of 2,047: past the default cap in rows, and in the bytes
+    of their covers, which stop the sweep of the points before the lines
+    are allocated."""
+    idx = independent_set_index(build_matroid(ProjectiveSpec(n, 2)), k)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cap of {genpoly.DEFAULT_ENUM_CAP}"):
+            eval_F(idx, Distribution.uniform(idx.m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**20
+    assert idx._chains is None
+
+
+def test_the_row_caps_refuse_nothing_the_count_cap_let_through():
+    """PG(6,2) K=4 (9,921,240 sets, under the default cap) still builds its
+    127, 2,667 and 11,811 flats and gives the closed form (1.1e-15 relative,
+    measured); U(200,6) K=6, with C(200,6) = 82,408,626,300 sets, evaluates
+    on e_K."""
+    idx = independent_set_index(build_matroid(ProjectiveSpec(7, 2)), 4)
+    assert idx.n_sets == 9_921_240
+    assert [lv.starts.size for lv in _chains(idx).levels] == [127, 2667, 11811, 1]
+    assert eval_F(idx, Distribution.uniform(127)) == pytest.approx(
+        float(uniform_optimum(PGParams(7, 2, 4))), rel=1e-14)
+    idx = independent_set_index(build_matroid(UniformSpec(6, 200)), 6)
+    assert idx.n_sets == 82_408_626_300
+    assert eval_F(idx, Distribution.uniform(200)) == pytest.approx(
+        float(Fraction(factorial(6) * idx.n_sets, 200**6)), rel=1e-14)
+    assert isinstance(idx._chains, _Elementary)
 
 
 def wide_index():

@@ -9,7 +9,8 @@ from time import perf_counter
 
 import pytest
 
-from matroid_sampling import Matroid, cli, enumerate_independent_ksets
+from matroid_sampling import (Matroid, PGParams, cli, enumerate_independent_ksets,
+                              uniform_optimum)
 from matroid_sampling.cli import main
 
 PROJECTIVE_32 = '{"type":"projective","n":3,"q":2}'
@@ -387,15 +388,6 @@ def test_wrong_typed_json_exits_2(capsys, argv):
     assert out == ""
 
 
-def test_mc_over_cap_fails_before_simulating(capsys):
-    start = perf_counter()
-    code, out, err = run_cli(capsys, "mc", "--spec", '{"type":"projective","n":4,"q":5}',
-                             "--k", "4", "--trials", "300000")
-    assert perf_counter() - start < 1.0
-    assert code == 2
-    assert "exceeds cap" in json.loads(err)["error"]["message"]
-
-
 def count_oracle_calls(monkeypatch) -> dict:
     """Count the calls of both Matroid oracles, by name, from now on."""
     calls = {"is_independent": 0, "independent_rows": 0}
@@ -408,6 +400,29 @@ def count_oracle_calls(monkeypatch) -> dict:
 
         monkeypatch.setattr(Matroid, name, counted)
     return calls
+
+
+def test_mc_over_cap_fails_before_simulating(capsys, monkeypatch):
+    """PG(3,5) K=4 has 806 lines of 156 points: 125,736 rows, over a cap of
+    100,000, which refuses its flats build before the first trial."""
+    calls = count_oracle_calls(monkeypatch)
+    start = perf_counter()
+    code, out, err = run_cli(capsys, "mc", "--spec", '{"type":"projective","n":4,"q":5}',
+                             "--k", "4", "--trials", "300000", "--enum-cap", "100000")
+    assert perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "over the cap of 100000" in json.loads(err)["error"]["message"]
+    assert calls == {"is_independent": 0, "independent_rows": 0}
+
+
+def test_mc_past_the_closed_form_count_reports_exact_F(capsys):
+    """PG(3,5) K=4 counts 18,890,625 independent 4-sets, past the default
+    cap, which no build holds: Monte Carlo runs beside its exact F(u)."""
+    report = run_json(capsys, "mc", "--spec", '{"type":"projective","n":4,"q":5}', "--k", "4",
+                      "--trials", "2000")
+    assert report["exact_F"] == pytest.approx(
+        float(uniform_optimum(PGParams(4, 5, 4))), rel=1e-15)
+    assert abs(report["p_hat"] - report["exact_F"]) <= 4 * report["std_err"]
 
 
 def test_mc_refuses_an_over_cap_evaluator_before_simulating(capsys, monkeypatch):
@@ -457,15 +472,12 @@ def test_closed_form_counts_and_free_supports_call_no_oracle(capsys, monkeypatch
     assert lazy == eager
 
 
-def test_info_refuses_a_closed_form_count_over_the_cap(capsys, monkeypatch):
+def test_info_reports_a_closed_form_count_over_the_cap(capsys, monkeypatch):
+    """The cap bounds what a build holds, and info builds nothing."""
     calls = count_oracle_calls(monkeypatch)
-    code, out, err = run_cli(capsys, "info", "--spec", '{"type":"projective","n":5,"q":2}',
-                             "--k", "4", "--enum-cap", str(26_040 - 1))
-    assert (code, out) == (2, "")
-    assert "exceeds cap" in json.loads(err)["error"]["message"]
-    assert calls == {"is_independent": 0, "independent_rows": 0}
     assert run_json(capsys, "info", "--spec", '{"type":"projective","n":5,"q":2}', "--k", "4",
-                    "--enum-cap", "26040")["n_independent_ksets"] == 26_040
+                    "--enum-cap", str(26_040 - 1))["n_independent_ksets"] == 26_040
+    assert calls == {"is_independent": 0, "independent_rows": 0}
 
 
 def test_enum_cap_bounds_the_evaluator_build(capsys):
