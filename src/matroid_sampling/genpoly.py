@@ -715,13 +715,31 @@ def _level(rows: np.ndarray) -> _Level:
     lens = np.diff(np.append(new, key.size))
     diff = np.full((lens.max(), new.size), m, dtype=np.int64)
     diff[np.arange(key.size) - np.repeat(new, lens), np.repeat(np.arange(new.size), lens)] = elem
+    return _covers(m, key[new] % n, diff, lens, np.bincount(key[new] // n))
+
+
+def _top_level(member: np.ndarray) -> _Level:
+    """The covers of the one top node E, from the membership rows of the
+    flats below it: each flat's only cover is E, with its complement as
+    difference set, as _level gives them with no sort."""
+    n, m = member.shape
+    out = ~member
+    lens = np.count_nonzero(out, axis=1)
+    diff = np.full((lens.max(), n), m, dtype=np.int64)
+    elem = np.flatnonzero(out)
+    diff.T[np.arange(lens.max()) < lens[:, None]] = np.remainder(elem, m, out=elem)
+    return _covers(m, np.arange(n), diff, lens, np.array([n]))
+
+
+def _covers(m: int, src: np.ndarray, diff: np.ndarray, lens: np.ndarray,
+            counts: np.ndarray) -> _Level:
+    """The _Level of covers given by source, padded difference sets, set
+    sizes and covers per node, with the dense rows where they pay."""
     dense = None
     if m + 1 <= 2 * lens.max():
-        dense = np.zeros((new.size, m + 1))
-        dense[np.arange(new.size), diff] = 1.0
+        dense = np.zeros((src.size, m + 1))
+        dense[np.arange(src.size), diff] = 1.0
         dense[:, m] = 0.0  # the padding's column
-    src, dst = key[new] % n, key[new] // n
-    counts = np.bincount(dst)
     return _Level(src, diff, dense, lens.astype(float), np.cumsum(counts) - counts, counts)
 
 
@@ -751,7 +769,7 @@ def _flats(idx: IndepSetIndex, q: int, columns: np.ndarray) -> _Chains:
         levels.append(_level(rows))
         if t + 2 < k:
             res = _reduce(res, parent, x, q)
-    levels.append(_level(np.where(member, -1, 0)))
+    levels.append(_top_level(member))
     return _Chains(m, k, levels)
 
 

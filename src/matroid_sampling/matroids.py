@@ -99,6 +99,9 @@ class Matroid:
     :func:`~matroid_sampling.genpoly.is_matroid_support` decides exactly
     whether the K-sets are those of a matroid.
 
+    Both entry points refuse elements whose values are not integers, with
+    ValueError, rather than truncate 0.5 or parse '1'.
+
     A matroid is immutable and its oracles are pure, so one instance may be
     shared across threads.  The memo of :meth:`is_independent` and an explicit
     layer's shadow keys, filled on first use, do not change that: every thread
@@ -134,24 +137,58 @@ class Matroid:
         x_{s-1} has the byte at its colex rank sum_i C(x_i, i + 1), a bijection
         onto range(C(m, s)), 0 (unknown), 1 (dependent) or 2 (independent).  The
         first size that does not fit ends the memo.  Misses ask ``_oracle``.
+        A tuple or list of 2 to 4 strictly increasing ints in range, as Monte
+        Carlo asks them, is unpacked and its colex rank summed in one expression.
+        Elements must have integer values (bools, np.int64 and 2.0 count);
+        any other, or one out of range, raises ValueError.
         """
         if type(subset) is list or type(subset) is tuple:
-            # fast path: a row that is already strictly increasing ints in range
-            last = -1
-            for e in subset:
-                if type(e) is not int or e <= last:
-                    break
-                last = e
-            else:
-                if last < self.m:
-                    size = len(subset)
-                    table = self._tables[size] if size < len(self._tables) else None
-                    if table:
-                        known = table[sum(map(getitem, self._colex, subset))]
+            # fast path: a row that is already strictly increasing ints in range,
+            # unpacked at sizes 2 to 4, the Monte Carlo asks
+            size, tables = len(subset), self._tables
+            if size == 4:
+                a, b, c, d = subset
+                if (type(a) is int and type(b) is int and type(c) is int and type(d) is int
+                        and -1 < a < b < c < d < self.m):
+                    if len(tables) > 4 and tables[4]:
+                        x = self._colex
+                        known = tables[4][x[0][a] + x[1][b] + x[2][c] + x[3][d]]
                         if known:
                             return known == 2
-                    return self._miss(tuple(subset))
-        s = tuple(sorted(set(map(int, subset))))
+                    return self._miss((a, b, c, d))
+            elif size == 3:
+                a, b, c = subset
+                if (type(a) is int and type(b) is int and type(c) is int
+                        and -1 < a < b < c < self.m):
+                    if len(tables) > 3 and tables[3]:
+                        x = self._colex
+                        known = tables[3][x[0][a] + x[1][b] + x[2][c]]
+                        if known:
+                            return known == 2
+                    return self._miss((a, b, c))
+            elif size == 2:
+                a, b = subset
+                if type(a) is int and type(b) is int and -1 < a < b < self.m:
+                    if len(tables) > 2 and tables[2]:
+                        known = tables[2][self._colex[0][a] + self._colex[1][b]]
+                        if known:
+                            return known == 2
+                    return self._miss((a, b))
+            else:
+                last = -1
+                for e in subset:
+                    if type(e) is not int or e <= last:
+                        break
+                    last = e
+                else:
+                    if last < self.m:
+                        table = tables[size] if size < len(tables) else None
+                        if table:
+                            known = table[sum(map(getitem, self._colex, subset))]
+                            if known:
+                                return known == 2
+                        return self._miss(tuple(subset))
+        s = tuple(sorted(set(map(_integer, subset))))
         if s and (s[0] < 0 or s[-1] >= self.m):
             raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
         return self.is_independent(s)
@@ -173,7 +210,15 @@ class Matroid:
         """Independence of each row of a (B, t) integer array whose rows
         are strictly increasing elements of the ground set, as a length-B
         bool array; row i agrees with ``is_independent(rows[i])``."""
-        rows = np.asarray(rows, dtype=np.int64)
+        given = np.asarray(rows)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+                rows = given.astype(np.int64, copy=False)
+            exact = given.dtype.kind in "biu" or np.array_equal(rows, given)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"rows must hold integers, got {given.dtype} entries")
         if rows.ndim != 2:
             raise ValueError(f"rows must form a (B, t) array, got shape {rows.shape}")
         if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= self.m
@@ -183,6 +228,17 @@ class Matroid:
 
     def __repr__(self):
         return f"Matroid({self.name}, m={self.m}, rank={self.rank})"
+
+
+def _integer(e) -> int:
+    """``e`` as an int when its value is an integer (an int, a bool, np.int64,
+    2.0); otherwise ValueError, where int() would truncate 0.5 or parse '1'."""
+    try:
+        if int(e) == e:
+            return int(e)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"element {e!r} is not an integer")
 
 
 def _validate_columns(columns, q: int):

@@ -34,10 +34,12 @@ entries of the smallest unsigned type that holds m - 1, and ``np.lexsort``
 gives the same order.  After the last block each run of equal sets is one
 distinct set, asked once, its answer counting for the whole run.  The
 representatives are decoded from the keys, one digit column at a time, and
-asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries.  The
-matroid's memo (:meth:`~matroid_sampling.matroids.Matroid.is_independent`)
-answers sets seen in earlier windows or calls.  Neither windows nor memo
-change the successes, only the number of oracle calls and the time.
+asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries, each
+a tuple or list of Python ints.  The matroid's memo
+(:meth:`~matroid_sampling.matroids.Matroid.is_independent`) answers sets
+seen in earlier windows or calls, and unpacks such a set at k <= 4.
+Neither windows nor memo change the successes, only the number of oracle
+calls and the time.
 """
 
 from __future__ import annotations

@@ -111,6 +111,12 @@ def test_independent_rows_validates_rows(fano):
     for bad in ([[0, 7]], [[-1, 2]], [[2, 1]], [[0, 1], [3, 3]]):
         with pytest.raises(ValueError, match="strictly increasing"):
             fano.independent_rows(bad)
+    # integral floats mean their integers; any other value is refused, not truncated
+    assert fano.independent_rows(np.array([[0.0, 2.0], [1.0, 4.0]])).tolist() == [True, True]
+    for bad in (np.array([[0.5, 1.9]]), [[0, 2.5]], [["1", "2"]], [[np.nan, 1]], [[0, np.inf]],
+                np.array([[None, 1]])):
+        with pytest.raises(ValueError, match="rows must hold integers"):
+            fano.independent_rows(bad)
 
 
 def test_is_independent_sees_each_input_as_its_sorted_set(monkeypatch):
@@ -122,14 +128,20 @@ def test_is_independent_sees_each_input_as_its_sorted_set(monkeypatch):
     line = next(c for c in combinations(range(7), 3) if not oracle(c))
     inputs = [list(line), line, [line[2], line[0], line[1]], [*line, line[1]],
               np.array(line), [np.int64(e) for e in line], [float(e) for e in line],
-              (e for e in line), [0, 1], [0, 0, 1], [True, 2], (), []]
+              (e for e in line), [0, 1], [0, 0, 1], [True, 2], [2, 2], (), []]
     answers = [fano.is_independent(x) for x in inputs]
-    assert answers == [False] * 8 + [True] * 5
-    assert seen == [line] * 8 + [(0, 1), (0, 1), (1, 2), (), ()]
+    assert answers == [False] * 8 + [True] * 6
+    assert seen == [line] * 8 + [(0, 1), (0, 1), (1, 2), (2,), (), ()]
     assert all(type(e) is int for s in seen for e in s)
     for bad in ([0, 7], (3, 9), [-1, 2], [2, -1], [5, 5, 8]):
         with pytest.raises(ValueError, match="out of range"):
             fano.is_independent(bad)
+    # an element whose value is not an integer is refused, not truncated or parsed
+    for bad in ([0.5, 1.9], ["1", "2"], (0, 2.5), [np.float64(1.5), 3], [None, 1],
+                [float("nan"), 1], (0, 1, float("inf")), [b"1", 2]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            fano.is_independent(bad)
+    assert len(seen) == 14
 
 
 def test_spec_validation_errors():
@@ -311,6 +323,39 @@ def test_memo_colex_rank_is_a_bijection(m):
         assert [matroid.is_independent(s) for s in reversed(subsets)] == [
             sum(s) % 3 == 0 for s in reversed(subsets)]
         assert list(asks.elements()) == ([] if size >= 2 else subsets[::-1])
+
+
+def test_warm_asks_read_the_sorted_sets_byte_in_every_form():
+    # PG(4,2): m = 31, rank 5, so the memo holds sizes 2 to 5, whose sets are
+    # read unpacked (sizes 2 to 4) or by the loop (5).  Each size answers as
+    # with no memo, and once a set is warm no form of it reaches the oracle.
+    spec = ProjectiveSpec(5, 2)
+    cold, _ = _counted(spec, 0)
+    warm, asks = _counted(spec, matroids.ORACLE_MEMO_BYTES)
+    rng = random.Random(31)
+    for size in range(2, 6):
+        sets = sorted({tuple(sorted(rng.sample(range(31), size))) for _ in range(300)}
+                      | {tuple(range(size)), tuple(range(31 - size, 31))})
+        want = [cold.is_independent(s) for s in sets]
+        assert (False in want) == (size > 2)  # PG(4,2) has no parallel pair
+        assert [warm.is_independent(s) for s in sets] == want
+        assert asks == Counter(sets)
+        asks.clear()
+        for s, answer in zip(sets, want):
+            shuffled = rng.sample(s, size)
+            forms = [s, list(s), [np.int64(e) for e in s], [float(e) for e in s], shuffled,
+                     tuple(shuffled), [*s, s[-1]], (s[0], *s), (e for e in s),
+                     [bool(e) if e < 2 else e for e in s], np.array(s)]
+            assert [warm.is_independent(x) for x in forms] == [answer] * len(forms)
+        assert not asks
+        # as many elements as the size, one repeated: the smaller set's answer
+        assert [warm.is_independent((s[0], *s[:-1])) for s in sets] == [
+            cold.is_independent(s[:-1]) for s in sets]
+        for bad in [(-1, *range(1, size)), (*range(size - 1), 31), tuple(range(32 - size, 32)),
+                    [*range(1, size), -1], [*range(size - 1), 40], (-2, -1, *range(size - 2))]:
+            with pytest.raises(ValueError, match="out of range"):
+                warm.is_independent(bad)
+        asks.clear()
 
 
 def _asks_twice(spec, budget, sets):
