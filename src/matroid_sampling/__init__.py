@@ -20,7 +20,7 @@ from .montecarlo import McEstimate, estimate_F, sample_kset
 from .optimize import AscentConfig, AscentResult, maximize_F, optimality_gap
 from .projective import (PGParams, StabilityScanReport, VectorDistribution,
                          b2_count, b2_explicit, gaussian_bracket,
-                         hessian_coefficient, k2_gap, pushforward,
+                         hessian_coefficient, k2_gap, mobius_coefficients, pushforward,
                          stability_ratio, stability_scan, uniform_optimum)
 from .symmetry import (Permutation, apply_to_distribution, check_invariance,
                        is_transitive, orbit_average, orbits,
@@ -38,8 +38,8 @@ __all__ = [
     "concavity_probe", "enumerate_independent_ksets", "estimate_F", "eval_F",
     "eval_f", "eval_h", "gaps_from_uniform", "gaussian_bracket",
     "hessian_coefficient", "hessian_f", "independent_set_index", "is_matroid_support",
-    "is_transitive", "k2_gap", "maximize_F", "nonzero_vectors", "optimality_gap",
-    "orbit_average", "orbits", "pgl_point_permutation", "projective_points", "pushforward",
-    "rank_over_fp", "sample_kset", "spec_from_json", "spec_to_json", "stability_ratio",
-    "stability_scan", "uniform_optimum",
+    "is_transitive", "k2_gap", "maximize_F", "mobius_coefficients", "nonzero_vectors",
+    "optimality_gap", "orbit_average", "orbits", "pgl_point_permutation", "projective_points",
+    "pushforward", "rank_over_fp", "sample_kset", "spec_from_json", "spec_to_json",
+    "stability_ratio", "stability_scan", "uniform_optimum",
 ]

@@ -34,6 +34,13 @@ the stability scan and the identity checks call):
   build's.  The build refuses a support whose subsets of the K-sets
   outnumber the index's cap, the one its enumeration ran under.
 
+On a projective geometry the chains' nodes are also the flats of
+Möbius inversion, F(p) = 1 + sum_r c_r sum_U p(U)^K: _Chains.screen
+takes the gaps from one K-th power per flat, with a bound on their
+rounding error.  The stability scan screens its samples with it and
+sends only those that can hold the minimum through the chains, so
+every gap it reports is the chains'.
+
 On a matroid support, which :func:`is_matroid_support` decides exactly,
 the K-th root of the polynomial is concave on the nonnegative orthant;
 :func:`concavity_probe` checks that empirically on random midpoints.
@@ -270,14 +277,21 @@ def gaps_from_uniform(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
     grow with the batch.  Each row's arithmetic and summation order do not
     depend on the blocking, so neither do the results.
     """
+    w, norm2 = _centred(idx, pts)
+    return _chains(idx).gaps(w), norm2
+
+
+def _centred(idx: IndepSetIndex, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Per row p of a (batch, m) array: (w = m p - 1 projected to zero sum,
+    ||p - u||_2^2), as :func:`gaps_from_uniform` and the stability scan's
+    screen take them, row by row."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != idx.m:
         raise ValueError(f"points have shape {pts.shape}, expected (batch, {idx.m})")
     m = idx.m
     w = pts * m - 1.0
     w -= w.mean(axis=1, keepdims=True)
-    norm2 = np.einsum("ij,ij->i", w, w) / (m * m)
-    return _chains(idx).gaps(w), norm2
+    return w, np.einsum("ij,ij->i", w, w) / (m * m)
 
 
 def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
@@ -326,7 +340,7 @@ class _Chains:
     nonnegative integers, exact while K! n_sets < 2^53.
     """
 
-    __slots__ = ("m", "k", "levels", "slope", "_plan")
+    __slots__ = ("m", "k", "levels", "slope", "_plan", "_points")
 
     def __init__(self, m: int, k: int, levels: list[_Level]):
         self.m, self.k, self.levels = m, k, levels
@@ -335,6 +349,7 @@ class _Chains:
         degrees = self.gradient(self.evaluate(np.ones(m))[1])
         self.slope = m * degrees - degrees.sum()
         self._plan = None  # the tables of gaps, built on first use: see _gap_plan
+        self._points = None  # the nodes' points, listed on first use: see flat_points
 
     def _sweep(self, x: np.ndarray):
         """(G(E), per level the cover factors x(F \\ F') and the values
@@ -500,7 +515,70 @@ class _Chains:
             rest = _cover_terms(wt, apply, top, parts)[1]
             higher[start:start + r] = np.add.reduceat(rest, [0], axis=0)[0, :r]
         total = higher + factorial(self.k) / m * _dot2(w, self.slope)
-        return -(float(m) ** (-self.k)) * total
+        return 0.0 - float(m) ** (-self.k) * total  # +0.0, not -0.0, where total is 0
+
+    def flat_points(self) -> list[np.ndarray]:
+        """Per level t = 1..K-1, the points of its nodes (on a matroid, the
+        rank-t flats) as a (points, nodes) array padded with m, listed on
+        first use and cached: a node is its first cover's source plus that
+        cover's difference set."""
+        if self._points is None:
+            points, self._points = np.empty((0, 1), dtype=np.int64), []
+            for lv in self.levels[:-1]:
+                points = np.concatenate((points[:, lv.src[lv.starts]], lv.diff[:, lv.starts]))
+                self._points.append(points)
+        return self._points
+
+    def screen(self, w: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]:
+        """(F(u) - F(p), a bound on its rounding error) per row of the
+        centered points w = m p - 1, whose rows sum to zero, from the flat
+        masses: F(p) = 1 + sum over levels r < K of c_r sum_U p(U)^K for
+        the Möbius coefficients c_r (``coefficients``, c_1 first; see
+        :func:`~matroid_sampling.projective.mobius_coefficients`), where
+        the flats U of a level all hold |U| points, as on a projective
+        geometry.
+
+        With W = w(U), m^K (p(U)^K - u(U)^K) = sum_{j>=1} C(K, j) |U|^(K-j)
+        W^j.  Its linear terms add up to zero on each level, since every
+        point lies in equally many of its flats, so the gap is
+        -m^-K sum_r c_r sum_U poly_U with poly_U = sum_{j>=2} C(K, j)
+        |U|^(K-j) W^j, taken by Horner's rule.  The bound is
+        64 (K + max |U|) 2^-53 m^-K sum_r |c_r| sum_U |poly_U|.
+
+        Rows last, in blocks of max(1, GAP_BLOCK_BYTES // (8 * the most
+        points of a level)) rows and at least two columns, so that every
+        sum runs one element at a time over the points of a flat, then
+        over the flats of a level, in the same order at any block width.
+        """
+        m, k = self.m, self.k
+        flats = self.flat_points()
+        scale = float(m) ** (-k)
+        slack = 64 * (k + flats[-1].shape[0]) * 2.0**-53 * scale
+        rows = max(1, GAP_BLOCK_BYTES // (8 * max(p.shape[1] for p in flats)))
+        batch = w.shape[0]
+        gaps, bounds = np.empty(batch), np.empty(batch)
+        for start in range(0, batch, rows):
+            block = w[start:start + rows]
+            r = block.shape[0]
+            wt = np.zeros((m + 1, max(r, 2)))  # rows last, as in gaps
+            wt[:m, :r] = block.T
+            total, size = np.zeros((2, wt.shape[1]))
+            for c, points in zip(coefficients, flats):
+                a = points.shape[0]
+                x = wt.take(points[0], axis=0)  # W per flat, one point at a time
+                for row in points[1:]:
+                    x += wt.take(row, axis=0)
+                poly = x + k * a
+                for j in range(k - 2, 1, -1):
+                    poly *= x
+                    poly += comb(k, j) * a ** (k - j)
+                poly *= x
+                poly *= x
+                total += float(c) * np.add.reduce(poly, axis=0)
+                size += float(abs(c)) * np.add.reduce(np.abs(poly, out=poly), axis=0)
+            gaps[start:start + r] = 0.0 - scale * total[:r]
+            bounds[start:start + r] = slack * size[:r]
+        return gaps, bounds
 
 
 def _dot2(w: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -618,7 +696,7 @@ class _Elementary:
             out = higher[start:start + block.shape[0]]
             for j, q in enumerate(islice(self._prefix(block), 1, None), start=2):
                 out += comb(m - j, k - j) * (block * q).sum(axis=1)
-        return -(factorial(k) * float(m) ** (-k)) * higher
+        return 0.0 - factorial(k) * float(m) ** (-k) * higher  # +0.0 where higher is 0
 
 
 def _acceptor(idx: IndepSetIndex) -> _Chains:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .fields import PrimeField, _point_indices, nonzero_vectors
-from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex, gaps_from_uniform,
-                      hessian_f, independent_set_index)
+from .genpoly import (DEFAULT_ENUM_CAP, Distribution, IndepSetIndex, _centred, _chains, _Chains,
+                      gaps_from_uniform, hessian_f, independent_set_index)
 from .matroids import ProjectiveSpec, build_matroid, independent_count
 from .streams import trial_blocks, trial_uniforms
 
@@ -33,6 +33,23 @@ def gaussian_bracket(j: int, q: int) -> int:
     if j < 0:
         raise ValueError(f"bracket index must be >= 0, got {j}")
     return (q**j - 1) // (q - 1)
+
+
+def mobius_coefficients(n: int, q: int, k: int) -> tuple[int, ...]:
+    """(c_1, ..., c_{k-1}), with F(p) = 1 + sum_r c_r sum_{rank-r flats U} p(U)^k
+    on PG(n-1, q): the Möbius function mu(U, E) of the rank-k truncation,
+    (-1)^(k-r) q^C(k-r, 2) [n-r-1 choose k-r-1]_q for a rank-r flat U
+    (Rota 1964; Stanley, EC1 3.10), as exact integers.  The k draws span
+    E with probability sum over the truncation's flats U of mu(U, E)
+    p(U)^k, p(E) = 1 and p(empty) = 0."""
+    PGParams(n, q, k)
+
+    def binomial(top: int, j: int) -> int:  # [top choose j]_q
+        return (prod(gaussian_bracket(top - i, q) for i in range(j))
+                // prod(gaussian_bracket(i + 1, q) for i in range(j)))
+
+    return tuple((-1) ** (k - r) * q ** comb(k - r, 2) * binomial(n - r - 1, k - r - 1)
+                 for r in range(1, k))
 
 
 @dataclass(frozen=True)
@@ -241,28 +258,56 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     1e-12 of u are skipped; ValueError if every sample is (R is undefined).
 
     ``chunk`` bounds the (chunk, 2m + 1) sample draw and the per-sample
-    vectors.  The gaps come from :func:`gaps_from_uniform`, through the
-    index's one evaluator in row blocks sized by GAP_BLOCK_BYTES (on the
-    chains, two parts per node, each level summed one slot of covers at a
-    time), so no (chunk, n_sets) or (chunk, covers) array is built.
+    vectors.  The reported gaps come from :func:`gaps_from_uniform`,
+    through the index's one evaluator in row blocks sized by
+    GAP_BLOCK_BYTES (on the chains, two parts per node, each level summed
+    one slot of covers at a time), so no (chunk, n_sets) or (chunk,
+    covers) array is built.
+
+    On a projective spec whose evaluator is the chains (K >= 3), each
+    chunk is screened first: its ratios are taken from the flat masses
+    by Möbius inversion (genpoly's _Chains.screen with
+    :func:`mobius_coefficients`), each with a bound on its rounding
+    error.  A sample goes through the chains only when its screened ratio
+    less its bound is at most both the chunk's least screened ratio plus
+    bound and the least ratio the chains gave so far.  No other sample can
+    hold the chains' minimum, so ``min_R`` and the argmin are those of a
+    scan that sends every sample through the chains, to the bit.  The
+    histogram counts the screened ratios, so its edges may differ from
+    that scan's in their last bits.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    spec, coefficients = getattr(idx._matroid, "spec", None), None
+    if isinstance(spec, ProjectiveSpec) and isinstance(_chains(idx), _Chains):
+        coefficients = mobius_coefficients(spec.n, spec.q, idx.k)
     best_ratio, best_p = np.inf, None
     ratios, kept = np.empty(n_samples), 0  # the kept samples' ratios, held once
     for pts in trial_blocks(lambda first, count: _scan_samples(seed, first, count, idx.m, mode),
                             n_samples, chunk):
-        gaps, norm2 = gaps_from_uniform(idx, pts)
-        keep = norm2 > 1e-24
-        if not np.any(keep):
+        if coefficients is None:
+            gaps, norm2 = gaps_from_uniform(idx, pts)
+        else:
+            w, norm2 = _centred(idx, pts)
+            gaps, bounds = _chains(idx).screen(w, coefficients)
+        keep = np.flatnonzero(norm2 > 1e-24)
+        if not keep.size:
             continue
-        chunk_ratios = ratios[kept:kept + int(keep.sum())]
+        chunk_ratios = ratios[kept:kept + keep.size]
         np.divide(gaps[keep], norm2[keep], out=chunk_ratios)
-        kept += chunk_ratios.size
-        i = int(np.argmin(chunk_ratios))
-        if chunk_ratios[i] < best_ratio:
-            best_ratio = float(chunk_ratios[i])
-            best_p = pts[keep][i].copy()
+        kept += keep.size
+        confirmed = chunk_ratios
+        if coefficients is not None:  # the chains decide the rows that can hold the minimum
+            slack = bounds[keep] / norm2[keep]
+            keep = keep[chunk_ratios - slack <= min(np.min(chunk_ratios + slack), best_ratio)]
+            if not keep.size:
+                continue
+            gaps, norm2 = gaps_from_uniform(idx, pts[keep])
+            confirmed = gaps / norm2
+        i = int(np.argmin(confirmed))
+        if confirmed[i] < best_ratio:
+            best_ratio = float(confirmed[i])
+            best_p = pts[keep[i]].copy()
     if not kept:
         raise ValueError("every sample coincides with the uniform distribution; ratio undefined")
     ratios = ratios[:kept]

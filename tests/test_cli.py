@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,15 @@ def test_scan_with_every_sample_at_u_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "coincides with the uniform distribution" in json.loads(err)["error"]["message"]
+
+
+def test_scan_reports_zero_ratios_with_a_positive_sign(capsys):
+    # at K = 1, F is 1 everywhere, so every gap is exactly zero: min_R is +0.0, not -0.0
+    for spec in (PROJECTIVE_32, '{"type":"uniform","r":3,"n":5}'):
+        code, out, err = run_cli(capsys, "scan", "--spec", spec, "--k", "1", "--samples", "200")
+        assert code == 0, err
+        assert '"min_R": 0.0,' in out
+        assert math.copysign(1.0, json.loads(out)["min_R"]) == 1.0
 
 
 def test_request_too_large_to_allocate_exits_2(capsys):

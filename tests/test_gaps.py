@@ -7,7 +7,9 @@ builds (e_K on free truncations, the chains of the minimal acceptor)
 against exact rational arithmetic on random small linear matroids and
 random supports, check
 that neither the row blocking nor the scan's chunk size changes a bit of
-the output, and that memory does not grow with the batch.
+the output, and that memory does not grow with the batch.  The projective
+scan's Möbius screen is checked against a chain-only scan written here,
+and its rounding bound against the chains' gaps.
 """
 
 import hashlib
@@ -20,12 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, ProjectiveSpec,
+from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, PGParams, ProjectiveSpec,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
-                              gaps_from_uniform, genpoly, stability_scan)
+                              gaps_from_uniform, genpoly, mobius_coefficients, projective,
+                              projective_points, stability_scan)
 from conftest import centered, kset_f, linear_matroids, supports, with_loops
-from matroid_sampling.genpoly import _acceptor, _chains, _Elementary
-from matroid_sampling.projective import _scan_samples
+from matroid_sampling.genpoly import _acceptor, _centred, _chains, _Elementary
+from matroid_sampling.projective import SCAN_CHUNK, _scan_samples
 from matroid_sampling.streams import trial_uniforms
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -296,7 +299,8 @@ def test_gaps_route_by_support():
     pts = np.array([[0.4, 0.3, 0.2, 0.1], [0.25] * 4, [1.0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]])
     gaps, norm2 = gaps_from_uniform(idx, pts)
     assert [lv.starts.size for lv in _chains(idx).levels] == [4, 1]
-    assert [g.hex() for g in gaps] == ["-0x1.eb851eb851eb6p-6", "-0x0.0p+0", "0x1.0000000000000p-2",
+    # the gap at u is exactly zero, with a positive sign
+    assert [g.hex() for g in gaps] == ["-0x1.eb851eb851eb6p-6", "0x0.0p+0", "0x1.0000000000000p-2",
                                        "-0x1.eb851eb851eb6p-6"]
     assert [n.hex() for n in norm2] == ["0x1.999999999999ap-5", "0x0.0p+0", "0x1.8000000000000p-1",
                                         "0x1.999999999999ap-5"]
@@ -327,3 +331,130 @@ def test_gaps_memory_on_pg_4_2():
     pts = np.random.default_rng(4).dirichlet(np.ones(idx.m), size=1000)
     # 26,040 sets in 31/155/155/1 flats; a (1000, n_sets) array alone is 208 MB
     assert traced_peak(idx, pts) < 4 * 2**20
+
+
+# the projective indexes the scan screens, by (n, q, K) of PG(n-1, q)
+SCREENED = {(n, q, k): PGParams(n, q, k).index()
+            for n, q, k in ((3, 2, 3), (4, 2, 3), (4, 2, 4), (3, 3, 3), (5, 2, 3), (5, 2, 4),
+                            (4, 3, 4))}
+
+
+def chain_scan(idx, n_samples, seed, mode):
+    """(min_R, argmin, skipped) of a scan that takes every sample's gap from
+    the chains: the scan's samples, the skip rule and its first strict minimum."""
+    pts = _scan_samples(seed, 0, n_samples, idx.m, mode)
+    gaps, norm2 = gaps_from_uniform(idx, pts)
+    keep = norm2 > 1e-24
+    ratios = gaps[keep] / norm2[keep]
+    i = int(np.argmin(ratios))
+    return ratios[i], pts[keep][i], n_samples - int(keep.sum())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_screened_scan_is_the_chain_scan(data):
+    key = data.draw(st.sampled_from(sorted(SCREENED)))
+    idx = SCREENED[key]
+    n_samples = data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2**32))
+    mode = data.draw(st.sampled_from(("dirichlet", "sparse")))
+    min_r, argmin, skipped = chain_scan(idx, n_samples, seed, mode)
+    reports = [stability_scan(idx, n_samples, seed, mode=mode, chunk=chunk)
+               for chunk in (1, 7, SCAN_CHUNK)]
+    for report in reports:
+        assert report.min_ratio.hex() == min_r.hex()
+        assert np.array_equal(report.argmin, argmin)
+        assert report.skipped == skipped
+        assert np.array_equal(report.histogram_counts, reports[0].histogram_counts)
+        assert np.array_equal(report.histogram_edges, reports[0].histogram_edges)
+
+
+def near_u_points(m: int, rng) -> np.ndarray:
+    """Dirichlet, sparse and point-mass samples, and u + eps v / m for unit
+    directions v scaled to norm sqrt(m), eps from 1e-3 down to 1e-11."""
+    pts = [_scan_samples(5, 0, 300, m, "dirichlet"), _scan_samples(5, 0, 300, m, "sparse"),
+           np.eye(m)]
+    for eps in (1e-3, 1e-6, 1e-9, 1e-11):
+        v = centered(rng.standard_normal((40, m)))
+        v *= np.sqrt(m) / np.linalg.norm(v, axis=1, keepdims=True)
+        pts.append(1.0 / m + eps * v / m)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("key", [(4, 2, 3), (4, 2, 4), (3, 3, 3), (5, 2, 4), (4, 3, 4)])
+def test_screen_bound_has_headroom(key):
+    # the screened gap stays within an eighth of its bound of the chains' gap,
+    # from the simplex's corners to 1e-11 of u
+    idx = SCREENED[key]
+    pts = near_u_points(idx.m, np.random.default_rng(sum(key)))
+    w, norm2 = _centred(idx, pts)
+    assert np.all(norm2 > 1e-24)
+    screened, bounds = _chains(idx).screen(w, mobius_coefficients(*key))
+    gaps, _ = gaps_from_uniform(idx, pts)
+    assert np.all(np.abs(screened - gaps) <= bounds / 8)
+    assert np.all(bounds > 0)
+
+
+def test_screen_independent_of_row_blocks(monkeypatch):
+    idx = SCREENED[(5, 2, 4)]
+    w, _ = _centred(idx, near_u_points(idx.m, np.random.default_rng(8)))
+    chains, coefficients = _chains(idx), mobius_coefficients(5, 2, 4)
+    whole = chains.screen(w, coefficients)
+    for block_bytes in (1, 3000, 40000):
+        monkeypatch.setattr(genpoly, "GAP_BLOCK_BYTES", block_bytes)
+        parts = chains.screen(w, coefficients)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, whole))
+
+
+def test_zero_gaps_have_a_positive_sign():
+    # at u the chains' gap and the screened gap are exactly zero, and +0.0
+    idx = SCREENED[(4, 2, 4)]
+    w, _ = _centred(idx, np.full((3, idx.m), 1.0 / idx.m))
+    gaps, bounds = _chains(idx).screen(w, mobius_coefficients(4, 2, 4))
+    for g in (gaps, _chains(idx).gaps(w)):
+        assert [x.hex() for x in g] == ["0x0.0p+0"] * 3
+    assert not np.any(bounds)
+
+
+@pytest.mark.parametrize("mode", ["dirichlet", "sparse"])
+def test_scan_holds_while_the_screen_is_within_its_bound(monkeypatch, mode):
+    # an adversarial screen, 0.9 of its bound off the chains: above them on the
+    # chains' argmin, below them on every other row, the argmin's ties among
+    # the sparse point masses included; min_R and the argmin stay the chains'
+    idx = SCREENED[(5, 2, 4)]
+    screen = genpoly._Chains.screen
+
+    def skewed(self, w, coefficients):
+        _, bounds = screen(self, w, coefficients)
+        gaps = self.gaps(w)
+        sign = np.full(len(w), -0.9)
+        sign[np.argmin(gaps / (np.einsum("ij,ij->i", w, w) / (self.m * self.m)))] = 0.9
+        return gaps + sign * bounds, bounds
+
+    monkeypatch.setattr(genpoly._Chains, "screen", skewed)
+    min_r, argmin, _ = chain_scan(idx, 2000, 7, mode)
+    report = stability_scan(idx, 2000, 7, mode=mode)
+    assert report.min_ratio.hex() == min_r.hex()
+    assert np.array_equal(report.argmin, argmin)
+
+
+def test_screen_confirms_few_rows(monkeypatch):
+    # PG(4,2) K=4: of 2,000 Dirichlet samples, the chains take the gaps of
+    # at most 8; every other spec, and PG at K <= 2 (e_K), sends whole chunks
+    rows = []
+    gaps = genpoly._Chains.gaps
+    monkeypatch.setattr(genpoly._Chains, "gaps",
+                        lambda self, w: rows.append(len(w)) or gaps(self, w))
+    idx = SCREENED[(5, 2, 4)]
+    report = stability_scan(idx, 2000, 7)
+    assert 1 <= sum(rows) <= 8
+    assert report.min_ratio.hex() == chain_scan(idx, 2000, 7, "dirichlet")[0].hex()
+    calls = []
+    whole = projective.gaps_from_uniform
+    monkeypatch.setattr(projective, "gaps_from_uniform",
+                        lambda idx, pts: calls.append(len(pts)) or whole(idx, pts))
+    pg42 = LinearSpec(2, tuple(projective_points(5, 2)))
+    for spec, k in ((pg42, 4), (ProjectiveSpec(3, 3), 2), (UniformSpec(3, 8), 3)):
+        calls.clear()
+        stability_scan(enumerate_independent_ksets(build_matroid(spec), k), 700, 1, chunk=300)
+        assert calls == [300, 300, 100]

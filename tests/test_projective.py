@@ -1,19 +1,22 @@
+import math
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CountingMatroid
-from matroid_sampling import (Distribution, ExplicitSpec, PGParams,
+from matroid_sampling import (Distribution, ExplicitSpec, FieldMatrix, PGParams, PrimeField,
                               ProjectiveSpec, VectorDistribution, b2_count,
                               b2_explicit, build_matroid,
                               enumerate_independent_ksets, eval_F,
                               gaussian_bracket, hessian_coefficient, hessian_f,
-                              k2_gap, pushforward, stability_ratio,
-                              stability_scan, uniform_optimum)
+                              k2_gap, mobius_coefficients, projective_points, pushforward,
+                              rank_over_fp, stability_ratio, stability_scan, uniform_optimum)
 from matroid_sampling import projective
+from matroid_sampling.genpoly import _chains
 from matroid_sampling.projective import HISTOGRAM_BINS
 
 
@@ -337,3 +340,62 @@ def test_scan_report_serializes(fano_idx):
                          "uniform_is_maximizer", "nonunique_maximizer_detected"}
     assert len(data["histogram"]["counts"]) == HISTOGRAM_BINS
     assert len(data["histogram"]["edges"]) == HISTOGRAM_BINS + 1
+
+
+def q_binomial(n: int, r: int, q: int) -> int:
+    """[n choose r]_q, the number of r-dimensional subspaces of F_q^n, by
+    the q-Pascal rule."""
+    if r < 0 or r > n:
+        return 0
+    if r in (0, n):
+        return 1
+    return q_binomial(n - 1, r - 1, q) + q**r * q_binomial(n - 1, r, q)
+
+
+def test_mobius_coefficients_closed_form():
+    # PG(4,2) K=4: -2^3 [3 choose 2]_2, 2 [2 choose 1]_2, -1
+    assert mobius_coefficients(5, 2, 4) == (-56, 6, -1)
+    assert mobius_coefficients(3, 2, 3) == (2, -1)
+    assert mobius_coefficients(4, 3, 1) == ()
+    for n, q in ((3, 2), (4, 2), (3, 3), (5, 3), (6, 2)):
+        for k in range(1, n + 1):
+            want = tuple((-1) ** (k - r) * q ** math.comb(k - r, 2)
+                         * q_binomial(n - r - 1, k - r - 1, q) for r in range(1, k))
+            assert mobius_coefficients(n, q, k) == want
+    for bad in ((3, 4, 2), (3, 2, 4), (3, 2, 0)):
+        with pytest.raises(ValueError):
+            mobius_coefficients(*bad)
+
+
+# the flats of ranks 1..n-1 of PG(n-1, q), from the chains of its rank-n index
+PG_FLATS = {(n, q): _chains(PGParams(n, q, n).index()).flat_points()
+            for n, q in ((3, 2), (4, 2), (3, 3))}
+
+
+@pytest.mark.parametrize("n,q", sorted(PG_FLATS))
+def test_node_points_are_the_flats(n, q):
+    # level r lists [n choose r]_q distinct flats of [r]_q points each: every
+    # r-dimensional subspace once, since each column spans one
+    points = projective_points(n, q)
+    for r, flats in enumerate(PG_FLATS[n, q], start=1):
+        assert flats.shape == (gaussian_bracket(r, q), q_binomial(n, r, q))
+        assert len({frozenset(col) for col in flats.T.tolist()}) == flats.shape[1]
+        for col in flats.T:
+            assert len(set(col.tolist())) == flats.shape[0]
+            assert rank_over_fp(FieldMatrix([points[e] for e in col], PrimeField(q))) == r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mobius_identity_is_exact(data):
+    # (sum a)^K + sum_r c_r sum_U a(U)^K = K! sum over independent K-sets of
+    # prod a_e, in integers, at integer weights a with zeros
+    n, q = data.draw(st.sampled_from(sorted(PG_FLATS)))
+    k = data.draw(st.integers(2, n))
+    m = gaussian_bracket(n, q)
+    a = data.draw(st.lists(st.integers(0, 30) | st.just(0), min_size=m, max_size=m))
+    idx = PGParams(n, q, k).index()
+    lhs = sum(a) ** k
+    for c, flats in zip(mobius_coefficients(n, q, k), PG_FLATS[n, q]):
+        lhs += c * sum(sum(a[e] for e in col) ** k for col in flats.T.tolist())
+    assert lhs == factorial(k) * sum(prod(a[e] for e in s) for s in idx.sets.tolist())
