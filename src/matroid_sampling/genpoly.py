@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matroids import Matroid, _keys, _subset_keys, independent_count
+from .matroids import _BUILD_BLOCK, Matroid, _keys, _subset_keys, independent_count
 from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_blocks, trial_uniforms
 
 SUM_TOL = 1e-12
@@ -302,9 +302,6 @@ def hessian_f(idx: IndepSetIndex, x) -> np.ndarray:
     return _chains(idx).hessian(as_point(x, idx.m))
 
 
-_BUILD_BLOCK = 16384  # (candidate, element) entries per block of enumeration and chain build
-
-
 class _Level(NamedTuple):
     """The covers F' ⋖ F from one level of nodes to the next, sorted by
     (F, F').  ``diff`` holds their difference sets F \\ F' as padded columns:
@@ -543,12 +540,17 @@ class _Chains:
         point lies in equally many of its flats, so the gap is
         -m^-K sum_r c_r sum_U poly_U with poly_U = sum_{j>=2} C(K, j)
         |U|^(K-j) W^j, taken by Horner's rule.  The bound is
-        64 (K + max |U|) 2^-53 m^-K sum_r |c_r| sum_U |poly_U|.
+        64 (K + max |U|) 2^-53 m^-K sum_r |c_r| sum_U |poly_U|, and one sum
+        serves both: poly_U = (|U| + W)^K - |U|^K - K |U|^(K-1) W >= 0, as
+        |U| + W = m p(U) >= 0, and each Horner factor is a Taylor remainder
+        of that power, positive there.
 
         Rows last, in blocks of max(1, GAP_BLOCK_BYTES // (8 * the most
         points of a level)) rows and at least two columns, so that every
         sum runs one element at a time over the points of a flat, then
         over the flats of a level, in the same order at any block width.
+        A block holds two (flats, rows) arrays: the flat sums W and a
+        buffer for each point's gather, then for poly_U.
         """
         m, k = self.m, self.k
         flats = self.flat_points()
@@ -566,16 +568,18 @@ class _Chains:
             for c, points in zip(coefficients, flats):
                 a = points.shape[0]
                 x = wt.take(points[0], axis=0)  # W per flat, one point at a time
+                poly = np.empty_like(x)  # each point's gather, then the polynomial
                 for row in points[1:]:
-                    x += wt.take(row, axis=0)
-                poly = x + k * a
+                    x += wt.take(row, axis=0, out=poly, mode="clip")  # in range: no copy
+                np.add(x, k * a, out=poly)
                 for j in range(k - 2, 1, -1):
                     poly *= x
                     poly += comb(k, j) * a ** (k - j)
                 poly *= x
                 poly *= x
-                total += float(c) * np.add.reduce(poly, axis=0)
-                size += float(abs(c)) * np.add.reduce(np.abs(poly, out=poly), axis=0)
+                flat_sum = np.add.reduce(poly, axis=0)  # poly_U >= 0, so also sum |poly_U|
+                total += float(c) * flat_sum
+                size += float(abs(c)) * flat_sum
             gaps[start:start + r] = 0.0 - scale * total[:r]
             bounds[start:start + r] = slack * size[:r]
         return gaps, bounds

@@ -24,7 +24,8 @@ Matroids are immutable and oracle calls are pure, so instances can be
 shared across threads.  :meth:`Matroid.is_independent` keeps one memo for
 every family, at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run
 time; on a miss it asks the family's decision: the column matroids' scalar
-elimination, or a one-row batch for the others.
+elimination, or a one-row batch for the others.  Monte Carlo fills it ahead
+of its asks, deciding each block's new sets in batches.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import numpy as np
 from .fields import PrimeField, _independent_stacks, _rank_rows, projective_points
 
 ORACLE_MEMO_BYTES = 4 << 20  # per matroid: memo tables plus their colex index rows
-_COLEX_ENTRY_BYTES = 40  # one list slot plus one int object, rounded up
+_COLEX_ENTRY_BYTES = 48  # one list slot, one int object and one int64 copy, rounded up
+_BUILD_BLOCK = 16384  # (set, element) entries per block of enumeration, chain build, batch oracle
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,10 @@ class Matroid:
     A matroid is immutable and its oracles are pure, so one instance may be
     shared across threads.  The memo of :meth:`is_independent` and an explicit
     layer's shadow keys, filled on first use, do not change that: every thread
-    writes the same values, and a lost write costs a recomputation.
+    writes the same values, and a lost write costs a recomputation.  The memo
+    is filled one set per miss, or a block at a time by ``_learn``, which
+    decides in batches the sets that Monte Carlo is about to ask and writes
+    the bytes a miss would.
     """
 
     def __init__(self, m: int, spec: MatroidSpec, name: str, rank: int, rows_oracle,
@@ -120,9 +125,10 @@ class Matroid:
         self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
         self.columns = columns
         # is_independent's memo: per size from 2 while it fits, its answer bytes,
-        # None until the size's first miss; then the colex rows that index them
+        # None until the size's first use; then the colex rows that index them,
+        # as lists and as one int64 array
         left = ORACLE_MEMO_BYTES - m * _COLEX_ENTRY_BYTES  # row 0 of the colex rows
-        self._tables, self._colex = [None, None], []
+        self._tables, self._colex, self._colex_array = [None, None], [], None
         for size in range(2, rank + 1):
             left -= comb(m, size) + m * _COLEX_ENTRY_BYTES
             if left < 0:
@@ -136,7 +142,8 @@ class Matroid:
         per size fit in what is left of ``ORACLE_MEMO_BYTES``: a set x_0 < ... <
         x_{s-1} has the byte at its colex rank sum_i C(x_i, i + 1), a bijection
         onto range(C(m, s)), 0 (unknown), 1 (dependent) or 2 (independent).  The
-        first size that does not fit ends the memo.  Misses ask ``_oracle``.
+        first size that does not fit ends the memo.  Misses ask ``_oracle``;
+        sets that ``_learn`` decided ahead of their ask are warm.
         A tuple or list of 2 to 4 strictly increasing ints in range, as Monte
         Carlo asks them, is unpacked and its colex rank summed in one expression.
         Elements must have integer values (bools, np.int64 and 2.0 count);
@@ -195,16 +202,49 @@ class Matroid:
 
     def _miss(self, s: tuple) -> bool:
         """Ask ``_oracle`` about a sorted set in range; keep the answer if its size
-        is memoized, building the colex rows, then its table, on first use."""
+        is memoized."""
         answer = bool(self._oracle(s))
         size = len(s)
         if 2 <= size < len(self._tables):
-            if self._tables[size] is None:
-                self._colex = self._colex or [[comb(x, i + 1) for x in range(self.m)]
-                                              for i in range(len(self._tables) - 1)]
-                self._tables[size] = bytearray(comb(self.m, size))
-            self._tables[size][sum(map(getitem, self._colex, s))] = 2 if answer else 1
+            self._table(size)[sum(map(getitem, self._colex, s))] = 2 if answer else 1
         return answer
+
+    def _learn(self, columns) -> None:
+        """Decide the sets of a block that the memo does not know yet, in batches.
+
+        ``columns`` holds k integer arrays of one length, column i the i-th
+        elements of strictly increasing k-sets in range.  Where size k is
+        memoized, the sets' bytes are gathered at their colex ranks, and those
+        still 0 are decided by ``_rows_oracle`` in blocks of at most
+        ``_BUILD_BLOCK // k**2`` rows, each writing the byte :meth:`_miss`
+        would.  Otherwise nothing is done."""
+        k = len(columns)
+        if not 2 <= k < len(self._tables):
+            return
+        known = np.frombuffer(self._table(k), np.uint8)
+        colex = self._colex_array
+        ranks = colex[0].take(columns[0])
+        for row, column in zip(colex[1:k], columns[1:]):
+            ranks += row.take(column)
+        new = np.flatnonzero(known.take(ranks) == 0)
+        step = max(1, _BUILD_BLOCK // k**2)
+        for lo in range(0, new.size, step):
+            pick = new[lo:lo + step]
+            rows = np.stack([column[pick] for column in columns], axis=1, dtype=np.int64)
+            known[ranks[pick]] = self._rows_oracle(rows) + 1  # 1 dependent, 2 independent
+
+    def _table(self, size: int) -> bytearray:
+        """The memo table of a memoized size, building the colex rows (the
+        array before the lists, which mark them built), then the table, on
+        first use."""
+        if self._tables[size] is None:
+            if not self._colex:
+                colex = [[comb(x, i + 1) for x in range(self.m)]
+                         for i in range(len(self._tables) - 1)]
+                self._colex_array = np.array(colex, np.int64)
+                self._colex = colex
+            self._tables[size] = bytearray(comb(self.m, size))
+        return self._tables[size]
 
     def independent_rows(self, rows) -> np.ndarray:
         """Independence of each row of a (B, t) integer array whose rows

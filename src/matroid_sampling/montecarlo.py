@@ -35,11 +35,15 @@ gives the same order.  After the last block each run of equal sets is one
 distinct set, asked once, its answer counting for the whole run.  The
 representatives are decoded from the keys, one digit column at a time, and
 asked in blocks of at most ``_BUILD_BLOCK`` (set, element) entries, each
-a tuple or list of Python ints.  The matroid's memo
-(:meth:`~matroid_sampling.matroids.Matroid.is_independent`) answers sets
-seen in earlier windows or calls, and unpacks such a set at k <= 4.
-Neither windows nor memo change the successes, only the number of oracle
-calls and the time.
+a tuple of Python ints.  Before a block's asks, where the matroid's memo
+(:meth:`~matroid_sampling.matroids.Matroid.is_independent`) holds size k,
+the matroid gathers the block's memo bytes from its digit columns and
+decides the sets it does not know yet in batches of ``_BUILD_BLOCK // k**2``
+rows (``Matroid._learn``; one stacked elimination per batch on the column
+matroids).  So every ask of a memoized size reads one byte, unpacked at
+k <= 4, and a cold request pays no scalar elimination per new set.  Past
+the memo each ask is an oracle call.  Neither windows, batches nor memo
+change the asks or the successes, only the time.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from math import sqrt
 
 import numpy as np
 
-from .genpoly import _BUILD_BLOCK, Distribution
-from .matroids import Matroid
+from .genpoly import Distribution
+from .matroids import _BUILD_BLOCK, Matroid
 from .streams import DOUBLES_PER_BLOCK, blocks_per_trial, trial_blocks, trial_uniforms
 
 DEFAULT_CHUNK = 131_072
@@ -144,8 +148,10 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     instance).  Trial t draws the same k uniforms as ``sample_kset`` would
     with ``trial_substream(seed, t, k)``.  ``chunk`` is the dedupe window:
     each distinct set among a window's trials costs one ``is_independent``
-    ask (an oracle call unless the matroid's memo knows the set), so larger
-    windows ask less often, and the window's keys take 8 bytes per trial.
+    ask, so larger windows ask less often, and the window's keys take 8
+    bytes per trial.  Where the matroid memoizes size k, an ask reads one
+    byte: the window's sets new to the memo are decided in batches before
+    their asks.  Otherwise each ask is an oracle call.
     When k exceeds the rank no k-set is independent: every seed gives 0
     successes, returned without drawing.
     """
@@ -173,7 +179,8 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     buffer of 8 bytes per trial of the window (k entries of the smallest
     unsigned type that holds m - 1 where m^k >= 2^63).  After the last
     block the window is sorted once and each distinct set asked once, in
-    lexicographic order."""
+    lexicographic order, each block of asks after ``matroid._learn`` has
+    decided the block's sets that the memo does not know."""
     m = matroid.m
     packed = m**k < 2**63
     kept = (np.empty(count, np.int64) if packed
@@ -216,11 +223,13 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     weights = [m ** (k - 1 - c) for c in range(k)]
     for b in range(0, bounds.size - 1, step):
         edges = bounds[b:b + step + 1]
-        if packed:  # each representative as the tuple of its key's digits
+        if packed:  # the digit columns of the keys
             firsts = keys[edges[:-1]]
-            reps = zip(*[(firsts // w % m).tolist() for w in weights])
+            columns = [firsts // w % m for w in weights]
         else:
-            reps = rows[edges[:-1]].tolist()
+            columns = rows[edges[:-1]].T
+        matroid._learn(columns)  # the block's sets new to the memo, decided in batches
+        reps = zip(*[column.tolist() for column in columns])  # tuples of Python ints
         flags = np.fromiter(map(matroid.is_independent, reps), bool, edges.size - 1)
         successes += int(np.diff(edges)[flags].sum())
     return successes

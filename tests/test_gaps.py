@@ -438,6 +438,60 @@ def test_scan_holds_while_the_screen_is_within_its_bound(monkeypatch, mode):
     assert np.array_equal(report.argmin, argmin)
 
 
+def abs_form_screen(chains, w, coefficients):
+    """The screen's gaps and bounds in one row block, each level's W, gather
+    and poly_U in arrays of their own, sum |poly_U| taken with np.abs."""
+    m, k, flats = chains.m, chains.k, chains.flat_points()
+    wt = np.zeros((m + 1, max(len(w), 2)))
+    wt[:m, :len(w)] = w.T
+    total, size = np.zeros((2, wt.shape[1]))
+    for c, points in zip(coefficients, flats):
+        a = points.shape[0]
+        x = wt.take(points[0], axis=0)
+        for row in points[1:]:
+            x = x + wt.take(row, axis=0)
+        poly = x + k * a
+        for j in range(k - 2, 1, -1):
+            poly = poly * x + comb(k, j) * a ** (k - j)
+        poly = poly * x * x
+        total += float(c) * np.add.reduce(poly, axis=0)
+        size += float(abs(c)) * np.add.reduce(np.abs(poly), axis=0)
+    scale = float(m) ** (-k)
+    slack = 64 * (k + flats[-1].shape[0]) * 2.0**-53 * scale
+    return 0.0 - scale * total[:len(w)], slack * size[:len(w)]
+
+
+@pytest.mark.parametrize("key", sorted(SCREENED))
+def test_screen_is_its_abs_form(monkeypatch, key):
+    # every poly_U is >= 0, so one sum serves the gap and the bound: both are
+    # the abs form's to the bit, on corners, sparse samples and near u
+    monkeypatch.setattr(genpoly, "GAP_BLOCK_BYTES", 1 << 30)  # one row block, as the reference
+    idx = SCREENED[key]
+    w, _ = _centred(idx, near_u_points(idx.m, np.random.default_rng(sum(key))))
+    coefficients = mobius_coefficients(*key)
+    got, want = _chains(idx).screen(w, coefficients), abs_form_screen(_chains(idx), w, coefficients)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sparse_scan_confirms_each_distinct_sample_once(monkeypatch):
+    # of 2,000 sparse PG(4,2) K=4 samples, 67 pass the screen, many of them
+    # tied point masses; the chains take each distinct one once, and min_R,
+    # the argmin and skipped stay the chain-only scan's
+    calls = []
+    whole = projective.gaps_from_uniform
+    monkeypatch.setattr(projective, "gaps_from_uniform",
+                        lambda idx, pts: calls.append(pts.copy()) or whole(idx, pts))
+    idx = SCREENED[(5, 2, 4)]
+    report = stability_scan(idx, 2000, 7, mode="sparse")
+    monkeypatch.undo()
+    assert all(len(np.unique(pts, axis=0)) == len(pts) for pts in calls)
+    assert sum(map(len, calls)) == 27
+    min_r, argmin, skipped = chain_scan(idx, 2000, 7, "sparse")
+    assert report.min_ratio.hex() == min_r.hex()
+    assert np.array_equal(report.argmin, argmin)
+    assert report.skipped == skipped
+
+
 def test_screen_confirms_few_rows(monkeypatch):
     # PG(4,2) K=4: of 2,000 Dirichlet samples, the chains take the gaps of
     # at most 8; every other spec, and PG at K <= 2 (e_K), sends whole chunks

@@ -18,7 +18,7 @@ from matroid_sampling import (ExplicitSpec, LinearSpec, ParallelClassesSpec,
 from matroid_sampling.fields import _rank_rows
 from matroid_sampling.matroids import independent_count
 
-from conftest import greedy_rank
+from conftest import greedy_rank, linear_matroids
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -365,6 +365,32 @@ def _asks_twice(spec, budget, sets):
         for s in sets:
             matroid.is_independent(s)
     return [s for s in sets for _ in range(asks[s])]
+
+
+@settings(PROPERTY, max_examples=80)  # about a quarter have rank 1 and no memo
+@given(linear_matroids(max_dim=4, max_size=9), st.data())
+def test_learn_writes_the_bytes_a_miss_would(matroid, data):
+    # per memoized size, _learn over a random block of sets, given as int64 or
+    # uint8 columns, writes each set's byte as independent_rows decides it and
+    # no other; over every set, the table a miss per set fills, byte for byte
+    spec = matroid.spec
+    for size in range(2, len(matroid._tables)):
+        subsets = list(combinations(range(matroid.m), size))
+        block = data.draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+        rows = np.array(sorted(block), data.draw(st.sampled_from((np.int64, np.uint8))))
+        learned, asks = _counted(spec, matroids.ORACLE_MEMO_BYTES)
+        learned._learn(rows.T)
+        want = matroid.independent_rows(rows)
+        table = np.frombuffer(learned._tables[size], np.uint8)
+        colex = [sum(comb(x, i + 1) for i, x in enumerate(s)) for s in sorted(block)]
+        assert np.array_equal(table[colex], np.where(want, 2, 1))
+        assert np.count_nonzero(table) == len(block)
+        learned._learn(np.array(subsets).T)
+        missed, _ = _counted(spec, matroids.ORACLE_MEMO_BYTES)
+        for s in subsets:
+            missed.is_independent(s)
+        assert learned._tables[size] == missed._tables[size]
+        assert not asks
 
 
 def test_memo_stays_inside_its_budget():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from matroid_sampling import (Distribution, LinearSpec, ParallelClassesSpec,
                               ProjectiveSpec, UniformSpec, build_matroid,
                               enumerate_independent_ksets, estimate_F, eval_F,
                               sample_kset)
-from matroid_sampling import montecarlo
+from matroid_sampling import matroids, montecarlo
 from matroid_sampling.montecarlo import DEFAULT_CHUNK, _draw_indices, _sort_across
 from matroid_sampling.streams import (blocks_per_trial, trial_substream,
                                       trial_uniforms)
@@ -276,21 +277,114 @@ def test_chunks_do_not_hold_memory_across_chunks(pg33):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def _window_peak(matroid, p, k):
+    """Traced peak bytes of one DEFAULT_CHUNK-trial request."""
+    tracemalloc.start()
+    try:
+        estimate_F(matroid, p, k, DEFAULT_CHUNK, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _window_cases(pg33):
+    return [(pg33, _pg33_point("u"), 4),
+            (build_matroid(UniformSpec(11, 64)), Distribution.uniform(64), 11)]
+
+
 def test_window_memory_is_one_block_plus_its_keys(pg33):
     """A window holds one draw block and its kept keys or rows, not the
     uniforms and draws of all its trials."""
-    cases = [(pg33, _pg33_point("u"), 4),
-             (build_matroid(UniformSpec(11, 64)), Distribution.uniform(64), 11)]
-    for matroid, p, k in cases:
+    for matroid, p, k in _window_cases(pg33):
         # fills the oracle memo, so that only the window's arrays are traced
         estimate_F(matroid, p, k, DEFAULT_CHUNK, seed=5)
-        tracemalloc.start()
-        try:
-            estimate_F(matroid, p, k, DEFAULT_CHUNK, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _window_peak(matroid, p, k)
         assert peak < 3 << 20, (k, peak)
+
+
+def test_cold_window_memory_is_one_block_plus_its_keys():
+    """On a fresh matroid the window adds the memo's tables and the blocks
+    that decide its new sets, and stays inside the same bound."""
+    for matroid, p, k in _window_cases(build_matroid(ProjectiveSpec(4, 3))):
+        peak = _window_peak(matroid, p, k)
+        assert peak < 3 << 20, (k, peak)
+
+
+def _decisions(matroid):
+    """Wraps a matroid's scalar and batch decisions to record what they are
+    asked: (the scalar asks, the row blocks)."""
+    scalar, blocks = [], []
+    oracle, rows_oracle = matroid._oracle, matroid._rows_oracle
+    matroid._oracle = lambda s: scalar.append(s) or oracle(s)
+    matroid._rows_oracle = lambda rows: blocks.append(rows.copy()) or rows_oracle(rows)
+    return scalar, blocks
+
+
+@pytest.mark.parametrize("spec,k", [(ProjectiveSpec(4, 3), 4), (ProjectiveSpec(5, 2), 4),
+                                    (ProjectiveSpec(4, 3), 3)])
+def test_cold_request_decides_its_new_sets_in_batches(spec, k):
+    # four windows on a fresh matroid, each of a few thousand distinct sets:
+    # the asks are those of a warm request, one per distinct set per window;
+    # no ask reaches the scalar decision, and the row blocks, of at most
+    # _BUILD_BLOCK // k**2 rows, decide each set the request draws exactly once
+    matroid = build_matroid(spec)
+    p = Distribution.uniform(matroid.m)
+    scalar, blocks = _decisions(matroid)
+    counting = CountingMatroid(matroid)
+    first = estimate_F(counting, p, k, 20_000, seed=3, chunk=5_000)
+    windows = [np.unique(rows, axis=0) for rows in _candidate_rows(p, k, 20_000, 3, 5_000)]
+    assert counting.queries == [tuple(row) for rows in windows for row in rows.tolist()]
+    assert scalar == []
+    assert all(len(rows) <= matroids._BUILD_BLOCK // k**2 for rows in blocks)
+    assert len(blocks) > len(windows)
+    decided = np.concatenate(blocks)
+    assert np.array_equal(np.unique(decided, axis=0), np.unique(np.concatenate(windows), axis=0))
+    assert len(decided) == len(np.unique(decided, axis=0))
+    blocks.clear()
+    assert estimate_F(matroid, p, k, 20_000, seed=3, chunk=5_000) == first
+    assert blocks == [] and scalar == []
+
+
+def test_cold_requests_share_a_matroid_across_threads():
+    # four threads run the same cold request on one fresh matroid at once,
+    # switching every microsecond, so that their batches race to create and
+    # fill the same tables; each gets the golden successes, on ten matroids
+    p = _pg33_point("u")
+
+    def run(matroid, start, got):
+        start.wait(timeout=60)
+        got.append(estimate_F(matroid, p, 4, 2_000, seed=901, chunk=997).successes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            matroid, start, got = build_matroid(ProjectiveSpec(4, 3)), threading.Barrier(4), []
+            threads = [threading.Thread(target=run, args=(matroid, start, got)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [1157] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_learn_decides_nothing_past_the_memo(monkeypatch):
+    # PG(3,3) under a budget that memoizes sizes 2 and 3 but not 4: a K=4
+    # request decides nothing in batches, asks each distinct set per window
+    # of the scalar decision, and keeps its successes golden
+    row = 40 * matroids._COLEX_ENTRY_BYTES
+    monkeypatch.setattr(matroids, "ORACLE_MEMO_BYTES", row + (780 + row) + (9_880 + row))
+    matroid = build_matroid(ProjectiveSpec(4, 3))
+    monkeypatch.undo()
+    scalar, blocks = _decisions(matroid)
+    counting = CountingMatroid(matroid)
+    assert estimate_F(counting, _pg33_point("u"), 4, 2_000, seed=901, chunk=997).successes == 1157
+    assert blocks == []
+    assert scalar == counting.queries
+    assert len(matroid._tables) == 4  # no table for size 4
 
 
 # element 0 and the last element have probability 0, and the cumulative
