@@ -549,8 +549,6 @@ class _Chains:
         points of a level)) rows and at least two columns, so that every
         sum runs one element at a time over the points of a flat, then
         over the flats of a level, in the same order at any block width.
-        A block holds two (flats, rows) arrays: the flat sums W and a
-        buffer for each point's gather, then for poly_U.
         """
         m, k = self.m, self.k
         flats = self.flat_points()
@@ -568,10 +566,9 @@ class _Chains:
             for c, points in zip(coefficients, flats):
                 a = points.shape[0]
                 x = wt.take(points[0], axis=0)  # W per flat, one point at a time
-                poly = np.empty_like(x)  # each point's gather, then the polynomial
                 for row in points[1:]:
-                    x += wt.take(row, axis=0, out=poly, mode="clip")  # in range: no copy
-                np.add(x, k * a, out=poly)
+                    x += wt.take(row, axis=0)
+                poly = x + k * a
                 for j in range(k - 2, 1, -1):
                     poly *= x
                     poly += comb(k, j) * a ** (k - j)

@@ -223,9 +223,12 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     weights = [m ** (k - 1 - c) for c in range(k)]
     for b in range(0, bounds.size - 1, step):
         edges = bounds[b:b + step + 1]
-        if packed:  # the digit columns of the keys
-            firsts = keys[edges[:-1]]
-            columns = [firsts // w % m for w in weights]
+        if packed:  # the digit columns of the keys, one divmod per digit
+            columns, rest = [], keys[edges[:-1]]
+            for w in weights[:-1]:
+                digit, rest = np.divmod(rest, w)
+                columns.append(digit)
+            columns.append(rest)
         else:
             columns = rows[edges[:-1]].T
         matroid._learn(columns)  # the block's sets new to the memo, decided in batches

@@ -270,12 +270,11 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
     :func:`mobius_coefficients`), each with a bound on its rounding
     error.  A sample goes through the chains only when its screened ratio
     less its bound is at most both the chunk's least screened ratio plus
-    bound and the least ratio the chains gave so far, and only the first
-    of equal such samples (the point masses of a sparse scan tie).  No
-    other sample can hold the chains' first minimum, so ``min_R`` and the
-    argmin are those of a scan that sends every sample through the chains,
-    to the bit.  The histogram counts the screened ratios, so its edges may
-    differ from that scan's in their last bits.
+    bound and the least ratio the chains gave so far.  No other sample can
+    hold the chains' minimum, so ``min_R`` and the argmin are those of a
+    scan that sends every sample through the chains, to the bit.  The
+    histogram counts the screened ratios, so its edges may differ from
+    that scan's in their last bits.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -303,8 +302,6 @@ def stability_scan(idx: IndepSetIndex, n_samples: int = 10_000, seed: int = 0,
             keep = keep[chunk_ratios - slack <= min(np.min(chunk_ratios + slack), best_ratio)]
             if not keep.size:
                 continue
-            if keep.size > 1:  # equal samples have equal gaps: confirm the first of each
-                keep = keep[np.sort(np.unique(pts[keep], axis=0, return_index=True)[1])]
             gaps, norm2 = gaps_from_uniform(idx, pts[keep])
             confirmed = gaps / norm2
         i = int(np.argmin(confirmed))

@@ -439,8 +439,8 @@ def test_scan_holds_while_the_screen_is_within_its_bound(monkeypatch, mode):
 
 
 def abs_form_screen(chains, w, coefficients):
-    """The screen's gaps and bounds in one row block, each level's W, gather
-    and poly_U in arrays of their own, sum |poly_U| taken with np.abs."""
+    """The screen's gaps and bounds in one row block, the bound's sum
+    |poly_U| taken with np.abs."""
     m, k, flats = chains.m, chains.k, chains.flat_points()
     wt = np.zeros((m + 1, max(len(w), 2)))
     wt[:m, :len(w)] = w.T
@@ -471,25 +471,6 @@ def test_screen_is_its_abs_form(monkeypatch, key):
     coefficients = mobius_coefficients(*key)
     got, want = _chains(idx).screen(w, coefficients), abs_form_screen(_chains(idx), w, coefficients)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_sparse_scan_confirms_each_distinct_sample_once(monkeypatch):
-    # of 2,000 sparse PG(4,2) K=4 samples, 67 pass the screen, many of them
-    # tied point masses; the chains take each distinct one once, and min_R,
-    # the argmin and skipped stay the chain-only scan's
-    calls = []
-    whole = projective.gaps_from_uniform
-    monkeypatch.setattr(projective, "gaps_from_uniform",
-                        lambda idx, pts: calls.append(pts.copy()) or whole(idx, pts))
-    idx = SCREENED[(5, 2, 4)]
-    report = stability_scan(idx, 2000, 7, mode="sparse")
-    monkeypatch.undo()
-    assert all(len(np.unique(pts, axis=0)) == len(pts) for pts in calls)
-    assert sum(map(len, calls)) == 27
-    min_r, argmin, skipped = chain_scan(idx, 2000, 7, "sparse")
-    assert report.min_ratio.hex() == min_r.hex()
-    assert np.array_equal(report.argmin, argmin)
-    assert report.skipped == skipped
 
 
 def test_screen_confirms_few_rows(monkeypatch):
