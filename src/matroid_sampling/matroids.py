@@ -21,11 +21,11 @@ matroids, a closed form for the uniform ones, and a lookup of sorted keys
 in the listed sets' shadow for explicit layers.  Ranks come from the spec.
 
 Matroids are immutable and oracle calls are pure, so instances can be
-shared across threads.  :meth:`Matroid.is_independent` keeps one memo for
+shared across threads.  :meth:`Matroid.is_independent` reads one memo for
 every family, at most ``ORACLE_MEMO_BYTES`` per matroid, changing only run
-time; on a miss it asks the family's decision: the column matroids' scalar
-elimination, or a one-row batch for the others.  Monte Carlo fills it ahead
-of its asks, deciding each block's new sets in batches.
+time; only Monte Carlo fills it, deciding each block's new sets in batches.
+Any other ask is one call of the family's decision, kept nowhere: the
+column matroids' scalar elimination, or a one-row batch for the others.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Matroid:
 
     The ground set is 0..m-1.  ``rows_oracle`` answers a validated (B, t)
     int64 array of strictly increasing rows with one bool each (see
-    :meth:`independent_rows`).  ``oracle`` is the decision that
+    :meth:`independent_rows`).  ``oracle`` is the bool decision that
     :meth:`is_independent` asks on a memo miss, about a sorted tuple of
     elements in range: the column matroids pass a scalar elimination, and
     otherwise it asks ``rows_oracle`` about one row.  ``columns``,
@@ -107,10 +107,8 @@ class Matroid:
     A matroid is immutable and its oracles are pure, so one instance may be
     shared across threads.  The memo of :meth:`is_independent` and an explicit
     layer's shadow keys, filled on first use, do not change that: every thread
-    writes the same values, and a lost write costs a recomputation.  The memo
-    is filled one set per miss, or a block at a time by ``_learn``, which
-    decides in batches the sets that Monte Carlo is about to ask and writes
-    the bytes a miss would.
+    writes the same values, and a lost write costs a recomputation.  Only
+    ``_learn`` writes the memo, for Monte Carlo; :meth:`is_independent` reads it.
     """
 
     def __init__(self, m: int, spec: MatroidSpec, name: str, rank: int, rows_oracle,
@@ -122,11 +120,11 @@ class Matroid:
         self.name = name
         self.rank = rank
         self._rows_oracle = rows_oracle
-        self._oracle = oracle or (lambda s: rows_oracle(np.array([s], np.int64))[0])
+        self._oracle = oracle or (lambda s: bool(rows_oracle(np.array([s], np.int64))[0]))
         self.columns = columns
         # is_independent's memo: per size from 2 while it fits, its answer bytes,
-        # None until the size's first use; then the colex rows that index them,
-        # as lists and as one int64 array
+        # None until _learn's first block of the size; then the colex rows that
+        # index them, as lists and as one int64 array
         left = ORACLE_MEMO_BYTES - m * _COLEX_ENTRY_BYTES  # row 0 of the colex rows
         self._tables, self._colex, self._colex_array = [None, None], [], None
         for size in range(2, rank + 1):
@@ -142,8 +140,8 @@ class Matroid:
         per size fit in what is left of ``ORACLE_MEMO_BYTES``: a set x_0 < ... <
         x_{s-1} has the byte at its colex rank sum_i C(x_i, i + 1), a bijection
         onto range(C(m, s)), 0 (unknown), 1 (dependent) or 2 (independent).  The
-        first size that does not fit ends the memo.  Misses ask ``_oracle``;
-        sets that ``_learn`` decided ahead of their ask are warm.
+        first size that does not fit ends the memo, which only ``_learn``
+        fills: any other ask is one ``_oracle`` call, each time it is made.
         A tuple or list of 2 to 4 strictly increasing ints in range, as Monte
         Carlo asks them, is unpacked and its colex rank summed in one expression.
         Elements must have integer values (bools, np.int64 and 2.0 count);
@@ -162,7 +160,7 @@ class Matroid:
                         known = tables[4][x[0][a] + x[1][b] + x[2][c] + x[3][d]]
                         if known:
                             return known == 2
-                    return self._miss((a, b, c, d))
+                    return self._oracle((a, b, c, d))
             elif size == 3:
                 a, b, c = subset
                 if (type(a) is int and type(b) is int and type(c) is int
@@ -172,7 +170,7 @@ class Matroid:
                         known = tables[3][x[0][a] + x[1][b] + x[2][c]]
                         if known:
                             return known == 2
-                    return self._miss((a, b, c))
+                    return self._oracle((a, b, c))
             elif size == 2:
                 a, b = subset
                 if type(a) is int and type(b) is int and -1 < a < b < self.m:
@@ -180,7 +178,7 @@ class Matroid:
                         known = tables[2][self._colex[0][a] + self._colex[1][b]]
                         if known:
                             return known == 2
-                    return self._miss((a, b))
+                    return self._oracle((a, b))
             else:
                 last = -1
                 for e in subset:
@@ -194,34 +192,31 @@ class Matroid:
                             known = table[sum(map(getitem, self._colex, subset))]
                             if known:
                                 return known == 2
-                        return self._miss(tuple(subset))
+                        return self._oracle(tuple(subset))
         s = tuple(sorted(set(map(_integer, subset))))
         if s and (s[0] < 0 or s[-1] >= self.m):
             raise ValueError(f"element out of range [0, {self.m}) in {list(s)}")
         return self.is_independent(s)
 
-    def _miss(self, s: tuple) -> bool:
-        """Ask ``_oracle`` about a sorted set in range; keep the answer if its size
-        is memoized."""
-        answer = bool(self._oracle(s))
-        size = len(s)
-        if 2 <= size < len(self._tables):
-            self._table(size)[sum(map(getitem, self._colex, s))] = 2 if answer else 1
-        return answer
-
     def _learn(self, columns) -> None:
-        """Decide the sets of a block that the memo does not know yet, in batches.
+        """Write the memo bytes of a block's sets that it does not know yet.
 
         ``columns`` holds k integer arrays of one length, column i the i-th
         elements of strictly increasing k-sets in range.  Where size k is
-        memoized, the sets' bytes are gathered at their colex ranks, and those
-        still 0 are decided by ``_rows_oracle`` in blocks of at most
-        ``_BUILD_BLOCK // k**2`` rows, each writing the byte :meth:`_miss`
-        would.  Otherwise nothing is done."""
+        memoized, the sets' bytes are gathered at their colex ranks (the colex
+        rows and the size's table are made on first use), and those still 0
+        are decided by ``_rows_oracle`` in blocks of at most
+        ``_BUILD_BLOCK // k**2`` rows.  Otherwise nothing is done."""
         k = len(columns)
         if not 2 <= k < len(self._tables):
             return
-        known = np.frombuffer(self._table(k), np.uint8)
+        if not self._colex:  # the colex rows: the array before the lists, which mark them built
+            lists = [[comb(x, i + 1) for x in range(self.m)] for i in range(len(self._tables) - 1)]
+            self._colex_array = np.array(lists, np.int64)
+            self._colex = lists
+        if self._tables[k] is None:
+            self._tables[k] = bytearray(comb(self.m, k))
+        known = np.frombuffer(self._tables[k], np.uint8)
         colex = self._colex_array
         ranks = colex[0].take(columns[0])
         for row, column in zip(colex[1:k], columns[1:]):
@@ -232,19 +227,6 @@ class Matroid:
             pick = new[lo:lo + step]
             rows = np.stack([column[pick] for column in columns], axis=1, dtype=np.int64)
             known[ranks[pick]] = self._rows_oracle(rows) + 1  # 1 dependent, 2 independent
-
-    def _table(self, size: int) -> bytearray:
-        """The memo table of a memoized size, building the colex rows (the
-        array before the lists, which mark them built), then the table, on
-        first use."""
-        if self._tables[size] is None:
-            if not self._colex:
-                colex = [[comb(x, i + 1) for x in range(self.m)]
-                         for i in range(len(self._tables) - 1)]
-                self._colex_array = np.array(colex, np.int64)
-                self._colex = colex
-            self._tables[size] = bytearray(comb(self.m, size))
-        return self._tables[size]
 
     def independent_rows(self, rows) -> np.ndarray:
         """Independence of each row of a (B, t) integer array whose rows

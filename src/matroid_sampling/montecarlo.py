@@ -39,11 +39,12 @@ a tuple of Python ints.  Before a block's asks, where the matroid's memo
 (:meth:`~matroid_sampling.matroids.Matroid.is_independent`) holds size k,
 the matroid gathers the block's memo bytes from its digit columns and
 decides the sets it does not know yet in batches of ``_BUILD_BLOCK // k**2``
-rows (``Matroid._learn``; one stacked elimination per batch on the column
-matroids).  So every ask of a memoized size reads one byte, unpacked at
-k <= 4, and a cold request pays no scalar elimination per new set.  Past
-the memo each ask is an oracle call.  Neither windows, batches nor memo
-change the asks or the successes, only the time.
+rows (``Matroid._learn``, the memo's one writer; one stacked elimination
+per batch on the column matroids).  So every ask of a memoized size reads
+one byte, unpacked at k <= 4, and a cold request pays no scalar elimination
+per new set.  Past the memo, and for an ask outside these windows such as
+:func:`sample_kset`'s, each ask is an oracle call.  Neither windows,
+batches nor memo change the asks or the successes, only the time.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def estimate_F(matroid: Matroid, p: Distribution, k: int, n_trials: int,
     ask, so larger windows ask less often, and the window's keys take 8
     bytes per trial.  Where the matroid memoizes size k, an ask reads one
     byte: the window's sets new to the memo are decided in batches before
-    their asks.  Otherwise each ask is an oracle call.
+    their asks, the one way the memo is filled.  Otherwise each ask is an
+    oracle call.
     When k exceeds the rank no k-set is independent: every seed gives 0
     successes, returned without drawing.
     """
@@ -179,8 +181,8 @@ def _chunk_successes(matroid: Matroid, probs: np.ndarray, k: int, seed: int, sta
     buffer of 8 bytes per trial of the window (k entries of the smallest
     unsigned type that holds m - 1 where m^k >= 2^63).  After the last
     block the window is sorted once and each distinct set asked once, in
-    lexicographic order, each block of asks after ``matroid._learn`` has
-    decided the block's sets that the memo does not know."""
+    lexicographic order, each block after ``matroid._learn``, the memo's
+    one writer, has stored the block's sets that the memo did not know."""
     m = matroid.m
     packed = m**k < 2**63
     kept = (np.empty(count, np.int64) if packed

@@ -244,14 +244,33 @@ def _subsets(m, max_size):
 
 
 def _counted(spec, budget, decide=None):
-    """The matroid of ``spec`` built under a memo budget, with its decision
-    (or ``decide`` in its place) wrapped to count the asks that reach it, per set."""
+    """The matroid of ``spec`` built under a memo budget, with its scalar and
+    batch decisions (or ``decide``, per set, in place of both) wrapped to count
+    per set the asks that reach the scalar one and the rows the batch one
+    decides: (matroid, asks, learned)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matroids, "ORACLE_MEMO_BYTES", budget)
         matroid = build_matroid(spec)
-    asks, oracle = Counter(), decide or matroid._oracle
+    asks, learned = Counter(), Counter()
+    oracle = decide or matroid._oracle
+    rows_oracle = matroid._rows_oracle if decide is None else (
+        lambda rows: np.array([decide(tuple(row)) for row in rows.tolist()], bool))
     matroid._oracle = lambda s: asks.update([s]) or oracle(s)
-    return matroid, asks
+    matroid._rows_oracle = lambda rows: learned.update(map(tuple, rows.tolist())) or rows_oracle(rows)
+    return matroid, asks, learned
+
+
+def _learn(matroid, sets):
+    """Hand ``sets`` (sorted tuples) to ``matroid._learn``, one block per size,
+    each in the order given."""
+    for size in sorted({len(s) for s in sets}):
+        block = [s for s in sets if len(s) == size]
+        matroid._learn(np.array(block, np.int64).reshape(len(block), size).T)
+
+
+def _memo_state(matroid):
+    """Copies of the memo's tables (None where not made) and its colex rows."""
+    return [None if t is None else bytes(t) for t in matroid._tables], list(matroid._colex)
 
 
 @st.composite
@@ -277,6 +296,9 @@ def explicit_specs(draw):
                  st.integers(1, 9).flatmap(lambda n: st.builds(UniformSpec, st.integers(0, n),
                                                                st.just(n)))),
        st.integers(1, 4_000), st.randoms(use_true_random=False))
+@example(LinearSpec(3, ((1, 0), (0, 1), (1, 1), (1, 2))), 400, random.Random(1))
+@example(ExplicitSpec(5, 3, ((0, 1, 2), (1, 3, 4))), 400, random.Random(2))
+@example(UniformSpec(3, 6), 400, random.Random(3))
 def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
     # budget 0 sends every size straight to the oracle; a partial budget
     # memoizes only the smallest sizes; the default memoizes all of them
@@ -288,15 +310,25 @@ def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
         assert truth == {s: _rank_rows([spec.columns[e] for e in s], spec.q) == len(s)
                          for s in subsets}
     for budget in (0, partial_budget, matroids.ORACLE_MEMO_BYTES):
-        matroid, asks = _counted(spec, budget)
+        matroid, asks, learned = _counted(spec, budget)
         warm = list(subsets)
         rnd.shuffle(warm)
-        assert {s: matroid.is_independent(s) for s in subsets} == truth
-        assert {s: matroid.is_independent(s) for s in warm} == truth
-        # a set of a memoized size reaches the oracle once, any other on every ask;
-        # the memoized sizes run from 2 up, all of them up to the rank at the default
-        memoized = sorted({len(s) for s in subsets if asks[s] == 1})
-        assert asks == Counter({s: 1 if len(s) in memoized else 2 for s in subsets})
+        # cold, every ask reaches the oracle and answers a bool
+        cold = {s: matroid.is_independent(s) for s in subsets}
+        assert cold == truth and {type(answer) for answer in cold.values()} == {bool}
+        assert asks == Counter(subsets)
+        asks.clear()
+        # _learn over half the sets, then all of them, in a random order
+        _learn(matroid, warm[:len(warm) // 2])
+        _learn(matroid, warm)
+        answers = {s: matroid.is_independent(s) for s in warm}
+        assert answers == truth and {type(answer) for answer in answers.values()} == {bool}
+        # a set of a memoized size is decided once, in a batch, and never asked
+        # again; any other reaches the oracle on every ask; the memoized sizes
+        # run from 2 up, all of them up to the rank at the default
+        memoized = sorted({len(s) for s in learned})
+        assert learned == Counter(s for s in subsets if len(s) in memoized)
+        assert asks == Counter(s for s in subsets if len(s) not in memoized)
         assert memoized == list(range(2, 2 + len(memoized)))
         if budget == 0:
             assert memoized == []
@@ -307,40 +339,42 @@ def test_memo_answers_match_direct_rank(spec, partial_budget, rnd):
 @pytest.mark.parametrize("m", range(2, 10))
 def test_memo_colex_rank_is_a_bijection(m):
     # Each size's table has C(m, s) slots and indexing past it raises, so if
-    # the cold pass asks the oracle once per set (no two sets share a slot)
-    # and the warm pass never asks it, the colex rank maps the s-subsets
-    # one-to-one onto range(C(m, s)).  Sizes 0 and 1 are not memoized.
-    # U(m, m) memoizes every size from 2 to m; its decision is replaced.
-    matroid, asks = _counted(UniformSpec(m, m), matroids.ORACLE_MEMO_BYTES,
-                             lambda s: sum(s) % 3 == 0)
+    # _learn, handed one set at a time, decides each set (no two sets share a
+    # slot) and the asks after it never reach the oracle, the colex rank maps
+    # the s-subsets one-to-one onto range(C(m, s)).  Sizes 0 and 1 are not
+    # memoized.  U(m, m) memoizes every size from 2 to m; its decision is replaced.
+    matroid, asks, learned = _counted(UniformSpec(m, m), matroids.ORACLE_MEMO_BYTES,
+                                      lambda s: sum(s) % 3 == 0)
     for size in range(m + 1):
         subsets = list(combinations(range(m), size))
-        asks.clear()
-        assert [matroid.is_independent(s) for s in subsets] == [sum(s) % 3 == 0
-                                                                for s in subsets]
-        assert list(asks.elements()) == subsets
-        asks.clear()
+        learned.clear()
+        for s in subsets:
+            _learn(matroid, [s])
+        assert list(learned.elements()) == (subsets if size >= 2 else [])
         assert [matroid.is_independent(s) for s in reversed(subsets)] == [
             sum(s) % 3 == 0 for s in reversed(subsets)]
         assert list(asks.elements()) == ([] if size >= 2 else subsets[::-1])
+        asks.clear()
 
 
 def test_warm_asks_read_the_sorted_sets_byte_in_every_form():
     # PG(4,2): m = 31, rank 5, so the memo holds sizes 2 to 5, whose sets are
     # read unpacked (sizes 2 to 4) or by the loop (5).  Each size answers as
-    # with no memo, and once a set is warm no form of it reaches the oracle.
+    # with no memo, and once _learn has decided a set no form of it reaches
+    # the oracle.
     spec = ProjectiveSpec(5, 2)
-    cold, _ = _counted(spec, 0)
-    warm, asks = _counted(spec, matroids.ORACLE_MEMO_BYTES)
+    cold, _, _ = _counted(spec, 0)
+    warm, asks, learned = _counted(spec, matroids.ORACLE_MEMO_BYTES)
     rng = random.Random(31)
     for size in range(2, 6):
         sets = sorted({tuple(sorted(rng.sample(range(31), size))) for _ in range(300)}
                       | {tuple(range(size)), tuple(range(31 - size, 31))})
         want = [cold.is_independent(s) for s in sets]
         assert (False in want) == (size > 2)  # PG(4,2) has no parallel pair
+        _learn(warm, sets)
+        assert learned == Counter(sets)
+        learned.clear()
         assert [warm.is_independent(s) for s in sets] == want
-        assert asks == Counter(sets)
-        asks.clear()
         for s, answer in zip(sets, want):
             shuffled = rng.sample(s, size)
             forms = [s, list(s), [np.int64(e) for e in s], [float(e) for e in s], shuffled,
@@ -358,13 +392,16 @@ def test_warm_asks_read_the_sorted_sets_byte_in_every_form():
         asks.clear()
 
 
-def _asks_twice(spec, budget, sets):
-    """The sets that reach the oracle when each of ``sets`` is asked twice."""
-    matroid, asks = _counted(spec, budget)
+def _learned_then_asked_twice(spec, budget, sets):
+    """The sets that ``_learn`` decides when handed each of ``sets``, and those
+    that then reach the oracle when each is asked twice."""
+    matroid, asks, learned = _counted(spec, budget)
+    for s in sets:
+        _learn(matroid, [s])
     for _ in range(2):
         for s in sets:
             matroid.is_independent(s)
-    return [s for s in sets for _ in range(asks[s])]
+    return list(learned.elements()), [s for s in sets for _ in range(asks[s])]
 
 
 @settings(PROPERTY, max_examples=80)  # about a quarter have rank 1 and no memo
@@ -372,13 +409,14 @@ def _asks_twice(spec, budget, sets):
 def test_learn_writes_the_bytes_a_miss_would(matroid, data):
     # per memoized size, _learn over a random block of sets, given as int64 or
     # uint8 columns, writes each set's byte as independent_rows decides it and
-    # no other; over every set, the table a miss per set fills, byte for byte
+    # no other; over every set, the table of independent_rows' answers at the
+    # sets' colex ranks, byte for byte, with no scalar ask
     spec = matroid.spec
     for size in range(2, len(matroid._tables)):
         subsets = list(combinations(range(matroid.m), size))
         block = data.draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
         rows = np.array(sorted(block), data.draw(st.sampled_from((np.int64, np.uint8))))
-        learned, asks = _counted(spec, matroids.ORACLE_MEMO_BYTES)
+        learned, asks, _ = _counted(spec, matroids.ORACLE_MEMO_BYTES)
         learned._learn(rows.T)
         want = matroid.independent_rows(rows)
         table = np.frombuffer(learned._tables[size], np.uint8)
@@ -386,11 +424,36 @@ def test_learn_writes_the_bytes_a_miss_would(matroid, data):
         assert np.array_equal(table[colex], np.where(want, 2, 1))
         assert np.count_nonzero(table) == len(block)
         learned._learn(np.array(subsets).T)
-        missed, _ = _counted(spec, matroids.ORACLE_MEMO_BYTES)
-        for s in subsets:
-            missed.is_independent(s)
-        assert learned._tables[size] == missed._tables[size]
+        full = np.zeros(comb(matroid.m, size), np.uint8)
+        colex = [sum(comb(x, i + 1) for i, x in enumerate(s)) for s in subsets]
+        full[colex] = np.where(matroid.independent_rows(np.array(subsets)), 2, 1)
+        assert learned._tables[size] == full.tobytes()
         assert not asks
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from([ProjectiveSpec(4, 3), UniformSpec(4, 9),
+                        ExplicitSpec(7, 3, ((0, 1, 2), (1, 3, 5), (2, 4, 6), (0, 5, 6)))]),
+       st.booleans(), st.data())
+def test_asks_never_write_the_memo(spec, learn_first, data):
+    # any mix of asks, in any form, on a fresh matroid or one whose memo
+    # _learn has partly filled, answers as independent_rows does and leaves
+    # every table and the colex rows as they were
+    matroid = build_matroid(spec)
+    element = st.integers(0, matroid.m - 1)
+    if learn_first:
+        _learn(matroid, data.draw(st.lists(st.lists(element, min_size=2, max_size=matroid.rank,
+                                                    unique=True).map(sorted).map(tuple),
+                                           min_size=1, max_size=40)))
+    before = _memo_state(matroid)
+    asks = data.draw(st.lists(st.lists(element, max_size=matroid.rank + 1), max_size=60))
+    for ask in asks:
+        form = data.draw(st.sampled_from((list, tuple, sorted, lambda a: tuple(sorted(set(a))),
+                                          np.array)))
+        s = sorted(set(ask))
+        want = bool(matroid.independent_rows(np.array(s, np.int64).reshape(1, len(s)))[0])
+        assert matroid.is_independent(form(ask)) == want
+    assert _memo_state(matroid) == before
 
 
 def test_memo_stays_inside_its_budget():
@@ -398,8 +461,10 @@ def test_memo_stays_inside_its_budget():
     # and each of the colex rows 0..size-1 holds 40 entries
     row = 40 * matroids._COLEX_ENTRY_BYTES
     sets = [(0, 1), (0, 1, 2), (0, 1, 2, 3)]
-    asked = _asks_twice(ProjectiveSpec(4, 3), row + (780 + row) + (9_880 + row), sets)
-    assert asked == [(0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3)]
+    learned, asked = _learned_then_asked_twice(ProjectiveSpec(4, 3),
+                                               row + (780 + row) + (9_880 + row), sets)
+    assert learned == [(0, 1), (0, 1, 2)]
+    assert asked == [(0, 1, 2, 3), (0, 1, 2, 3)]
 
 
 def test_memo_ends_at_the_first_size_that_does_not_fit():
@@ -408,14 +473,16 @@ def test_memo_ends_at_the_first_size_that_does_not_fit():
     row = 10 * matroids._COLEX_ENTRY_BYTES
     fits = row + (45 + row) + (120 + row) + (210 + row)
     sets = [tuple(range(size)) for size in range(2, 7)]
-    asked = _asks_twice(UniformSpec(10, 10), fits + 252 + row - 1, sets)
-    assert asked == sets[:3] + [sets[3]] * 2 + [sets[4]] * 2
+    learned, asked = _learned_then_asked_twice(UniformSpec(10, 10), fits + 252 + row - 1, sets)
+    assert learned == sets[:3]
+    assert asked == [sets[3]] * 2 + [sets[4]] * 2
 
 
 def test_memo_shared_across_threads():
-    # four threads fill one fresh matroid's memo at once, switching every
-    # microsecond, and each reads every answer right; twenty fresh matroids,
-    # so that the first misses of each size race many times
+    # four threads fill one fresh matroid's memo at once, each handing _learn
+    # a block of its sets and then asking them, switching every microsecond,
+    # and each reads every answer right; twenty fresh matroids, so that the
+    # first blocks of each size race many times
     spec = ProjectiveSpec(4, 2)
     subsets = _subsets(15, 5)
     truth = build_matroid(spec)
@@ -425,7 +492,10 @@ def test_memo_shared_across_threads():
 
     def ask(matroid, start, order, got):
         start.wait(timeout=60)
-        got.update((i, matroid.is_independent(subsets[i])) for i in order)
+        for lo in range(0, len(order), 64):
+            block = order[lo:lo + 64]
+            _learn(matroid, [subsets[i] for i in block])
+            got.update((i, matroid.is_independent(subsets[i])) for i in block)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
