@@ -36,10 +36,10 @@ the stability scan and the identity checks call):
 
 On a projective geometry the chains' nodes are also the flats of
 Möbius inversion, F(p) = 1 + sum_r c_r sum_U p(U)^K: _Chains.screen
-takes the gaps from one K-th power per flat, with a bound on their
-rounding error.  The stability scan screens its samples with it and
-sends only those that can hold the minimum through the chains, so
-every gap it reports is the chains'.
+sums each flat's mass along the levels and takes the gaps from one K-th
+power per flat, with a bound on their rounding error.  The stability
+scan screens its samples with it and sends only those that can hold the
+minimum through the chains, so every gap it reports is the chains'.
 
 On a matroid support, which :func:`is_matroid_support` decides exactly,
 the K-th root of the polynomial is concave on the nonnegative orthant;
@@ -337,7 +337,7 @@ class _Chains:
     nonnegative integers, exact while K! n_sets < 2^53.
     """
 
-    __slots__ = ("m", "k", "levels", "slope", "_plan", "_points")
+    __slots__ = ("m", "k", "levels", "slope", "_plan")
 
     def __init__(self, m: int, k: int, levels: list[_Level]):
         self.m, self.k, self.levels = m, k, levels
@@ -346,7 +346,6 @@ class _Chains:
         degrees = self.gradient(self.evaluate(np.ones(m))[1])
         self.slope = m * degrees - degrees.sum()
         self._plan = None  # the tables of gaps, built on first use: see _gap_plan
-        self._points = None  # the nodes' points, listed on first use: see flat_points
 
     def _sweep(self, x: np.ndarray):
         """(G(E), per level the cover factors x(F \\ F') and the values
@@ -514,30 +513,20 @@ class _Chains:
         total = higher + factorial(self.k) / m * _dot2(w, self.slope)
         return 0.0 - float(m) ** (-self.k) * total  # +0.0, not -0.0, where total is 0
 
-    def flat_points(self) -> list[np.ndarray]:
-        """Per level t = 1..K-1, the points of its nodes (on a matroid, the
-        rank-t flats) as a (points, nodes) array padded with m, listed on
-        first use and cached: a node is its first cover's source plus that
-        cover's difference set."""
-        if self._points is None:
-            points, self._points = np.empty((0, 1), dtype=np.int64), []
-            for lv in self.levels[:-1]:
-                points = np.concatenate((points[:, lv.src[lv.starts]], lv.diff[:, lv.starts]))
-                self._points.append(points)
-        return self._points
-
     def screen(self, w: np.ndarray, coefficients) -> tuple[np.ndarray, np.ndarray]:
         """(F(u) - F(p), a bound on its rounding error) per row of the
         centered points w = m p - 1, whose rows sum to zero, from the flat
         masses: F(p) = 1 + sum over levels r < K of c_r sum_U p(U)^K for
         the Möbius coefficients c_r (``coefficients``, c_1 first; see
         :func:`~matroid_sampling.projective.mobius_coefficients`), where
-        the flats U of a level all hold |U| points, as on a projective
-        geometry.
+        the nodes U of a level (the rank-r flats) all hold |U| points, as
+        on a projective geometry.  W = w(U) follows the levels from 0 at
+        the root: a node is its first cover's source plus that cover's
+        difference set, whose points it adds one at a time.
 
-        With W = w(U), m^K (p(U)^K - u(U)^K) = sum_{j>=1} C(K, j) |U|^(K-j)
-        W^j.  Its linear terms add up to zero on each level, since every
-        point lies in equally many of its flats, so the gap is
+        m^K (p(U)^K - u(U)^K) = sum_{j>=1} C(K, j) |U|^(K-j) W^j.  Its
+        linear terms add up to zero on each level, since every point lies
+        in equally many of its flats, so the gap is
         -m^-K sum_r c_r sum_U poly_U with poly_U = sum_{j>=2} C(K, j)
         |U|^(K-j) W^j, taken by Horner's rule.  The bound is
         64 (K + max |U|) 2^-53 m^-K sum_r |c_r| sum_U |poly_U|, and one sum
@@ -546,15 +535,15 @@ class _Chains:
         of that power, positive there.
 
         Rows last, in blocks of max(1, GAP_BLOCK_BYTES // (8 * the most
-        points of a level)) rows and at least two columns, so that every
+        nodes of a level)) rows and at least two columns, so that every
         sum runs one element at a time over the points of a flat, then
         over the flats of a level, in the same order at any block width.
         """
         m, k = self.m, self.k
-        flats = self.flat_points()
+        firsts = [(lv.src[lv.starts], lv.diff[:, lv.starts]) for lv in self.levels[:-1]]
         scale = float(m) ** (-k)
-        slack = 64 * (k + flats[-1].shape[0]) * 2.0**-53 * scale
-        rows = max(1, GAP_BLOCK_BYTES // (8 * max(p.shape[1] for p in flats)))
+        slack = 64 * (k + sum(diff.shape[0] for _, diff in firsts)) * 2.0**-53 * scale
+        rows = max(1, GAP_BLOCK_BYTES // (8 * max(src.size for src, _ in firsts)))
         batch = w.shape[0]
         gaps, bounds = np.empty(batch), np.empty(batch)
         for start in range(0, batch, rows):
@@ -563,11 +552,12 @@ class _Chains:
             wt = np.zeros((m + 1, max(r, 2)))  # rows last, as in gaps
             wt[:m, :r] = block.T
             total, size = np.zeros((2, wt.shape[1]))
-            for c, points in zip(coefficients, flats):
-                a = points.shape[0]
-                x = wt.take(points[0], axis=0)  # W per flat, one point at a time
-                for row in points[1:]:
+            x, a = np.zeros((1, wt.shape[1])), 0  # W and |U| of the root
+            for c, (src, diff) in zip(coefficients, firsts):
+                x = x.take(src, axis=0)
+                for row in diff:
                     x += wt.take(row, axis=0)
+                a += diff.shape[0]
                 poly = x + k * a
                 for j in range(k - 2, 1, -1):
                     poly *= x

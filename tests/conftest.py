@@ -85,6 +85,17 @@ def with_loops(data, matroid, k):
     return sets, m, place
 
 
+def node_points(chains):
+    """Per level t = 1..K-1 of a _Chains evaluator, the points of its nodes
+    (on a matroid, the rank-t flats) as a (points, nodes) array padded with
+    m: a node is its first cover's source plus that cover's difference set."""
+    points, listed = np.empty((0, 1), dtype=np.int64), []
+    for lv in chains.levels[:-1]:
+        points = np.concatenate((points[:, lv.src[lv.starts]], lv.diff[:, lv.starts]))
+        listed.append(points)
+    return listed
+
+
 def centered(pts):
     """The rows of a (batch, m) array as w = m p - 1, projected to zero sum."""
     m = pts.shape[1]

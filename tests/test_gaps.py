@@ -26,7 +26,7 @@ from matroid_sampling import (ExplicitSpec, IndepSetIndex, LinearSpec, PGParams,
                               UniformSpec, build_matroid, enumerate_independent_ksets,
                               gaps_from_uniform, genpoly, mobius_coefficients, projective,
                               projective_points, stability_scan)
-from conftest import centered, kset_f, linear_matroids, supports, with_loops
+from conftest import centered, kset_f, linear_matroids, node_points, supports, with_loops
 from matroid_sampling.genpoly import _acceptor, _centred, _chains, _Elementary
 from matroid_sampling.projective import SCAN_CHUNK, _scan_samples
 from matroid_sampling.streams import trial_uniforms
@@ -441,7 +441,7 @@ def test_scan_holds_while_the_screen_is_within_its_bound(monkeypatch, mode):
 def abs_form_screen(chains, w, coefficients):
     """The screen's gaps and bounds in one row block, the bound's sum
     |poly_U| taken with np.abs."""
-    m, k, flats = chains.m, chains.k, chains.flat_points()
+    m, k, flats = chains.m, chains.k, node_points(chains)
     wt = np.zeros((m + 1, max(len(w), 2)))
     wt[:m, :len(w)] = w.T
     total, size = np.zeros((2, wt.shape[1]))

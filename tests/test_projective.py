@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CountingMatroid
+from conftest import CountingMatroid, node_points
 from matroid_sampling import (Distribution, ExplicitSpec, FieldMatrix, PGParams, PrimeField,
                               ProjectiveSpec, VectorDistribution, b2_count,
                               b2_explicit, build_matroid,
@@ -368,7 +368,7 @@ def test_mobius_coefficients_closed_form():
 
 
 # the flats of ranks 1..n-1 of PG(n-1, q), from the chains of its rank-n index
-PG_FLATS = {(n, q): _chains(PGParams(n, q, n).index()).flat_points()
+PG_FLATS = {(n, q): node_points(_chains(PGParams(n, q, n).index()))
             for n, q in ((3, 2), (4, 2), (3, 3))}
 
 
